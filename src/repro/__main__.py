@@ -183,20 +183,29 @@ def cmd_probe(args):
     return 0
 
 
+#: ``profile tailcell``: the seeded two-site, 48-host WAN tail-study
+#: cell — every host a client, moderate load.
+TAILCELL_TOPOLOGY = dict(kind="wan", hosts=48, seed=11, hosts_per_edge=8,
+                         spines=2, sites=2, router_speedup=8.0)
+TAILCELL_WORKLOAD = dict(proto="udp", seed=11, clients=0, fanout=2,
+                         request_bytes=64, reply_bytes=200,
+                         size_dist="fixed", window_us=400_000.0,
+                         drain_us=300_000.0)
+TAILCELL_LOAD = 0.15
+
+
 def cmd_profile(args):
     """Run a named bench harness (or the WAN tail cell) under cProfile."""
     import cProfile
     import pstats
 
-    from repro.analysis import bench_json, bench_wallclock
-    from repro.stack import dispatch
+    from repro.analysis import bench_json
 
     def tail_cell():
         from repro.analysis import tailstudy
 
-        tailstudy.run_cell(bench_wallclock.PARALLEL_TOPOLOGY,
-                           bench_wallclock.PARALLEL_WORKLOAD,
-                           "mach25", bench_wallclock.PARALLEL_LOAD)
+        tailstudy.run_cell(TAILCELL_TOPOLOGY, TAILCELL_WORKLOAD,
+                           "mach25", TAILCELL_LOAD)
 
     targets = {name: harness
                for name, (_message, harness) in bench_json.HARNESSES.items()}
@@ -206,22 +215,16 @@ def cmd_profile(args):
               % (args.harness, ", ".join(sorted(targets))), file=sys.stderr)
         return 2
 
-    harness = targets[args.harness]
-    previous = dispatch.set_train_dispatch(not args.legacy)
     profiler = cProfile.Profile()
-    try:
-        profiler.enable()
-        harness()
-        profiler.disable()
-    finally:
-        dispatch.set_train_dispatch(previous)
+    profiler.enable()
+    targets[args.harness]()
+    profiler.disable()
 
     stats = pstats.Stats(profiler)
     total_calls = stats.total_calls
     rows = sorted(stats.stats.items(), key=lambda kv: kv[1][3], reverse=True)
-    mode = "legacy" if args.legacy else "batched"
-    print("### cProfile — %s (%s dispatch, %s total calls)"
-          % (args.harness, mode, "{:,}".format(total_calls)))
+    print("### cProfile — %s (%s total calls)"
+          % (args.harness, "{:,}".format(total_calls)))
     print()
     print("| ncalls | tottime s | cumtime s | function |")
     print("|---|---|---|---|")
@@ -346,9 +349,6 @@ def main(argv=None):
                                 "for the seeded 2-site WAN tail-study cell")
     p_profile.add_argument("--top", type=int, default=20,
                            help="rows in the table (default %(default)s)")
-    p_profile.add_argument("--legacy", action="store_true",
-                           help="profile with packet-train dispatch off "
-                                "(REPRO_TRAIN_DISPATCH=0 semantics)")
 
     p_forensics = sub.add_parser(
         "forensics", help="render a tailstudy --forensics document")

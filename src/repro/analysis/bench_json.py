@@ -128,8 +128,7 @@ def _h_figure1():
 
 #: Named bench harnesses, in document order.  Each entry is
 #: (progress message, zero-argument callable returning the document
-#: keys it contributes).  Shared by :func:`collect`, the wall-clock
-#: tracker (:mod:`repro.analysis.bench_wallclock`), and the
+#: keys it contributes).  Shared by :func:`collect` and the
 #: ``python -m repro profile`` CLI.
 HARNESSES = {
     "table1_proxy_rpcs": ("table 1: proxy interface ...", _h_table1),

@@ -21,7 +21,6 @@ from repro.hw.cpu import Priority
 from repro.kernel.ipc import MessagePort
 from repro.kernel.kernel import IPCDelivery, SHMDelivery
 from repro.mem.shm import SharedPacketRing
-from repro.stack import dispatch
 from repro.stack.context import ExecutionContext, light_locks
 from repro.stack.engine import NetEnv, NetworkStack
 from repro.stack.instrument import Layer, LayerAccounting
@@ -73,8 +72,6 @@ class ProtocolLibrary:
             send_frame=self._send_frame,
             resolve=self.metastate.resolve,
             route=self.metastate.route,
-            arp_lookup=self.metastate.lookup,
-            resolve_miss=self.metastate.resolve_miss,
         )
         self.stack = NetworkStack(
             self.ctx,
@@ -151,14 +148,6 @@ class ProtocolLibrary:
         from repro.sim.errors import Interrupt
 
         try:
-            if dispatch.TRAIN_DISPATCH:
-                # Single-frame trains: same schedule, shallower resume
-                # chain per packet (input_train inlines the TCP/UDP
-                # input paths).  port.receive handles trace adoption.
-                while True:
-                    message = yield from port.receive(
-                        self.ctx, Layer.KERNEL_COPYOUT)
-                    yield from self.stack.input_train((message.data,))
             while True:
                 message = yield from port.receive(self.ctx, Layer.KERNEL_COPYOUT)
                 yield from self.stack.input_frame(message.data)
@@ -179,12 +168,9 @@ class ProtocolLibrary:
                 yield self.ctx.charge(
                     Layer.KERNEL_COPYOUT, self.ctx.params.sched_dispatch
                 )
-                if dispatch.TRAIN_DISPATCH:
-                    yield from self.stack.input_train(batch, adopt=True)
-                else:
-                    for frame in batch:
-                        adopt_trace(sim, frame_trace(frame))
-                        yield from self.stack.input_frame(frame)
+                for frame in batch:
+                    adopt_trace(sim, frame_trace(frame))
+                    yield from self.stack.input_frame(frame)
         except Interrupt:
             return
 

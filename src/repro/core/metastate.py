@@ -51,15 +51,6 @@ class MetastateCache:
         mac = self.arp_cache.lookup(next_hop_ip)
         if mac is not None:
             return mac
-        return (yield from self.resolve_miss(ctx, next_hop_ip))
-
-    def lookup(self, next_hop_ip):
-        """The cache probe :meth:`resolve` performs after its entry
-        charge; plain call used by the train-dispatch fast path."""
-        return self.arp_cache.lookup(next_hop_ip)
-
-    def resolve_miss(self, ctx, next_hop_ip):
-        """The miss tail of :meth:`resolve`: one metastate RPC."""
         self.arp_rpcs += 1
         mac = yield from self._rpc.call_retrying(
             ctx, "meta_arp", args=(self.app_id, next_hop_ip),

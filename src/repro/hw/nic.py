@@ -110,31 +110,6 @@ class NIC:
         if gauge is not None:
             gauge.record(len(self._tx_ring))
 
-    def transmit_fast(self, frame):
-        """Non-blocking :meth:`start_transmit`: plain call, no generator.
-
-        Returns False without side effects when the transmit ring is
-        full — the caller falls back to the blocking generator, which
-        re-tags an identical frame and queues behind the same ring.  A
-        ``put()`` on a non-full channel never touches the engine, so the
-        success path is schedule-identical to :meth:`start_transmit`.
-        """
-        trace_id = getattr(frame, "trace_id", None)
-        if trace_id is None:
-            proc = self._sim.current
-            trace_id = proc.trace_ctx if proc is not None else None
-        data = bytes(frame)
-        if trace_id is not None:
-            data = TaggedFrame(data)
-            data.trace_id = trace_id
-        if not self._tx_ring.try_put(data):
-            return False
-        self._tx_enq_us.append(self._sim._now)
-        gauge = self.tx_depth_gauge
-        if gauge is not None:
-            gauge.record(len(self._tx_ring))
-        return True
-
     def _transmitter(self):
         """Device process: drain the TX ring onto the wire, in order."""
         while True:

@@ -8,11 +8,8 @@ transit component: 0.8 microseconds per byte with a 64-byte minimum frame
 
 Fault injection hooks in between serialization and delivery: a
 :class:`~repro.faults.FaultPlan` sees every serialized frame as a
-``Transit`` and may drop, corrupt, delay, duplicate, or redirect it.  The
-legacy ``loss_rate``/``corrupt_rate`` scalars are kept as shims that build
-a two-stage plan."""
+``Transit`` and may drop, corrupt, delay, duplicate, or redirect it."""
 
-from repro.faults import BernoulliLoss, Corrupt, FaultPlan
 from repro.sim.sync import Lock
 from repro.sim.process import Timeout
 from repro.trace import TaggedFrame, frame_trace
@@ -42,20 +39,11 @@ class EthernetWire:
     """A broadcast Ethernet segment connecting NICs.
 
     ``fault_plan`` runs every serialized frame through a composable fault
-    pipeline (see :mod:`repro.faults`).  The legacy ``loss_rate`` /
-    ``corrupt_rate`` scalars (with an ``rng`` — any object exposing
-    ``random()``) are shims that build an equivalent two-stage plan and
-    keep old call sites and benchmarks working unchanged.
+    pipeline (see :mod:`repro.faults`).
     """
 
     def __init__(self, sim, us_per_byte=US_PER_BYTE_10MBIT, name="ether0",
-                 loss_rate=0.0, corrupt_rate=0.0, rng=None,
                  propagation_us=0.0, fault_plan=None):
-        if (loss_rate or corrupt_rate) and rng is None:
-            raise ValueError("fault injection requires an rng")
-        if fault_plan is not None and (loss_rate or corrupt_rate):
-            raise ValueError(
-                "pass either fault_plan or loss_rate/corrupt_rate, not both")
         self._sim = sim
         self.us_per_byte = us_per_byte
         #: One-way propagation delay added after serialization.  Zero for
@@ -63,9 +51,6 @@ class EthernetWire:
         #: bandwidth-delay product that motivates RFC 1323).
         self.propagation_us = propagation_us
         self.name = name
-        self.loss_rate = loss_rate
-        self.corrupt_rate = corrupt_rate
-        self.rng = rng
         self._nics = []
         self._medium = Lock(sim, name=name)
         #: Full-duplex mode: each sender serializes on its own private
@@ -92,11 +77,6 @@ class EthernetWire:
         #: has been occupied.  busy_time / sim.now is wire utilization.
         self.busy_time = 0.0
         self.fault_plan = None
-        if fault_plan is None and (loss_rate or corrupt_rate):
-            # Draw order matches the pre-pipeline code: one loss draw,
-            # then one corruption draw, from the caller's rng.
-            fault_plan = FaultPlan(
-                [BernoulliLoss(loss_rate), Corrupt(corrupt_rate)], rng=rng)
         if fault_plan is not None:
             self.set_fault_plan(fault_plan)
 
@@ -203,12 +183,3 @@ class EthernetWire:
             if exclude is not None and nic in exclude:
                 continue
             nic.frame_arrived(frame)
-
-    def _flip_byte(self, frame):
-        """Legacy helper: flip one payload byte (no-op for payload-less
-        frames — corrupting the header would just look like a demux miss).
-        """
-        from repro.faults.stages import flip_payload_byte
-
-        mutated = flip_payload_byte(frame, self.rng)
-        return frame if mutated is None else mutated

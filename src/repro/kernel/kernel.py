@@ -20,7 +20,6 @@ from repro.hw.cpu import Priority
 from repro.kernel.ipc import Message
 from repro.net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IP
 from repro.sim.scale import ScaleSimulator
-from repro.stack import dispatch
 from repro.stack.context import ExecutionContext
 from repro.stack.instrument import Layer
 from repro.trace import frame_trace
@@ -154,9 +153,7 @@ class Kernel:
         self._attr_ctxs = {}
         self.frames_dropped_no_match = 0
         self.frames_demuxed = 0
-        loop = (self._interrupt_loop_train if dispatch.TRAIN_DISPATCH
-                else self._interrupt_loop)
-        sim.spawn(loop(), name="%s.intr" % name)
+        sim.spawn(self._interrupt_loop(), name="%s.intr" % name)
 
     # ------------------------------------------------------------------
     # Packet filter management (a kernel call; the OS server uses it when
@@ -221,37 +218,14 @@ class Kernel:
         already wired and go straight to the device.
         """
         p = ctx.params
-        if not dispatch.TRAIN_DISPATCH:
-            if not wired:
-                yield ctx.charge_boundary_crossing(Layer.ETHER_OUTPUT)
-                yield ctx.charge_copy(Layer.ETHER_OUTPUT, len(frame))
-            yield ctx.charge(
-                Layer.ETHER_OUTPUT,
-                p.ether_overhead + p.devmem_write_per_byte * len(frame),
-            )
-            yield from self.nic.start_transmit(frame)
-            return
-        # Train dispatch: fuse the trap/copy/device charges into one batch
-        # (same pairs, same order — see ExecutionContext.charge_batch) and
-        # enqueue on the tx ring with a plain call when there is room,
-        # blocking through the legacy generator only when the ring is full.
-        nbytes = len(frame)
         if not wired:
-            ctx.crossings.user_kernel += 1
-            ctx.crossings.data_copies += 1
-            yield ctx.charge_batch((
-                (Layer.ETHER_OUTPUT, p.trap),
-                (Layer.ETHER_OUTPUT, p.copy_fixed + p.copy_per_byte * nbytes),
-                (Layer.ETHER_OUTPUT,
-                 p.ether_overhead + p.devmem_write_per_byte * nbytes),
-            ))
-        else:
-            yield ctx.charge(
-                Layer.ETHER_OUTPUT,
-                p.ether_overhead + p.devmem_write_per_byte * nbytes,
-            )
-        if not self.nic.transmit_fast(frame):
-            yield from self.nic.start_transmit(frame)
+            yield ctx.charge_boundary_crossing(Layer.ETHER_OUTPUT)
+            yield ctx.charge_copy(Layer.ETHER_OUTPUT, len(frame))
+        yield ctx.charge(
+            Layer.ETHER_OUTPUT,
+            p.ether_overhead + p.devmem_write_per_byte * len(frame),
+        )
+        yield from self.nic.start_transmit(frame)
 
     # ------------------------------------------------------------------
     # Receive path: interrupt -> filter -> delivery
@@ -293,93 +267,6 @@ class Kernel:
                 self.nic.rx_release()
             if not matched:
                 self.frames_dropped_no_match += 1
-
-    def _interrupt_loop_train(self):
-        """:meth:`_interrupt_loop` with queued frames drained as a train.
-
-        Bit-identical to the legacy loop: a ``get()`` on a non-empty
-        channel pops synchronously without touching the engine (and the
-        rx ring is unbounded, so it never has blocked putters to wake),
-        making the non-blocking ``try_get`` drain the same schedule.  Per
-        frame, charges that had no engine interaction between them fuse
-        into one batch — interrupt entry + device read (the rx-slot
-        release stays between the read and the netisr dispatch, where the
-        legacy path put it), or entry + dispatch in integrated mode — and
-        the demux/attribution subgenerators are inlined.
-        """
-        p = self.params
-        ctx = self.ctx
-        nic = self.nic
-        rx_try = nic.rx_ring.try_get
-        vm_run = self._vm.run
-        integrated = self.integrated_filter
-        filter_insn = p.filter_insn
-        while True:
-            frame = yield from nic.rx_ring.get()
-            while True:
-                enq_at = nic.rx_pop_time()
-                if self.tracer is not None:
-                    trace_id = frame_trace(frame)
-                    if trace_id is None and self.tracer.enabled:
-                        self.tracer.begin("recv", host=self.name,
-                                          size=len(frame))
-                    else:
-                        self.tracer.adopt(trace_id)
-                    if self.tracer.enabled:
-                        tid = self.tracer.current()
-                        if tid is not None:
-                            waited = ctx.sim.now - enq_at
-                            if waited > 0:
-                                self.tracer.record_wait(
-                                    tid, self.name, "nic_rx_ring", "queue",
-                                    enq_at, waited)
-                pre_cost = p.interrupt_entry
-                if not integrated:
-                    read_cost = p.devmem_read_per_byte * len(frame)
-                    pre_cost += read_cost
-                    yield ctx.charge_batch((
-                        (Layer.DEVICE_READ, p.interrupt_entry),
-                        (Layer.DEVICE_READ, read_cost),
-                    ))
-                    nic.rx_release()
-                    yield ctx.charge(Layer.NETISR_FILTER, p.netisr_dispatch)
-                    from_device = False
-                else:
-                    yield ctx.charge_batch((
-                        (Layer.DEVICE_READ, p.interrupt_entry),
-                        (Layer.NETISR_FILTER, p.netisr_dispatch),
-                    ))
-                    from_device = True
-                if self._demux_index is None:
-                    handles = self._filters
-                else:
-                    handles = self._demux_candidates(frame)
-                matched = False
-                for handle in handles:
-                    accepted, insns = vm_run(handle.program, frame)
-                    accounting = handle.accounting
-                    actx = (ctx if accounting is None
-                            else self._attributed_ctx(accounting))
-                    yield actx.charge(Layer.NETISR_FILTER,
-                                      filter_insn * insns)
-                    if accepted:
-                        handle.matched += 1
-                        self.frames_demuxed += 1
-                        if accounting is not None:
-                            accounting.add(Layer.DEVICE_READ, pre_cost)
-                            accounting.add(Layer.NETISR_FILTER,
-                                           p.netisr_dispatch)
-                        yield from handle.delivery.deliver(
-                            actx, frame, from_device)
-                        matched = True
-                        break
-                if from_device:
-                    nic.rx_release()
-                if not matched:
-                    self.frames_dropped_no_match += 1
-                ok, frame = rx_try()
-                if not ok:
-                    break
 
     def _demux_candidates(self, frame):
         """The installed filters worth running against ``frame``.

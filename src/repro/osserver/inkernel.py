@@ -12,7 +12,6 @@ from repro.hw.cpu import Priority
 from repro.kernel.kernel import QueueDelivery
 from repro.net import ip
 from repro.sim.sync import Channel
-from repro.stack import dispatch
 from repro.stack.context import ExecutionContext, light_locks
 from repro.stack.engine import NetEnv, NetworkStack
 from repro.stack.instrument import Layer, LayerAccounting
@@ -46,8 +45,6 @@ class InKernelNetwork:
             send_frame=self._send_frame,
             resolve=host.arp.resolve,
             route=host.route,
-            arp_lookup=host.arp.lookup,
-            resolve_miss=host.arp.resolve_miss,
         )
         self.stack = NetworkStack(
             self.ctx,
@@ -67,9 +64,7 @@ class InKernelNetwork:
                 accounting=self.accounting,
                 name="%s.ipfilter" % host.name,
             )
-        loop = (self._input_loop_train if dispatch.TRAIN_DISPATCH
-                else self._input_loop)
-        sim.spawn(loop(), name="%s.netin" % host.name)
+        sim.spawn(self._input_loop(), name="%s.netin" % host.name)
 
     def _send_frame(self, ctx, frame):
         # Kernel mbufs are wired: straight to the device, no trap, no copy.
@@ -81,29 +76,6 @@ class InKernelNetwork:
             frame = yield from self._input.get()
             adopt_trace(sim, frame_trace(frame))
             yield from self.stack.input_frame(frame)
-
-    def _input_loop_train(self):
-        """:meth:`_input_loop` draining queued frames as one train.
-
-        A ``get()`` on a non-empty netisr channel pops synchronously
-        (no yield), so collecting the backlog with ``try_get`` and
-        handing it to :meth:`NetworkStack.input_train` is the same
-        engine schedule as the legacy one-frame-per-iteration loop;
-        frames deposited while the train is processed are picked up by
-        the next drain in the same FIFO order.
-        """
-        channel = self._input
-        try_get = channel.try_get
-        stack = self.stack
-        while True:
-            frame = yield from channel.get()
-            train = [frame]
-            while True:
-                ok, nxt = try_get()
-                if not ok:
-                    break
-                train.append(nxt)
-            yield from stack.input_train(train, adopt=True)
 
     def sockets(self):
         """A socket API instance for one application process."""
@@ -131,16 +103,8 @@ class KernelSocketAPI(SocketAPI):
     # ------------------------------------------------------------------
 
     def _enter(self, layer):
-        if dispatch.TRAIN_DISPATCH:
-            # Trap + socket-layer entry fused into one batch (nothing
-            # runs between the two charges on the legacy path).
-            self.ctx.crossings.user_kernel += 1
-            p = self.ctx.params
-            yield self.ctx.charge_batch(
-                ((layer, p.trap), (layer, p.socket_layer)))
-        else:
-            yield self.ctx.charge_boundary_crossing(layer)
-            yield self.ctx.charge(layer, self.ctx.params.socket_layer)
+        yield self.ctx.charge_boundary_crossing(layer)
+        yield self.ctx.charge(layer, self.ctx.params.socket_layer)
 
     def _exit(self, layer):
         yield self.ctx.charge(layer, self.ctx.params.trap_return)

@@ -20,7 +20,6 @@ from repro.kernel.kernel import IPCDelivery
 from repro.net import ip
 from repro.sim.errors import Interrupt
 from repro.sim.events import any_of
-from repro.stack import dispatch
 from repro.stack.context import ExecutionContext, light_locks, spl_locks
 from repro.stack.engine import NetEnv, NetworkStack
 from repro.stack.instrument import Layer, LayerAccounting
@@ -117,8 +116,6 @@ class UnixServer:
             send_frame=self._send_frame,
             resolve=host.arp.resolve,
             route=host.route,
-            arp_lookup=host.arp.lookup,
-            resolve_miss=host.arp.resolve_miss,
         )
         self.stack = NetworkStack(
             self.ctx,
@@ -167,14 +164,6 @@ class UnixServer:
         yield from self.host.kernel.netif_send(ctx, frame, wired=False)
 
     def _input_loop(self):
-        if dispatch.TRAIN_DISPATCH:
-            # Single-frame trains: same schedule, shallower resume chain
-            # per packet.  port.receive handles trace adoption.
-            while True:
-                message = yield from self._input_port.receive(
-                    self.ctx, Layer.KERNEL_COPYOUT
-                )
-                yield from self.stack.input_train((message.data,))
         while True:
             message = yield from self._input_port.receive(
                 self.ctx, Layer.KERNEL_COPYOUT

@@ -68,12 +68,6 @@ class Charge:
         self.pairs = pairs
         self.n = len(pairs)
 
-    def __iter__(self):
-        # Back-compat: ``yield from ctx.charge(...)`` still works — the
-        # charge passes itself up to the process and the ``yield from``
-        # completes when the process resumes the chain.
-        yield self
-
     def __repr__(self):
         return "Charge(%s)" % ", ".join(
             "%s=%r" % (layer, cost) for layer, cost in self.pairs

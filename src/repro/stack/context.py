@@ -60,12 +60,11 @@ class ExecutionContext:
 
     # ------------------------------------------------------------------
     # Charging helpers.  Each returns a :class:`~repro.sim.process.Charge`
-    # request that the process machinery executes directly — either
-    # ``yield ctx.charge(...)`` (fastest) or the legacy
-    # ``yield from ctx.charge(...)`` (one tiny compatibility frame).
-    # Side effects such as crossing counts happen at call time, which is
-    # indistinguishable from the simulation's point of view because
-    # callers always yield the charge immediately.
+    # request that the process machinery executes directly:
+    # ``yield ctx.charge(...)``.  Side effects such as crossing counts
+    # happen at call time, which is indistinguishable from the
+    # simulation's point of view because callers always yield the charge
+    # immediately.
     # ------------------------------------------------------------------
 
     def charge(self, layer, cost):

@@ -23,9 +23,8 @@ from repro.net.tcp.tcb import TCPError
 from repro.net.tcp.timers import FAST_TICK_US, SLOW_TICK_US
 from repro.sim.process import Timeout
 from repro.sim.scale import ScaleSimulator
-from repro.stack import dispatch
 from repro.stack.instrument import Layer
-from repro.trace import adopt_trace, current_trace, frame_trace
+from repro.trace import adopt_trace, current_trace
 
 
 class SocketTimeout(Exception):
@@ -68,29 +67,14 @@ class NetEnv:
     * ``resolve(ctx, next_hop_ip)`` — generator returning the MAC address
       (in-kernel ARP, server ARP, or the library's cached metastate).
     * ``route(dst_ip)`` — plain call returning the next-hop IP.
-
-    The optional fast-path pair splits ``resolve`` at its cache probe so
-    train dispatch can fuse the resolve entry charge into a batch:
-
-    * ``arp_lookup(next_hop_ip)`` — plain call; the cache probe that
-      ``resolve`` performs right after its entry charge (same counters,
-      same expiry), returning the MAC or None.
-    * ``resolve_miss(ctx, next_hop_ip)`` — generator; the miss tail of
-      ``resolve``, verbatim (request/retry loop or metastate RPC).
-
-    Environments that do not provide them leave ``arp_lookup`` None and
-    callers fall back to the plain ``resolve`` generator.
     """
 
-    def __init__(self, local_ip, local_mac, send_frame, resolve, route,
-                 arp_lookup=None, resolve_miss=None):
+    def __init__(self, local_ip, local_mac, send_frame, resolve, route):
         self.local_ip = local_ip
         self.local_mac = local_mac
         self.send_frame = send_frame
         self.resolve = resolve
         self.route = route
-        self.arp_lookup = arp_lookup
-        self.resolve_miss = resolve_miss
 
 
 class TCPSession:
@@ -572,18 +556,13 @@ class NetworkStack:
         datagram = udp.encapsulate(
             self.env.local_ip, dst[0], session.local[1], dst[1], data
         )
-        pairs = (
+        yield self.ctx.charge_batch((
             (Layer.TCP_UDP_OUTPUT,
              p.checksum_fixed + p.checksum_per_byte * len(datagram)),
             (Layer.TCP_UDP_OUTPUT,
              p.header_build + p.socket_layer + self.ctx.locks.lock_cost),
-        )
-        if dispatch.TRAIN_DISPATCH and self.env.arp_lookup is not None:
-            yield from self._ip_output_train(ip.PROTO_UDP, dst[0], datagram,
-                                             pairs)
-        else:
-            yield self.ctx.charge_batch(pairs)
-            yield from self.ip_output(ip.PROTO_UDP, dst[0], datagram)
+        ))
+        yield from self.ip_output(ip.PROTO_UDP, dst[0], datagram)
 
     def udp_recv(self, session, timeout_us=None):
         """Blocking receive of one datagram; returns (src_addr, payload).
@@ -693,81 +672,6 @@ class NetworkStack:
                 yield from self.ip_output(ip.PROTO_TCP, conn.remote[0], packed)
         self._maybe_reap(session)
 
-    def _ip_output_train(self, proto, dst_ip, payload, pre_pairs):
-        """:meth:`ip_output` with the caller's pending charges fused in.
-
-        Bit-identical to ``charge_batch(pre_pairs)`` followed by
-        ``ip_output``: every (layer, cost) pair keeps its own CPU
-        acquire/sleep/release point and the same sequence, only the pure
-        computation between them (encapsulation, routing) moves.  The
-        common single-fragment case additionally fuses the resolve entry
-        charge (``env.resolve`` charges ETHER_OUTPUT proc_call *before*
-        its cache probe, so probing after the batch is the same schedule)
-        and probes the ARP cache with a plain call, falling to the
-        ``resolve_miss`` generator only on a miss.  Fragmented packets
-        take the legacy per-fragment path.
-        """
-        p = self.ctx.params
-        env = self.env
-        self._ip_ident = (self._ip_ident + 1) & 0xFFFF
-        packet = ip.encapsulate(
-            env.local_ip, dst_ip, proto, payload, ident=self._ip_ident,
-            ttl=ip.DEFAULT_TTL,
-        )
-        if len(packet) > ethernet.MTU:
-            yield self.ctx.charge_batch(
-                pre_pairs + ((Layer.IP_OUTPUT, p.ip_output_overhead),))
-            next_hop = env.route(dst_ip)
-            for frag in ip.fragment(packet, ethernet.MTU):
-                mac = yield from env.resolve(self.ctx, next_hop)
-                frame = ethernet.encapsulate(
-                    mac, env.local_mac, ethernet.ETHERTYPE_IP, frag
-                )
-                yield from env.send_frame(self.ctx, frame)
-            return
-        yield self.ctx.charge_batch(
-            pre_pairs + ((Layer.IP_OUTPUT, p.ip_output_overhead),
-                         (Layer.ETHER_OUTPUT, p.proc_call)))
-        next_hop = env.route(dst_ip)
-        mac = env.arp_lookup(next_hop)
-        if mac is None:
-            mac = yield from env.resolve_miss(self.ctx, next_hop)
-        frame = ethernet.encapsulate(
-            mac, env.local_mac, ethernet.ETHERTYPE_IP, packet
-        )
-        yield from env.send_frame(self.ctx, frame)
-
-    def _drain_train(self, session):
-        """:meth:`_tcp_drain` with the per-segment output charges and the
-        single-fragment IP output fused into one batch per segment."""
-        if self._armed is not None:
-            self._arm(session)
-        proc = self.ctx.sim.current
-        tid = proc.trace_ctx if proc is not None else None
-        if tid is not None:
-            session.last_tx_trace = tid
-        conn = session.conn
-        p = self.ctx.params
-        fast = self.env.arp_lookup is not None
-        out_cost = p.header_build + p.socket_layer + self.ctx.locks.lock_cost
-        while conn._outbox:  # has_output() inlined (hot drain loop)
-            for seg in conn.take_output():
-                pairs = (
-                    (Layer.TCP_UDP_OUTPUT, out_cost),
-                    (Layer.TCP_UDP_OUTPUT,
-                     p.checksum_fixed
-                     + p.checksum_per_byte * (len(seg.payload) + 20)),
-                )
-                packed = seg.pack(self.env.local_ip, conn.remote[0])
-                if fast:
-                    yield from self._ip_output_train(
-                        ip.PROTO_TCP, conn.remote[0], packed, pairs)
-                else:
-                    yield self.ctx.charge_batch(pairs)
-                    yield from self.ip_output(
-                        ip.PROTO_TCP, conn.remote[0], packed)
-        self._maybe_reap(session)
-
     # ==================================================================
     # Receive path
     # ==================================================================
@@ -817,146 +721,6 @@ class NetworkStack:
             yield from self._udp_input(header, payload, packet)
         elif header.proto == ip.PROTO_ICMP:
             yield from self._icmp_input(header, payload)
-
-    def input_train(self, frames, adopt=False):
-        """Process a train of frames with the per-frame charge prologues
-        fused and the TCP/UDP input paths inlined.
-
-        Bit-identical to ``for f in frames: yield from input_frame(f)``
-        (with a per-frame ``adopt_trace`` first when ``adopt`` is set):
-        every (layer, cost) pair keeps its own CPU acquire/sleep/release
-        point in the same order, and only pure computation (decapsulation,
-        demux dict probes) moves across charge boundaries.  Early-exit
-        paths charge exactly the pairs the legacy path had charged by
-        that point.
-        """
-        ctx = self.ctx
-        p = ctx.params
-        sim = ctx.sim
-        charge = ctx.charge
-        charge_batch = ctx.charge_batch
-        mbuf_cost = p.mbuf_alloc + ctx.locks.lock_cost
-        in_cost = p.header_build + ctx.locks.lock_cost + p.socket_layer
-        checksum_fixed = p.checksum_fixed
-        checksum_per_byte = p.checksum_per_byte
-        mbuf_stats = self.mbuf_stats
-        local_ip = self.env.local_ip
-        for frame in frames:
-            if adopt:
-                proc = sim.current
-                if proc is not None:
-                    proc.trace_ctx = getattr(frame, "trace_id", None)
-            # ethernet.decapsulate is pure: hoisting it before the mbuf
-            # charge lets the common case fuse mbuf + ipintr into one
-            # batch while a truncated frame still costs exactly the mbuf
-            # charge the legacy path had issued before failing.
-            try:
-                _eth, packet = ethernet.decapsulate(frame)
-            except ValueError:
-                yield charge(Layer.MBUF_QUEUE, mbuf_cost)
-                mbuf_stats.allocated += 1
-                continue
-            yield charge_batch((
-                (Layer.MBUF_QUEUE, mbuf_cost),
-                (Layer.IPINTR, p.ipintr_overhead),
-            ))
-            mbuf_stats.allocated += 1
-            try:
-                packet = self.reassembler.input(packet)
-            except ValueError:
-                continue
-            if packet is None:
-                continue  # fragment: incomplete
-            try:
-                header, payload = ip.decapsulate(packet, verify=True)
-            except ValueError:
-                self.ip_input_errors += 1
-                continue
-            if header.dst != local_ip:
-                self.not_for_host += 1
-                continue
-            proto = header.proto
-            if proto == ip.PROTO_TCP:
-                # _tcp_input inlined; TCPSegment.unpack is pure, so the
-                # checksum charge fuses with the header/lock/socket
-                # charge for well-formed segments.
-                try:
-                    seg = TCPSegment.unpack(header.src, header.dst, payload)
-                except ValueError:
-                    yield ctx.charge_checksum(Layer.TCP_UDP_INPUT,
-                                              len(payload))
-                    continue  # corrupt segment: drop silently
-                yield charge_batch((
-                    (Layer.TCP_UDP_INPUT,
-                     checksum_fixed + checksum_per_byte * len(payload)),
-                    (Layer.TCP_UDP_INPUT, in_cost),
-                ))
-                if (seg.dst_port, header.src,
-                        seg.src_port) in self.migrated_tombstones:
-                    continue  # straggler for a migrated session
-                session = self._tcp_demux(header.src, seg)
-                if session is None:
-                    self.unmatched_tcp += 1
-                    rst = rst_for(seg)
-                    if rst is not None:
-                        packed = rst.pack(local_ip, header.src)
-                        yield from self.ip_output(ip.PROTO_TCP, header.src,
-                                                  packed)
-                    continue
-                conn = session.conn
-                was_listener = conn.state == TCPState.LISTEN
-                if not was_listener and self._armed is not None:
-                    self._arm(session)
-                proc = sim.current
-                session.last_rx_trace = (proc.trace_ctx
-                                         if proc is not None else None)
-                session.last_rx_time = sim._now
-                conn.segment_arrives(seg, src_ip=header.src)
-                if was_listener and conn.state == TCPState.SYN_RECEIVED:
-                    self._register(session)
-                if session.notify.waiters:
-                    yield ctx.charge_wakeup(Layer.WAKEUP_USER)
-                session.notify.fire()
-                if session.selected:
-                    self.select_notify.fire()
-                yield from self._drain_train(session)
-                self._promote_child(session)
-                if conn.state == TCPState.CLOSED:
-                    self._maybe_reap(session)
-            elif proto == ip.PROTO_UDP:
-                # _udp_input inlined; udp.decapsulate is pure, so the
-                # three input charges fuse for well-formed datagrams.
-                try:
-                    uh, data = udp.decapsulate(header.src, header.dst,
-                                               payload)
-                except ValueError:
-                    yield ctx.charge_checksum(Layer.TCP_UDP_INPUT,
-                                              len(payload))
-                    continue
-                yield charge_batch((
-                    (Layer.TCP_UDP_INPUT,
-                     checksum_fixed + checksum_per_byte * len(payload)),
-                    (Layer.TCP_UDP_INPUT,
-                     p.header_build + ctx.locks.lock_cost),
-                    (Layer.TCP_UDP_INPUT, p.socket_layer),
-                ))
-                session = self._udp.get((uh.dst_port, header.src,
-                                         uh.src_port))
-                if session is None:
-                    session = self._udp.get((uh.dst_port, None, None))
-                if session is None:
-                    self.unmatched_udp += 1
-                    yield from self._send_port_unreachable(header, packet)
-                    continue
-                session.enqueue((header.src, uh.src_port), data,
-                                trace=current_trace(sim))
-                if session.notify.waiters:
-                    yield ctx.charge_wakeup(Layer.WAKEUP_USER)
-                session.notify.fire()
-                if session.selected:
-                    self.select_notify.fire()
-            elif proto == ip.PROTO_ICMP:
-                yield from self._icmp_input(header, payload)
 
     def _tcp_input(self, header, payload):
         p = self.ctx.params

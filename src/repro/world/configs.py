@@ -234,15 +234,13 @@ def make_placement(spec_or_key, host, tcp_defaults=None):
 
 
 def build_network(config_key, platform="decstation", tcp_defaults=None,
-                  sim=None, loss_rate=0.0, corrupt_rate=0.0, rng=None,
-                  propagation_us=0.0, fault_plan=None):
+                  sim=None, propagation_us=0.0, fault_plan=None):
     """A two-host testbed running one named configuration.
 
     Returns ``(network, placement_a, placement_b)`` with hosts at
     10.0.0.1 and 10.0.0.2 on a private 10 Mb/s Ethernet, as in the
-    paper's measurement setup.  ``loss_rate``/``corrupt_rate`` (with an
-    ``rng``) inject wire faults for resilience testing; ``fault_plan``
-    installs a full :class:`repro.faults.FaultPlan` pipeline instead.
+    paper's measurement setup.  ``fault_plan`` installs a
+    :class:`repro.faults.FaultPlan` pipeline on the wire.
     """
     spec = CONFIGS[config_key]
     if platform == "decstation":
@@ -255,9 +253,8 @@ def build_network(config_key, platform="decstation", tcp_defaults=None,
         raise ValueError("unknown platform %r" % platform)
     if spec.cpu_scale != 1.0:
         params = params.scaled(spec.cpu_scale)
-    network = Network(sim=sim, loss_rate=loss_rate,
-                      corrupt_rate=corrupt_rate, rng=rng,
-                      propagation_us=propagation_us, fault_plan=fault_plan)
+    network = Network(sim=sim, propagation_us=propagation_us,
+                      fault_plan=fault_plan)
     placements = []
     for i, addr in enumerate(("10.0.0.1", "10.0.0.2")):
         host = network.add_host(

@@ -147,17 +147,6 @@ class ArpService:
         mac = self.cache.lookup(next_hop_ip)
         if mac is not None:
             return mac
-        return (yield from self.resolve_miss(ctx, next_hop_ip))
-
-    def lookup(self, next_hop_ip):
-        """The cache probe :meth:`resolve` performs after its entry
-        charge (same hit/miss counters, same expiry); plain call.  Train
-        dispatch fuses the entry charge elsewhere and probes through
-        this, falling into :meth:`resolve_miss` when it returns None."""
-        return self.cache.lookup(next_hop_ip)
-
-    def resolve_miss(self, ctx, next_hop_ip):
-        """The miss tail of :meth:`resolve`: the ARP request/retry loop."""
         for _attempt in range(ARP_MAX_TRIES):
             request = arp.ArpPacket.request(self.host.mac, self.host.ip, next_hop_ip)
             frame = ethernet.encapsulate(

@@ -20,16 +20,14 @@ class Network:
     gauges, resource utilization) without perturbing the simulation.
     """
 
-    def __init__(self, sim=None, name="ether0", loss_rate=0.0,
-                 corrupt_rate=0.0, rng=None, propagation_us=0.0,
+    def __init__(self, sim=None, name="ether0", propagation_us=0.0,
                  fault_plan=None):
         self.sim = sim if sim is not None else Simulator()
         self.tracer = TraceRecorder(self.sim)
         self.metrics = MetricsRegistry(self.sim)
         self.wire = EthernetWire(
-            self.sim, name=name, loss_rate=loss_rate,
-            corrupt_rate=corrupt_rate, rng=rng,
-            propagation_us=propagation_us, fault_plan=fault_plan,
+            self.sim, name=name, propagation_us=propagation_us,
+            fault_plan=fault_plan,
         )
         self.metrics.observe_wire(self.wire)
         self.hosts = []

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.faults import BernoulliLoss, FaultPlan
 from repro.hw.platforms import DECSTATION_5000_200
 from repro.net.addr import ip_aton
 from repro.net.arp import ArpTimeout
@@ -66,7 +67,7 @@ def test_absent_host_times_out():
 
 def test_retry_survives_lossy_wire():
     rng = random.Random(13)
-    net, a, b = make_pair(loss_rate=0.5, rng=rng)
+    net, a, b = make_pair(fault_plan=FaultPlan([BernoulliLoss(0.5)], rng=rng))
 
     def prog():
         mac = yield from a.arp.resolve(ctx_for(a), IP2)

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from repro.core.sockets import SOCK_DGRAM, SOCK_STREAM
+from repro.faults import BernoulliLoss, Corrupt, FaultPlan
 from repro.net.addr import ip_aton
 from repro.world.configs import build_network
 
@@ -45,8 +46,9 @@ def run_transfer(net, pa, pb, nbytes=60_000, port=7300):
 
 @pytest.mark.parametrize("config", ["mach25", "library-shm-ipf", "ux"])
 def test_tcp_survives_packet_loss(config):
-    net, pa, pb = build_network(config, loss_rate=0.05,
-                                rng=random.Random(17))
+    net, pa, pb = build_network(
+        config, fault_plan=FaultPlan([BernoulliLoss(0.05)],
+                                     rng=random.Random(17)))
     assert run_transfer(net, pa, pb)
     assert net.wire.frames_lost > 0  # faults actually happened
 
@@ -54,22 +56,25 @@ def test_tcp_survives_packet_loss(config):
 def test_tcp_survives_corruption():
     """Corrupted frames must be rejected by checksums and retransmitted;
     the delivered stream stays byte-exact."""
-    net, pa, pb = build_network("library-shm-ipf", corrupt_rate=0.05,
-                                rng=random.Random(23))
+    net, pa, pb = build_network(
+        "library-shm-ipf", fault_plan=FaultPlan([Corrupt(0.05)],
+                                                rng=random.Random(23)))
     assert run_transfer(net, pa, pb)
     assert net.wire.frames_corrupted > 0
 
 
 def test_tcp_survives_heavy_loss_small_transfer():
-    net, pa, pb = build_network("mach25", loss_rate=0.25,
-                                rng=random.Random(5))
+    net, pa, pb = build_network(
+        "mach25", fault_plan=FaultPlan([BernoulliLoss(0.25)],
+                                       rng=random.Random(5)))
     assert run_transfer(net, pa, pb, nbytes=8_000, port=7301)
 
 
 def test_handshake_through_loss():
     """Even SYN/SYN-ACK losses converge via retransmission."""
     rng = random.Random(41)
-    net, pa, pb = build_network("library-shm-ipf", loss_rate=0.3, rng=rng)
+    net, pa, pb = build_network(
+        "library-shm-ipf", fault_plan=FaultPlan([BernoulliLoss(0.3)], rng=rng))
     ready = net.sim.event()
     api_a = pa.new_app()
     api_b = pb.new_app()
@@ -96,7 +101,8 @@ def test_udp_is_lossy_by_design():
     """UDP makes no recovery promises: datagrams dropped on the wire are
     simply gone, and the application sees fewer of them."""
     rng = random.Random(9)
-    net, pa, pb = build_network("mach25", loss_rate=0.4, rng=rng)
+    net, pa, pb = build_network(
+        "mach25", fault_plan=FaultPlan([BernoulliLoss(0.4)], rng=rng))
     ready = net.sim.event()
     api_a = pa.new_app()
     api_b = pb.new_app()

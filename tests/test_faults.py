@@ -21,7 +21,6 @@ from repro.faults import (
 )
 from repro.faults.stages import ETHER_HEADER, flip_payload_byte
 from repro.hw.platforms import DECSTATION_5000_200
-from repro.hw.wire import EthernetWire
 from repro.net.addr import ip_aton
 from repro.sim.engine import Simulator
 from repro.sim.errors import Deadlock
@@ -55,12 +54,6 @@ def test_flip_payload_byte_skips_payloadless_frames(frame):
     """Regression: a 14-byte (header-only) frame used to be corrupted in
     its header, which merely broke demux instead of testing checksums."""
     assert flip_payload_byte(frame, random.Random(1)) is None
-
-
-def test_legacy_flip_byte_returns_payloadless_frame_unchanged():
-    wire = EthernetWire(Simulator(), corrupt_rate=0.5, rng=random.Random(2))
-    assert wire._flip_byte(HEADER_ONLY) == HEADER_ONLY
-    assert wire._flip_byte(FRAME) != FRAME
 
 
 def test_corrupt_stage_does_not_count_payloadless_frames():
@@ -212,13 +205,6 @@ def test_plan_stops_once_every_transit_is_dropped():
     assert plan.total("dropped") == 1
 
 
-def test_wire_rejects_plan_plus_legacy_scalars():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        EthernetWire(sim, loss_rate=0.1, rng=random.Random(1),
-                     fault_plan=FaultPlan())
-
-
 # ----------------------------------------------------------------------
 # Wire integration (a real two-host segment)
 # ----------------------------------------------------------------------
@@ -264,14 +250,6 @@ def test_rx_overflow_window_forces_nic_drops():
     assert overflow.counters()["windows"] == 1
     # Frames after the window still land.
     assert b.nic.frames_received > 0
-
-
-def test_legacy_scalar_shim_builds_equivalent_plan():
-    net, a, b = _two_host_net(loss_rate=0.5, rng=random.Random(13))
-    assert isinstance(net.wire.fault_plan, FaultPlan)
-    _blast(net, a.nic, frames=20)
-    assert net.wire.frames_lost > 0
-    assert net.wire.frames_lost + b.nic.frames_received == 20
 
 
 # ----------------------------------------------------------------------

@@ -20,9 +20,9 @@ def test_charge_attribution_to_layers(sim):
     ctx = ExecutionContext(sim, cpu, accounting=acct)
 
     def prog():
-        yield from ctx.charge("layerA", 10.0)
-        yield from ctx.charge("layerA", 5.0)
-        yield from ctx.charge("layerB", 7.0)
+        yield ctx.charge("layerA", 10.0)
+        yield ctx.charge("layerA", 5.0)
+        yield ctx.charge("layerB", 7.0)
 
     sim.run_process(prog())
     assert acct.total("layerA") == 15.0
@@ -40,7 +40,7 @@ def test_accounting_can_be_disabled(sim):
     ctx = ExecutionContext(sim, cpu, accounting=acct)
 
     def prog():
-        yield from ctx.charge("x", 10.0)
+        yield ctx.charge("x", 10.0)
 
     sim.run_process(prog())
     assert acct.total("x") == 0.0
@@ -53,8 +53,8 @@ def test_charge_copy_and_checksum_scale_with_bytes(sim):
     ctx = ExecutionContext(sim, cpu, accounting=acct)
 
     def prog():
-        yield from ctx.charge_copy("c", 1000)
-        yield from ctx.charge_checksum("k", 1000)
+        yield ctx.charge_copy("c", 1000)
+        yield ctx.charge_checksum("k", 1000)
 
     sim.run_process(prog())
     p = DECSTATION_5000_200
@@ -120,13 +120,6 @@ def test_config_registry_is_consistent():
         build_network("no-such-config")
     with pytest.raises(ValueError):
         build_network("mach25", platform="vax")
-
-
-def test_fault_injection_requires_rng():
-    from repro.world.network import Network
-
-    with pytest.raises(ValueError):
-        Network(loss_rate=0.1)
 
 
 # ----------------------------------------------------------------------

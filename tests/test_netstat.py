@@ -2,6 +2,8 @@
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.analysis.netstat import (
     format_report,
     host_report,
@@ -213,3 +215,23 @@ def test_cli_probe_exports_and_markdown(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("### tcp_probe summary")
     assert "| connection |" in out
+
+
+def test_cli_profile_table_and_bad_input(capsys):
+    from repro.__main__ import main
+
+    assert main(["profile", "nosuch"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("profile: unknown harness 'nosuch'")
+    assert captured.err.count("\n") == 1
+
+    assert main(["profile", "table1_proxy_rpcs", "--top", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("### cProfile — table1_proxy_rpcs (")
+    assert lines[2] == "| ncalls | tottime s | cumtime s | function |"
+    assert len(lines) == 4 + 3  # title, blank, header, rule, three rows
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["profile", "table1_proxy_rpcs", "--legacy"])
+    assert excinfo.value.code == 2

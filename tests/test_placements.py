@@ -99,6 +99,38 @@ def test_connected_udp_send_recv(any_placement_pair):
     assert reply == b"SHOUT"
 
 
+def test_udp_datagram_fragments_and_reassembles(any_placement_pair, request):
+    """A 4096-byte datagram leaves as three IP fragments (``ip_output``)
+    and must arrive byte-identical (``input_frame`` reassembly)."""
+    name, net, pa, pb = any_placement_pair
+    if name == "library-shm-ipf":
+        request.applymarker(pytest.mark.xfail(
+            strict=True,
+            reason="non-first fragments miss the session filter and land "
+                   "in the server's catch-all, so neither stack ever "
+                   "completes the datagram (EXPERIMENTS.md, known gaps)"))
+    ready = net.sim.event()
+    payload = bytes(range(256)) * 16
+
+    def server(api):
+        fd = yield from api.socket(SOCK_DGRAM)
+        yield from api.bind(fd, 9002)
+        ready.succeed()
+        data, _src = yield from api.recvfrom(fd)
+        return data
+
+    def client(api):
+        yield ready
+        fd = yield from api.socket(SOCK_DGRAM)
+        yield from api.sendto(fd, payload, (IP1, 9002))
+
+    got, _c = net.run_all([server(pa.new_app()), client(pb.new_app())],
+                          until=RUN_BOUND)
+    assert got == payload
+    # ARP request + reply, then the three fragments.
+    assert net.wire.frames_carried == 5
+
+
 def test_recv_sees_eof_after_peer_close(any_placement_pair):
     _name, net, pa, pb = any_placement_pair
     ready = net.sim.event()

@@ -148,17 +148,6 @@ def test_interrupt_while_queued_withdraws_waiter(sim):
     assert ctx.cpu._sched.waiting() == 0
 
 
-def test_yield_from_compat_path(sim):
-    ctx = make_ctx(sim)
-
-    def worker():
-        yield from ctx.charge("compat", 40.0)
-        return sim.now
-
-    assert sim.run_process(worker()) == 40.0
-    assert ctx.accounting.totals["compat"] == 40.0
-
-
 def test_cached_charge_shared_between_processes(sim):
     ctx = make_ctx(sim)
     finishes = []
