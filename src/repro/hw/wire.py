@@ -10,6 +10,8 @@ Fault injection hooks in between serialization and delivery: a
 :class:`~repro.faults.FaultPlan` sees every serialized frame as a
 ``Transit`` and may drop, corrupt, delay, duplicate, or redirect it."""
 
+from heapq import heappush
+
 from repro.sim.sync import Lock
 from repro.sim.process import Timeout
 from repro.trace import TaggedFrame, frame_trace
@@ -168,9 +170,9 @@ class EthernetWire:
             sim = self._sim
             when = sim._now + delay_us
             if when > sim._now:
-                sim._heappush(sim._queue, (when, next(sim._seq),
-                                           self._deliver,
-                                           (frame, sender, exclude)))
+                heappush(sim._queue, (when, next(sim._seq),
+                                      self._deliver,
+                                      (frame, sender, exclude)))
             else:
                 sim._ready.append((self._deliver, (frame, sender, exclude)))
         else:

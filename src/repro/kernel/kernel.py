@@ -122,7 +122,7 @@ class Kernel:
     """The per-host kernel."""
 
     def __init__(self, sim, cpu, nic, integrated_filter=False, name="kernel",
-                 tracer=None, indexed_demux=None):
+                 tracer=None):
         self.sim = sim
         self.cpu = cpu
         self.params = cpu.params
@@ -137,12 +137,10 @@ class Kernel:
         #: Indexed demux (scale-out worlds): compiled filters hash by
         #: their ``demux_key`` so an arriving frame runs only the one or
         #: two programs that could accept it — O(1) in the number of
-        #: sessions — instead of the whole install list.  The default
-        #: (``indexed_demux=None``) follows the simulator: scale worlds
-        #: index, the paper's small worlds keep the exact linear scan.
-        if indexed_demux is None:
-            indexed_demux = isinstance(sim, ScaleSimulator)
-        self._demux_index = {} if indexed_demux else None
+        #: sessions — instead of the whole install list.  Selected by
+        #: the simulator's type: scale worlds index, the paper's small
+        #: worlds keep the exact linear scan (None).
+        self._demux_index = {} if isinstance(sim, ScaleSimulator) else None
         self._unindexed = []
         self._vm = FilterMachine()
         self.ctx = ExecutionContext(

@@ -37,11 +37,6 @@ class Simulator:
         self._now = 0.0
         #: Future work: a heap of (when, seq, fn, args).
         self._queue = []
-        #: How to push onto ``_queue``.  Subclasses with a different
-        #: future store (see :mod:`repro.sim.wheel`) swap this out; the
-        #: timer fast paths in :mod:`repro.sim.process` call it too, so
-        #: every future item funnels through one replaceable entry point.
-        self._heappush = heapq.heappush
         #: Same-timestamp work: a FIFO of (fn, args) callables and
         #: (None, event) dispatches, all at the current time.
         self._ready = deque()
@@ -86,7 +81,7 @@ class Simulator:
     def call_at(self, when, fn, *args):
         """Run ``fn(*args)`` at absolute simulated time ``when``."""
         if when > self._now:
-            self._heappush(self._queue, (when, next(self._seq), fn, args))
+            heapq.heappush(self._queue, (when, next(self._seq), fn, args))
         elif when == self._now:
             self._ready.append((fn, args))
         else:
@@ -251,52 +246,30 @@ class Simulator:
         pending_state = PENDING
         # ``last`` caches pending[-1]; refreshed only when the tail pops.
         last = pending[-1] if pending else None
-        if until is None:
-            while last is not None:
-                if last._state is not pending_state:
-                    pending.pop()
-                    last = pending[-1] if pending else None
-                    continue
-                if ready:
-                    fn, payload = ready.popleft()
-                    if fn is not None:
-                        fn(*payload)
-                    else:  # dispatch a triggered event's callbacks
-                        callbacks, payload.callbacks = payload.callbacks, None
-                        for callback in callbacks:
-                            callback(payload)
-                    continue
-                if not queue:
-                    break
-                when, _seq, fn, args = heappop(queue)
-                self._now = when
-                while queue and queue[0][0] == when:
-                    item = heappop(queue)
-                    ready.append((item[2], item[3]))
-                fn(*args)
-        else:
-            while last is not None:
-                if last._state is not pending_state:
-                    pending.pop()
-                    last = pending[-1] if pending else None
-                    continue
-                if ready:
-                    fn, payload = ready.popleft()
-                    if fn is not None:
-                        fn(*payload)
-                    else:  # dispatch a triggered event's callbacks
-                        callbacks, payload.callbacks = payload.callbacks, None
-                        for callback in callbacks:
-                            callback(payload)
-                    continue
-                if not queue or queue[0][0] > until:
-                    break
-                when, _seq, fn, args = heappop(queue)
-                self._now = when
-                while queue and queue[0][0] == when:
-                    item = heappop(queue)
-                    ready.append((item[2], item[3]))
-                fn(*args)
+        while last is not None:
+            if last._state is not pending_state:
+                pending.pop()
+                last = pending[-1] if pending else None
+                continue
+            if ready:
+                fn, payload = ready.popleft()
+                if fn is not None:
+                    fn(*payload)
+                else:  # dispatch a triggered event's callbacks
+                    callbacks, payload.callbacks = payload.callbacks, None
+                    for callback in callbacks:
+                        callback(payload)
+                continue
+            # The bound is tested here only: once per clock advance,
+            # never per ready item.
+            if not queue or (until is not None and queue[0][0] > until):
+                break
+            when, _seq, fn, args = heappop(queue)
+            self._now = when
+            while queue and queue[0][0] == when:
+                item = heappop(queue)
+                ready.append((item[2], item[3]))
+            fn(*args)
         results = []
         for proc in procs:
             if not proc.triggered:

@@ -79,7 +79,7 @@ class Process(Event):
 
     __slots__ = ("_generator", "_wait_token", "_alive", "_event_cb",
                  "_charge", "_charge_i", "_charge_waiter", "_cw",
-                 "waiting_on", "trace_ctx", "request_ctx", "domain")
+                 "waiting_on", "trace_ctx", "request_ctx")
 
     def __init__(self, sim, generator, name=""):
         if not hasattr(generator, "send"):
@@ -112,10 +112,6 @@ class Process(Event):
         #: :class:`~repro.trace.request.RequestTracer` around a client's
         #: send burst); None otherwise.
         self.request_ctx = None
-        #: Locality key (usually a host name) for scale-out worlds; see
-        #: :class:`~repro.sim.scale.ScaleSimulator`.  None on the default
-        #: engine, where dispatch order is purely sequence order.
-        self.domain = None
 
     @property
     def alive(self):
@@ -236,8 +232,8 @@ class Process(Event):
                 fire = (self._timeout_fire, (target.value, token))
                 when = sim._now + target.delay
                 if when > sim._now:
-                    sim._heappush(sim._queue,
-                                  (when, next(sim._seq), ready_append, (fire,)))
+                    heappush(sim._queue,
+                             (when, next(sim._seq), ready_append, (fire,)))
                 else:
                     ready_append((ready_append, (fire,)))
                 return
@@ -278,9 +274,9 @@ class Process(Event):
                         fire = (self._charge_fire, (token,))
                         when = sim._now + cost
                         if when > sim._now:
-                            sim._heappush(sim._queue,
-                                          (when, next(sim._seq),
-                                           ready_append, (fire,)))
+                            heappush(sim._queue,
+                                     (when, next(sim._seq),
+                                      ready_append, (fire,)))
                         else:
                             ready_append((ready_append, (fire,)))
                     return
@@ -377,8 +373,8 @@ class Process(Event):
                 fire = (self._charge_fire, (token,))
                 when = sim._now + cost
                 if when > sim._now:
-                    sim._heappush(sim._queue,
-                                  (when, next(sim._seq), ready_append, (fire,)))
+                    heappush(sim._queue,
+                             (when, next(sim._seq), ready_append, (fire,)))
                 else:
                     ready_append((ready_append, (fire,)))
             return None
@@ -421,8 +417,8 @@ class Process(Event):
         fire = (self._charge_fire, (token,))
         when = sim._now + cost
         if when > sim._now:
-            sim._heappush(sim._queue,
-                          (when, next(sim._seq), ready_append, (fire,)))
+            heappush(sim._queue,
+                     (when, next(sim._seq), ready_append, (fire,)))
         else:
             ready_append((ready_append, (fire,)))
 

@@ -1,194 +1,25 @@
-"""A scale-out simulator: calendar-queue timers + per-host event locality.
-
-The default :class:`~repro.sim.engine.Simulator` reproduces the paper's
-1993 measurements under a bit-identical contract — its schedule must
-never change, so it stays exactly as it is.  Scale-out worlds (hundreds
-to a thousand hosts; see :mod:`repro.world.topology`) run instead on
-:class:`ScaleSimulator`, which changes two things:
-
-* **Future store** — the binary heap is replaced with the calendar
-  queue of :mod:`repro.sim.wheel`, so the tens of thousands of live
-  timers a big world keeps (TCP ticks, ARP retries, arrivals, wire
-  deliveries) push and pop in amortized constant time.
-
-* **Event locality in ready dispatch** — when the clock advances, every
-  item due at the new instant is drained into the ready deque at once
-  (as on the default engine), but the batch is first stably partitioned
-  by *domain*: the host the work belongs to.  Work for one host then
-  runs back to back instead of interleaving round-robin across hundreds
-  of hosts, which keeps that host's Python objects (TCB dicts, mbuf
-  chains, CPU scheduler) hot in cache.  The partition is stable and
-  derived only from simulation state, so runs stay fully deterministic:
-  same seed, same schedule, every time.
-
-Domains propagate on their own: a spawned process inherits the domain
-of the process that spawned it, and world builders wrap per-host
-construction in ``with sim.domain(name):`` so every background loop a
-host starts (interrupt handlers, timer loops, ARP responders, apps) is
-tagged without any per-call plumbing.  Objects whose bound methods are
-scheduled directly via ``call_at`` (wires, for example) are tagged by
-giving them a ``domain`` attribute.
-
-A scale world defines its *own* determinism contract — two runs with
-the same seed are identical — rather than equivalence with the default
-engine's schedule; the small 1993 worlds never run on this class, so
-``BENCH.json`` is untouched by construction.
-
-Components detect scale mode with ``isinstance(sim, ScaleSimulator)``
-and switch to their O(1) structures (indexed packet-filter demux in the
-kernel, the armed-session tick registry in the TCP/UDP stack) — the
-default engine keeps the exact 1993 code paths.
-"""
-
-from contextlib import contextmanager
+"""The marker class that opts a world into the O(1) per-host structures."""
 
 from repro.sim.engine import Simulator
-from repro.sim.errors import Deadlock
-from repro.sim.events import PENDING
-from repro.sim.wheel import CalendarQueue
 
 
 class ScaleSimulator(Simulator):
-    """Simulator variant for 500–1000-host worlds."""
+    """The one switch between the 1993 per-host structures and their
+    O(1) replacements; the event loop is the base class's, unchanged.
 
-    def __init__(self, wheel_width=64.0, wheel_buckets=8192):
-        super().__init__()
-        self._queue = CalendarQueue(width=wheel_width, nbuckets=wheel_buckets)
-        self._heappush = CalendarQueue.heappush
-        #: Ambient domain applied to spawns made outside any process
-        #: (world construction time); see :meth:`domain`.
-        self._ambient_domain = None
+    The type is read in exactly two places:
 
-    # ------------------------------------------------------------------
-    # Domains
-    # ------------------------------------------------------------------
+    * :class:`~repro.kernel.kernel.Kernel` indexes installed packet
+      filters by ``demux_key`` instead of running the whole install
+      list against every arriving frame;
+    * :class:`~repro.stack.engine.NetworkStack` ticks only its *armed*
+      sessions instead of every session on every TCP timer tick.
 
-    @contextmanager
-    def domain(self, key):
-        """Tag every process spawned inside the block with ``key``.
-
-        Used by world builders around per-host construction so the
-        host's background loops land in its locality group.
-        """
-        previous = self._ambient_domain
-        self._ambient_domain = key
-        try:
-            yield
-        finally:
-            self._ambient_domain = previous
-
-    def spawn(self, generator, name=""):
-        proc = super().spawn(generator, name=name)
-        parent = self.current
-        if parent is not None:
-            proc.domain = parent.domain
-        else:
-            proc.domain = self._ambient_domain
-        return proc
-
-    def _entry_domain(self, fn, args):
-        """The domain of one scheduled ``(fn, args)`` item.
-
-        The timer fast path schedules ``ready.append((method, args))``
-        — unwrap it to reach the process method inside; anything else is
-        a bound method of its owner (event, wire, stack), whose optional
-        ``domain`` attribute decides the group.
-        """
-        if (args and type(args[0]) is tuple
-                and getattr(fn, "__self__", None) is self._ready):
-            fn = args[0][0]
-        owner = getattr(fn, "__self__", None)
-        return getattr(owner, "domain", None)
-
-    def _localize(self, batch):
-        """Stable-partition a same-instant batch by domain.
-
-        Items keep their relative (sequence) order inside each domain,
-        and domains appear in order of their first item, so the result
-        is a pure function of the schedule — deterministic."""
-        entry_domain = self._entry_domain
-        groups = {}
-        order = []
-        for entry in batch:
-            key = entry_domain(entry[0], entry[1])
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [entry]
-                order.append(key)
-            else:
-                group.append(entry)
-        if len(order) == 1:
-            return batch
-        out = []
-        for key in order:
-            out.extend(groups[key])
-        return out
-
-    # ------------------------------------------------------------------
-    # Run loops (calendar-queue pops + localized drains)
-    # ------------------------------------------------------------------
-
-    def step(self):
-        """Mirror of the base step, against the calendar queue: drain
-        everything due at the new instant, localized, then dispatch."""
-        ready = self._ready
-        if ready:
-            fn, payload = ready.popleft()
-            if fn is not None:
-                fn(*payload)
-            else:  # dispatch: run a triggered event's callbacks
-                callbacks, payload.callbacks = payload.callbacks, None
-                for callback in callbacks:
-                    callback(payload)
-            return True
-        queue = self._queue
-        if not queue:
-            return False
-        when, _seq, fn, args = queue.pop()
-        self._now = when
-        if queue and queue.peek_when() == when:
-            batch = [(fn, args)]
-            append = batch.append
-            while queue and queue.peek_when() == when:
-                item = queue.pop()
-                append((item[2], item[3]))
-            ready.extend(self._localize(batch))
-            fn, payload = ready.popleft()
-            fn(*payload)
-        else:
-            fn(*args)
-        return True
-
-    def run_all(self, generators, until=None):
-        """Spawn several processes; run until all finish; return values.
-
-        Same contract as the base implementation, driven through the
-        overridden :meth:`step` so batches localize."""
-        procs = [self.spawn(gen) for gen in generators]
-        pending = list(procs)
-        ready = self._ready
-        queue = self._queue
-        pending_state = PENDING
-        step = self.step
-        last = pending[-1] if pending else None
-        while last is not None:
-            if last._state is not pending_state:
-                pending.pop()
-                last = pending[-1] if pending else None
-                continue
-            if not ready:
-                if not queue:
-                    break
-                if until is not None and queue.peek_when() > until:
-                    break
-            step()
-        results = []
-        for proc in procs:
-            if not proc.triggered:
-                raise Deadlock("process %r did not finish" % proc,
-                               blocked=self._blocked_report(),
-                               flight=self.flight.snapshot())
-            if not proc.ok:
-                raise proc.value
-            results.append(proc.value)
-        return results
+    Either one alone moves ``BENCH.json`` (the linear filter scan is
+    charged per program run, and a parked session is re-armed with its
+    skipped ticks credited rather than ticked one by one), so they are
+    a choice of simulated cost model, not of engine: the two-host
+    worlds behind ``benchmarks/baseline.json`` stay on the plain
+    :class:`Simulator`, and :class:`~repro.world.topology.World`
+    defaults to this class.
+    """

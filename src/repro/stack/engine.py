@@ -108,7 +108,7 @@ class TCPSession:
         self.owns_port = owns_port
         #: Scale-mode tick registry bookkeeping: the stack's slow-tick
         #: count when this session was parked as quiescent, or None
-        #: while enrolled (or on the default engine, which ticks every
+        #: while enrolled (or on a plain Simulator, which ticks every
         #: session unconditionally).
         self._detick_slow = None
 
@@ -218,7 +218,7 @@ class NetworkStack:
         self.icmp_echoes_answered = 0
         self.icmp_errors_sent = 0
         self.select_notify = Notifier(ctx.sim, "select")
-        #: Scale-mode armed-session registry.  On the default engine
+        #: Scale-mode armed-session registry.  On a plain Simulator
         #: (None) the timer loop scans every session each tick, exactly
         #: as 1993 BSD did — the bit-identical contract.  On a
         #: :class:`~repro.sim.scale.ScaleSimulator` the loop touches
@@ -429,7 +429,7 @@ class NetworkStack:
 
     def _arm(self, session):
         """Enroll a session in the scale-mode tick registry (no-op on
-        the default engine).
+        a plain Simulator).
 
         A session re-enrolling after a quiescent stretch is credited the
         slow ticks it slept through: BSD's ``t_idle`` keeps counting on
@@ -981,7 +981,7 @@ class NetworkStack:
     def _timer_loop(self):
         """Drive TCP's 200 ms fast and 500 ms slow timers.
 
-        On the default engine every session the stack owns is scanned
+        On a plain Simulator every session the stack owns is scanned
         each tick, as 1993 BSD's ``tcp_slowtimo`` did.  In scale mode
         the armed-session registry replaces that linear scan: only
         sessions with live timer work are visited, quiescent ones park

@@ -30,7 +30,6 @@ behavior).
 """
 
 import json
-from contextlib import nullcontext
 from dataclasses import dataclass
 from hashlib import sha256
 from math import ceil
@@ -122,11 +121,6 @@ class World:
 
     # -- construction helpers ------------------------------------------
 
-    def _domain(self, key):
-        """Event-locality domain scope (no-op on the base engine)."""
-        domain = getattr(self.sim, "domain", None)
-        return domain(key) if domain is not None else nullcontext()
-
     def add_wire(self, name, propagation_us=0.0, us_per_byte=None):
         if us_per_byte is None:
             us_per_byte = self.spec.us_per_byte
@@ -142,18 +136,17 @@ class World:
         return wire
 
     def add_host(self, wire, ip_addr, name, gateway=None):
-        with self._domain("host:" + name):
-            host = Host(
-                self.sim, wire, ip_addr, self.host_platform, name=name,
-                nic_model=self.nic_model,
-                integrated_filter=self.placement_spec.integrated_filter,
-                tracer=self.tracer, metrics=self.metrics,
-            )
-            if gateway is not None:
-                host.route_table.add("0.0.0.0", 0, iface="en0",
-                                     gateway=gateway)
-            placement = make_placement(self.placement_spec, host,
-                                       tcp_defaults=self.tcp_defaults)
+        host = Host(
+            self.sim, wire, ip_addr, self.host_platform, name=name,
+            nic_model=self.nic_model,
+            integrated_filter=self.placement_spec.integrated_filter,
+            tracer=self.tracer, metrics=self.metrics,
+        )
+        if gateway is not None:
+            host.route_table.add("0.0.0.0", 0, iface="en0",
+                                 gateway=gateway)
+        placement = make_placement(self.placement_spec, host,
+                                   tcp_defaults=self.tcp_defaults)
         self.hosts.append(host)
         self.placements.append(placement)
         self._host_desc.append({
@@ -169,10 +162,6 @@ class World:
         router = Router(self.sim, self.router_platform, name=name)
         self.routers.append(router)
         return router
-
-    def attach(self, router, wire, ip_addr):
-        with self._domain("router:" + router.name):
-            return router.attach(wire, ip_addr)
 
     # -- derived views --------------------------------------------------
 
@@ -275,7 +264,7 @@ def _build_star(spec, sim, tcp_defaults):
         propagation = rng.uniform(*spec.leaf_propagation_us)
         wire = world.add_wire("leaf%d" % i, propagation_us=propagation)
         gateway = base + ".254"
-        world.attach(hub, wire, gateway)
+        hub.attach(wire, gateway)
         world.add_host(wire, base + ".1", "h%03d" % i, gateway=gateway)
     return world
 
@@ -297,7 +286,7 @@ def _build_fattree(spec, sim, tcp_defaults):
         edge = world.add_router("edge%d" % e)
         edge_routers.append(edge)
         gateway = base + ".254"
-        world.attach(edge, wire, gateway)
+        edge.attach(wire, gateway)
         on_this_edge = min(spec.hosts_per_edge, spec.hosts - placed)
         for j in range(on_this_edge):
             world.add_host(wire, base + ".%d" % (j + 1),
@@ -309,8 +298,8 @@ def _build_fattree(spec, sim, tcp_defaults):
             up_wire = world.add_wire(
                 "up%d-%d" % (e, s),
                 propagation_us=rng.uniform(*spec.leaf_propagation_us))
-            world.attach(edge, up_wire, up_base + ".1")
-            world.attach(spine_routers[s], up_wire, up_base + ".2")
+            edge.attach(up_wire, up_base + ".1")
+            spine_routers[s].attach(up_wire, up_base + ".2")
             uplink[(e, s)] = (up_base + ".1", up_base + ".2")
     # Cross-edge routes stripe destination subnets over the spines, so
     # both directions of a flow may ride different spines (ECMP-ish but
@@ -342,7 +331,7 @@ def _build_wan(spec, sim, tcp_defaults):
         router = world.add_router("site%d" % i)
         site_routers.append(router)
         gateway = base + ".254"
-        world.attach(router, wire, gateway)
+        router.attach(wire, gateway)
         site_hosts = spec.hosts // sites + (1 if i < spec.hosts % sites else 0)
         for j in range(site_hosts):
             world.add_host(wire, base + ".%d" % (j + 1),
@@ -354,8 +343,8 @@ def _build_wan(spec, sim, tcp_defaults):
         base = _infra_subnet(i)
         wire = world.add_wire(
             "haul%d" % i, propagation_us=rng.uniform(*spec.wan_propagation_us))
-        world.attach(site_routers[i], wire, base + ".1")
-        world.attach(site_routers[i + 1], wire, base + ".2")
+        site_routers[i].attach(wire, base + ".1")
+        site_routers[i + 1].attach(wire, base + ".2")
         right_ip[i] = base + ".2"   # site i's next hop toward i+1
         left_ip[i + 1] = base + ".1"  # site i+1's next hop toward i
     for i in range(sites):

@@ -34,7 +34,7 @@ from math import log
 from random import Random
 
 from repro.core.sockets import SOCK_DGRAM, SOCK_STREAM, SocketError
-from repro.stack.engine import SocketTimeout
+from repro.stack.engine import PortUnreachable, SocketTimeout
 
 #: Request/reply header: request id, reply length, request length.
 _HEADER = struct.Struct("!IHH")
@@ -306,7 +306,10 @@ def _udp_server(api, sim, spec, end):
     while sim.now < end:
         try:
             data, src = yield from api.recvfrom(fd)
-        except SocketTimeout:
+        except (SocketTimeout, PortUnreachable):
+            # Unreachable: a reply met a client socket already closed
+            # (library placements upcall the ICMP error to unconnected
+            # sockets too); nothing to retract, keep serving.
             continue
         if len(data) < HEADER_BYTES:
             continue
@@ -326,7 +329,10 @@ def _udp_client(api, sim, spec, schedule, world, start, end, result,
         while sim.now < end:
             try:
                 data, _src = yield from api.recvfrom(fd)
-            except SocketTimeout:
+            except (SocketTimeout, PortUnreachable):
+                # Unreachable: an overloaded request outlived the
+                # servers' sockets.  It stays outstanding and is
+                # censored at wind-down, like any unanswered request.
                 continue
             except SocketError:
                 return  # fd closed by the sender at wind-down

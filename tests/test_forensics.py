@@ -176,8 +176,8 @@ def test_selective_tracing_is_bit_passive_on_the_workload():
 @pytest.mark.parametrize("engine", [None, Simulator],
                          ids=["scale", "base"])
 def test_trace_ids_survive_either_engine(engine):
-    """CalendarQueue dispatch and per-host domain batching (the scale
-    engine) and the plain heap engine each run the traced workload
+    """A scale world (indexed demux, armed tick registry) and the same
+    world on a plain Simulator each run the traced workload
     byte-identically to their own untraced run, sample the same request
     ids, and keep every binding consistent."""
     def make_sim():

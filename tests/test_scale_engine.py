@@ -1,154 +1,20 @@
-"""The scale-out engine: calendar-queue store and locality dispatch.
+"""Scale worlds: what :class:`~repro.sim.scale.ScaleSimulator` selects.
 
-Two contracts are pinned here.  First, the timer wheel: dense, sparse,
-and far-future timers must fire in *exactly* the order the old linear
-heap store produced — ``(when, seq)`` order, ties broken by insertion
-sequence — under every push/pop interleaving.  Second, the
-:class:`~repro.sim.scale.ScaleSimulator`: it must run real protocol
-worlds to the same answers (every byte moved), inherit domains across
-spawns, keep each same-instant batch stably grouped by host, and stay
-bit-deterministic run to run.
+The class shares the base :class:`~repro.sim.engine.Simulator` event
+loop, so the first contract is that the two agree on every timer —
+distinct deadlines and same-instant ties alike — and that a scale world
+still runs real protocol worlds to the same answers (every byte moved)
+and stays bit-deterministic run to run.  The rest pins the two
+structures the class switches on: the indexed packet-filter demux and
+the armed-session tick registry.
 """
-
-import heapq
-import random
-
-import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.apps.ttcp import ttcp
 from repro.core.sockets import SOCK_STREAM
 from repro.sim.engine import Simulator
 from repro.sim.process import Timeout
 from repro.sim.scale import ScaleSimulator
-from repro.sim.wheel import CalendarQueue
 from repro.world.configs import build_network
-
-
-# ----------------------------------------------------------------------
-# CalendarQueue vs the linear heap store
-# ----------------------------------------------------------------------
-
-def _drain(queue):
-    out = []
-    while queue:
-        out.append(queue.pop())
-    return out
-
-
-def _reference_order(items):
-    heap = []
-    for item in items:
-        heapq.heappush(heap, item)
-    out = []
-    while heap:
-        out.append(heapq.heappop(heap))
-    return out
-
-
-def _items(whens):
-    return [(when, seq, None, ()) for seq, when in enumerate(whens)]
-
-
-@pytest.mark.parametrize("pattern", ["dense", "sparse", "far_future", "mixed"])
-def test_wheel_matches_heap_order(pattern):
-    rng = random.Random(hash(pattern) & 0xFFFF)
-    if pattern == "dense":
-        # Hundreds of timers inside a couple of bucket widths, with
-        # heavy time ties to exercise the sequence tie-break.
-        whens = [rng.choice([0.5, 1.0, 1.5, 2.0]) * rng.randint(1, 60)
-                 for _ in range(500)]
-    elif pattern == "sparse":
-        whens = [rng.uniform(0, 5_000_000.0) for _ in range(200)]
-    elif pattern == "far_future":
-        # Everything lands in the overflow heap and must decant cleanly.
-        whens = [rng.uniform(1e9, 2e9) for _ in range(300)]
-    else:
-        whens = ([rng.uniform(0, 100.0) for _ in range(200)]
-                 + [rng.uniform(1e6, 1e7) for _ in range(100)]
-                 + [500_000.0] * 50)
-    items = _items(whens)
-    wheel = CalendarQueue()
-    for item in items:
-        CalendarQueue.heappush(wheel, item)
-    assert _drain(wheel) == _reference_order(items)
-
-
-def test_wheel_interleaved_push_pop_matches_heap():
-    rng = random.Random(7)
-    wheel = CalendarQueue(width=16.0, nbuckets=64)
-    heap = []
-    seq = 0
-    popped_wheel, popped_heap = [], []
-    for _ in range(3000):
-        if heap and rng.random() < 0.45:
-            popped_wheel.append(wheel.pop())
-            popped_heap.append(heapq.heappop(heap))
-        else:
-            when = rng.choice([
-                rng.uniform(0, 50.0),          # current bucket
-                rng.uniform(0, 2_000.0),       # elsewhere in the ring
-                rng.uniform(1e6, 1e8),         # overflow
-            ])
-            item = (when, seq, None, ())
-            seq += 1
-            wheel.push(item)
-            heapq.heappush(heap, item)
-        assert len(wheel) == len(heap)
-    popped_wheel.extend(_drain(wheel))
-    while heap:
-        popped_heap.append(heapq.heappop(heap))
-    assert popped_wheel == popped_heap
-
-
-@given(st.lists(
-    st.one_of(
-        st.floats(min_value=0.0, max_value=1e9, allow_nan=False,
-                  allow_infinity=False),
-        st.none(),                       # a pop, if anything is queued
-    ),
-    max_size=200))
-@settings(deadline=None, max_examples=60)
-def test_wheel_property_any_interleaving_matches_heap(ops):
-    wheel = CalendarQueue(width=8.0, nbuckets=32)
-    heap = []
-    seq = 0
-    for op in ops:
-        if op is None:
-            if heap:
-                assert wheel.pop() == heapq.heappop(heap)
-        else:
-            item = (op, seq, None, ())
-            seq += 1
-            wheel.push(item)
-            heapq.heappush(heap, item)
-        assert len(wheel) == len(heap)
-        if heap:
-            assert wheel.peek_when() == heap[0][0]
-    drained = _drain(wheel)
-    expected = []
-    while heap:
-        expected.append(heapq.heappop(heap))
-    assert drained == expected
-
-
-def test_wheel_push_behind_window_rebases():
-    wheel = CalendarQueue(width=10.0, nbuckets=8)
-    wheel.push((1e6, 0, None, ()))      # anchors the window far out
-    wheel.push((5.0, 1, None, ()))      # behind the window: must rebase
-    wheel.push((2e6, 2, None, ()))
-    assert wheel.peek_when() == 5.0
-    assert [item[0] for item in _drain(wheel)] == [5.0, 1e6, 2e6]
-
-
-def test_wheel_peek_is_nondestructive():
-    wheel = CalendarQueue()
-    wheel.push((3.0, 0, None, ()))
-    wheel.push((1.0, 1, None, ()))
-    assert wheel.peek_when() == 1.0
-    assert wheel[0][0] == 1.0
-    assert len(wheel) == 2
-    assert wheel.pop()[0] == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -166,51 +32,22 @@ def test_scale_sim_timer_order_matches_default_engine():
     def run(sim_cls):
         sim = sim_cls()
         log = []
-        # Distinct deadlines only: same-instant batches may legally
-        # regroup on the scale engine, but distinct times never reorder.
-        sim.spawn(record(sim, log, "a", [1.0, 2.5, 100.0, 1e6]))
-        sim.spawn(record(sim, log, "b", [1.5, 2.5, 99.0, 2e6]))
+        # Distinct deadlines and same-instant ties (t = 2.5 twice, four
+        # timers at t = 10 spawned out of tag order, a pair landing on
+        # the far-future t = 1e6): one event loop, so one order.
+        sim.spawn(record(sim, log, "a", [1.0, 1.5, 7.5, 90.0, 999_900.0]))
+        sim.spawn(record(sim, log, "b", [1.5, 1.0, 7.5, 89.0, 2e6]))
+        sim.spawn(record(sim, log, "d", [10.0, 999_990.0]))
+        sim.spawn(record(sim, log, "c", [10.0]))
         sim.run()
         return log
 
-    assert run(Simulator) == run(ScaleSimulator)
-
-
-def test_scale_sim_domain_inheritance():
-    sim = ScaleSimulator()
-    seen = {}
-
-    def child():
-        seen["child"] = sim.current.domain
-        yield Timeout(1.0)
-
-    def parent():
-        seen["parent"] = sim.current.domain
-        sim.spawn(child())
-        yield Timeout(1.0)
-
-    with sim.domain("host7"):
-        sim.spawn(parent())
-    sim.run()
-    assert seen == {"parent": "host7", "child": "host7"}
-
-
-def test_scale_sim_localizes_same_instant_batches():
-    sim = ScaleSimulator()
-    log = []
-
-    def ticker(tag):
-        yield Timeout(10.0)
-        log.append(tag)
-
-    # Spawn interleaved across two domains; all four timers fire at the
-    # same instant, so the batch must regroup by domain (first-seen
-    # order) instead of round-robin interleaving.
-    for i, dom in enumerate(["a", "b", "a", "b"]):
-        with sim.domain(dom):
-            sim.spawn(ticker("%s%d" % (dom, i)))
-    sim.run()
-    assert log == ["a0", "a2", "b1", "b3"]
+    log = run(Simulator)
+    assert log == run(ScaleSimulator)
+    # Ties break by insertion sequence — when the timer was set — not
+    # by tag or spawn order: "d" and "c" set theirs at t = 0.
+    assert [tag for when, tag in log if when == 10.0] == ["d", "c", "a", "b"]
+    assert [tag for when, tag in log if when == 1e6] == ["d", "a"]
 
 
 def test_scale_sim_runs_a_real_world_to_the_same_bytes():

@@ -2,6 +2,7 @@
 determinism, and the chaos CLI's unknown-scenario exit."""
 
 import json
+from hashlib import sha256
 
 import pytest
 
@@ -93,6 +94,42 @@ def test_sweep_is_deterministic_across_runs(tmp_path):
         doc = tailstudy.strip_volatile(json.loads(out.read_text()))
         docs.append(doc)
     assert docs[0] == docs[1]
+
+
+# ----------------------------------------------------------------------
+# Cross-commit goldens: a scale world's simulated output, pinned
+# ----------------------------------------------------------------------
+
+_GOLDEN_WORKLOAD = dict(proto="udp", clients=0, fanout=2,
+                        request_bytes=64, reply_bytes=200,
+                        size_dist="fixed", window_us=200_000.0,
+                        drain_us=150_000.0)
+
+
+@pytest.mark.parametrize("topology,placement,golden", [
+    (dict(kind="star", hosts=16, seed=7), "library-shm-ipf",
+     "58c21bd04cd47dfbc98ddcf7cbd099ab370e4f965e5d48d9f4eb572958f7d409"),
+    (dict(kind="fattree", hosts=16, seed=7, hosts_per_edge=8, spines=2),
+     "mach25",
+     "b0bf24a1e43b84129290f5b5fa360665bde2612ddf31087337e7e8a1b8ceeab0"),
+    # The cell tests/test_parallel.py::_cells builds.
+    (dict(kind="wan", hosts=12, seed=21, hosts_per_edge=8, spines=2,
+          sites=2, router_speedup=8.0), "mach25",
+     "6480d97241e37936e8e2614293c9b05702c9c53ce4c99d39bf4a72783e5b20d7"),
+], ids=["star16", "fattree16", "wan12"])
+def test_scale_cell_matches_golden(topology, placement, golden):
+    # The other scale tests compare a run with itself or its twin, and
+    # bench_json covers only two-host worlds; these digests are what
+    # makes "the schedule did not change" visible from one commit to
+    # the next.  A change that means to move them re-captures all three
+    # and says why.
+    cell = tailstudy.run_cell(
+        topology, dict(_GOLDEN_WORKLOAD, seed=topology["seed"]),
+        placement, 0.1)
+    assert cell["completed"] > 0
+    cell, = tailstudy.strip_volatile({"results": [cell]})["results"]
+    text = json.dumps(cell, sort_keys=True)
+    assert sha256(text.encode()).hexdigest() == golden
 
 
 def test_rate_for_load_scales_linearly():

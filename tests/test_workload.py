@@ -4,6 +4,8 @@ from random import Random
 
 import pytest
 
+from repro.analysis import tailstudy
+from repro.sim.engine import Simulator
 from repro.world.topology import TopologySpec, build_world, warm_arp
 from repro.world.workload import (
     HEADER_BYTES,
@@ -128,3 +130,44 @@ def test_udp_workload_is_deterministic_run_to_run():
         results.append((result.issued, result.completed,
                         tuple(result.latencies_us)))
     assert results[0] == results[1]
+
+
+# ----------------------------------------------------------------------
+# Overload: ICMP port-unreachable at wind-down is not a failure
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("hosts,load,drain_us", [
+    # A request outlives the servers' sockets: the refusal reaches the
+    # client dispatcher (it used to kill the whole sweep).
+    (16, 0.2, 150_000.0),
+    # A reply outlives a client's socket: the refusal reaches a server
+    # still inside its last receive poll (it used to die silently).
+    (8, 0.06, 20_000.0),
+], ids=["client", "server"])
+def test_overloaded_udp_cell_survives_port_unreachable(
+        monkeypatch, hosts, load, drain_us):
+    # Library placements upcall ICMP errors to unconnected sockets too,
+    # so only they see PortUnreachable on these sockets.
+    procs = []
+    spawn = Simulator.spawn
+
+    def recording_spawn(self, generator, name=""):
+        proc = spawn(self, generator, name=name)
+        procs.append(proc)
+        return proc
+
+    monkeypatch.setattr(Simulator, "spawn", recording_spawn)
+    cell = tailstudy.run_cell(
+        dict(kind="fattree", hosts=hosts, seed=7, hosts_per_edge=8,
+             spines=2, sites=2, router_speedup=8.0),
+        dict(proto="udp", seed=7, clients=0, fanout=2, request_bytes=64,
+             reply_bytes=200, size_dist="fixed", window_us=200_000.0,
+             drain_us=drain_us),
+        "library-shm-ipf", load)
+    # Refused requests stay outstanding and are censored.
+    assert cell["censored"] > 0
+    assert cell["issued"] == cell["completed"] + cell["censored"]
+    workload = [p for p in procs
+                if p.name.startswith("wl-") or p.name == "_udp_client"]
+    assert len(workload) == 3 * hosts
+    assert all(p.ok for p in workload if p.triggered)
