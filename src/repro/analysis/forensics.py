@@ -27,13 +27,25 @@ Time inside ``[t0, t1]`` not covered by any span is wire transit plus
 remote-side gaps the sampler did not see; it is reported honestly as
 ``("wire", "transit")`` rather than smeared over the known causes.
 
-**Exactness.**  Segment arithmetic runs in :class:`fractions.Fraction`:
-the per-request attribution sums *telescope* to exactly
-``Fraction(t1) - Fraction(t0)``, whose float value equals the float
-subtraction ``t1 - t0`` (both are the correctly-rounded image of the
-same exact real), so every request's attributed causes sum to its
+**Exactness.**  Segment arithmetic runs in exact *integers*: every
+bound of a request (its ``t0``/``t1`` and each span's start and
+start + cost) is scaled once onto the request's common denominator —
+ticks are floats, so ``as_integer_ratio()`` denominators are powers of
+two and the common one is simply the largest — and clipping, sorting
+and blame resolution compare plain ints; only the merged segments are
+converted back, to :class:`fractions.Fraction` bounds.  No rounding
+happens anywhere, so the per-request attribution sums *telescope* to
+exactly ``Fraction(t1) - Fraction(t0)``, whose float value equals the
+float subtraction ``t1 - t0`` (both are the correctly-rounded image of
+the same exact real), and every request's attributed causes sum to its
 end-to-end latency in ticks, exactly — an acceptance invariant the test
-suite pins.
+suite pins.  The O(cuts x candidates) ``Fraction`` scan this replaced
+lives on as the differential oracle in ``tests/forensics_reference.py``.
+
+**Cost.**  :func:`critical_path` is O(n log n) in the request's spans
+(two sorts and a near-linear painting pass), so the analysis costs what
+the request's own spans cost; ``tailstudy`` reports it per cell as
+``analysis_seconds`` next to the recording's ``wallclock_seconds``.
 
 Determinism: everything here is pure arithmetic over the recorder's
 rings with sorted, explicitly tie-broken orderings — same seed, same
@@ -41,6 +53,8 @@ rings, same JSON bytes.
 """
 
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 
 #: Critical-path blame priority (lower wins when intervals overlap).
 CAUSE_PRIORITY = {
@@ -54,20 +68,8 @@ CAUSE_PRIORITY = {
 #: The uncovered remainder of a request's interval.
 TRANSIT = ("wire", "transit")
 
-
-class _Candidate:
-    """One span projected onto a request's timeline."""
-
-    __slots__ = ("start", "end", "owner", "layer", "cause", "prio", "seq")
-
-    def __init__(self, start, end, owner, layer, cause, prio, seq):
-        self.start = start
-        self.end = end
-        self.owner = owner
-        self.layer = layer
-        self.cause = cause
-        self.prio = prio
-        self.seq = seq
+#: Its (owner, layer, cause) on a critical path.
+_TRANSIT_BLAME = ("wire",) + TRANSIT
 
 
 def _span_key(span):
@@ -88,9 +90,9 @@ def collect_request_spans(tracer, request_tracer):
     order is backend-dependent: a run merged from island processes
     interleaves per-island rings, and same-tick spans from different
     islands have no meaningful relative order.  Sorting by content in
-    every mode makes downstream tie-breaks (``_Candidate.seq``) and
-    exemplar span listings identical between single-process and
-    ``--parallel`` runs.
+    every mode makes downstream tie-breaks (the candidate ``seq`` in
+    :func:`critical_path`) and exemplar span listings identical between
+    single-process and ``--parallel`` runs.
     """
     tid_to_req = request_tracer.tid_to_req
     grouped = {}
@@ -118,59 +120,79 @@ def critical_path(cpu_spans, wait_spans, t0, t1):
     :data:`TRANSIT`.  Adjacent same-blame segments merge.  Returns a
     list of dicts with exact :class:`Fraction` bounds under ``start``/
     ``end`` (callers serialize via :func:`path_to_json`).
+
+    One O(n log n) pass over exact integers: every bound is scaled onto
+    the request's common denominator, the cuts and the candidates are
+    each sorted once, and candidates paint the cuts in priority order —
+    a candidate takes whatever its range still has unpainted, found
+    through a path-compressed "next unpainted interval" index, so no
+    interval is visited by more than one painter.
     """
-    lo, hi = Fraction(t0), Fraction(t1)
+    service = CAUSE_PRIORITY["service"]
+    unknown = len(CAUSE_PRIORITY)
+    blames = [(service, (span.owner, span.layer, "service"))
+              for span in cpu_spans]
+    blames += [(CAUSE_PRIORITY.get(wait.kind, unknown),
+                (wait.owner, wait.layer, wait.kind)) for wait in wait_spans]
+
+    # Exact integer images.  Ticks are floats, so the denominators are
+    # powers of two and the lcm is their maximum; ints and Fractions
+    # stay exact through the same call.
+    bounds = [t0, t1]
+    for span in chain(cpu_spans, wait_spans):
+        bounds.append(span.start)
+        bounds.append(span.cost)
+    ratios = [bound.as_integer_ratio() for bound in bounds]
+    denom = lcm(*{den for _num, den in ratios})
+    ticks = [num * (denom // den) for num, den in ratios]
+    lo, hi = ticks[:2]
     if hi <= lo:
         return []
-    candidates = []
-    seq = 0
-    for span in cpu_spans:
-        s = Fraction(span.start)
-        e = s + Fraction(span.cost)
-        if e <= lo or s >= hi:
-            continue
-        candidates.append(_Candidate(
-            max(s, lo), min(e, hi), span.owner, span.layer, "service",
-            CAUSE_PRIORITY["service"], seq))
-        seq += 1
-    for wait in wait_spans:
-        s = Fraction(wait.start)
-        e = s + Fraction(wait.cost)
-        if e <= lo or s >= hi:
-            continue
-        candidates.append(_Candidate(
-            max(s, lo), min(e, hi), wait.owner, wait.layer, wait.kind,
-            CAUSE_PRIORITY.get(wait.kind, len(CAUSE_PRIORITY)), seq))
-        seq += 1
 
-    bounds = {lo, hi}
-    for cand in candidates:
-        bounds.add(cand.start)
-        bounds.add(cand.end)
-    cuts = sorted(bounds)
+    # (prio, clipped start, seq) is the blame order and seq is unique,
+    # so sorting the tuples never compares past it.
+    candidates = []
+    cuts = {lo, hi}
+    for (prio, who), start, cost in zip(blames, ticks[2::2], ticks[3::2]):
+        end = start + cost
+        if end <= lo or start >= hi:
+            continue
+        start, end = max(start, lo), min(end, hi)
+        cuts.add(start)
+        cuts.add(end)
+        candidates.append((prio, start, len(candidates), end, who))
+    candidates.sort()
+    cuts = sorted(cuts)
+    index = {tick: i for i, tick in enumerate(cuts)}
+
+    # blame[i] owns [cuts[i], cuts[i + 1]); unpainted[i] is the first
+    # unpainted interval at or after i (len(blame) when there is none).
+    blame = [_TRANSIT_BLAME] * (len(cuts) - 1)
+    unpainted = list(range(len(cuts)))
+    for _prio, start, _seq, end, who in candidates:
+        i, stop = index[start], index[end]
+        while True:
+            root = i
+            while unpainted[root] != root:
+                root = unpainted[root]
+            while unpainted[i] != root:
+                unpainted[i], i = root, unpainted[i]
+            if root >= stop:
+                break
+            blame[root] = who
+            unpainted[root] = i = root + 1
 
     segments = []
-    for a, b in zip(cuts, cuts[1:]):
-        best = None
-        for cand in candidates:
-            if cand.start <= a and cand.end >= b:
-                key = (cand.prio, cand.start, cand.seq)
-                if best is None or key < best[0]:
-                    best = (key, cand)
-        if best is None:
-            owner, layer, cause = "wire", TRANSIT[0], TRANSIT[1]
+    previous = None
+    for i, who in enumerate(blame):
+        if who == previous:
+            segments[-1][1] = cuts[i + 1]
         else:
-            cand = best[1]
-            owner, layer, cause = cand.owner, cand.layer, cand.cause
-        if (segments and segments[-1]["owner"] == owner
-                and segments[-1]["layer"] == layer
-                and segments[-1]["cause"] == cause
-                and segments[-1]["end"] == a):
-            segments[-1]["end"] = b
-        else:
-            segments.append({"start": a, "end": b, "owner": owner,
-                             "layer": layer, "cause": cause})
-    return segments
+            segments.append([cuts[i], cuts[i + 1], who])
+            previous = who
+    return [{"start": Fraction(a, denom), "end": Fraction(b, denom),
+             "owner": owner, "layer": layer, "cause": cause}
+            for a, b, (owner, layer, cause) in segments]
 
 
 def attribute_path(path):

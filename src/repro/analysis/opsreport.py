@@ -100,6 +100,8 @@ def telemetry_health(cell):
         "completed": cell["completed"],
         "censored": cell["censored"],
         "latency_us": cell["latency_us"],
+        "host_seconds": {"record": cell["wallclock_seconds"],
+                         "analysis": cell["analysis_seconds"]},
         "tracer": {
             "requests_seen": block["requests_seen"],
             "requests_sampled": block["requests_sampled"],
@@ -203,6 +205,10 @@ def ops_markdown(report):
     lines.append("- metrics registered: " + ", ".join(
         "%d %s" % (count, kind)
         for kind, count in sorted(tele["metrics_registered"].items())))
+    lines.append("- host cost: %.3f s recording the cell, %.3f s "
+                 "analysing its traces"
+                 % (tele["host_seconds"]["record"],
+                    tele["host_seconds"]["analysis"]))
     lines.append("")
     return "\n".join(lines)
 

@@ -25,7 +25,7 @@ dynamic range sits at nominal loads well below 1.0 (the default sweep
 tops out at 0.3).  Every cell builds a fresh world from the same
 topology seed, so placements see byte-identical fabrics and schedules;
 the whole sweep is deterministic for a given argument vector (the
-``wallclock_seconds`` field aside).
+``wallclock_seconds`` / ``analysis_seconds`` fields aside).
 """
 
 import argparse
@@ -184,9 +184,14 @@ def run_cell(topology_args, workload_args, placement, load,
         if merged is not None:
             tracer_view = merged["trace"]
             requests_view = merged["requests"]
+        analysis_start = time.monotonic()
         cell["forensics"] = cell_forensics(
             tracer_view, requests_view, p99_us=pcts[0.99],
             exemplar_cap=forensics["exemplars"])
+        # wallclock_seconds above is what recording cost (build + run);
+        # this is what turning the rings into blame cost on top of it.
+        cell["analysis_seconds"] = round(
+            time.monotonic() - analysis_start, 3)
     if metrics:
         state = (merged["metrics"] if merged is not None
                  else world.metrics.export_state(island=0))
@@ -209,17 +214,23 @@ def strip_volatile(document):
     doc.pop("parallel_fallbacks", None)
     for cell in doc.get("results", ()):
         cell.pop("wallclock_seconds", None)
+        cell.pop("analysis_seconds", None)
         cell.pop("backend", None)
     return doc
 
 
 def wallclock_table(results):
-    """Per-cell wall-clock markdown (volatile, for CI step summaries)."""
-    lines = ["| placement | load | wall clock (s) |", "|---|---|---|"]
+    """Per-cell wall-clock markdown (volatile, for CI step summaries):
+    seconds building and running the cell, and — for forensic cells —
+    seconds analysing its rings afterwards."""
+    lines = ["| placement | load | record (s) | analysis (s) |",
+             "|---|---|---|---|"]
     for r in results:
-        lines.append("| %s | %.2f | %.3f |"
+        analysis = r.get("analysis_seconds")
+        lines.append("| %s | %.2f | %.3f | %s |"
                      % (r["placement"], r["load"],
-                        r.get("wallclock_seconds", 0.0)))
+                        r.get("wallclock_seconds", 0.0),
+                        "-" if analysis is None else "%.3f" % analysis))
     return "\n".join(lines)
 
 
@@ -378,11 +389,13 @@ def main(argv=None):
                             forensics=forensics, parallel=args.parallel,
                             metrics=args.metrics)
             results.append(cell)
+            cost = "%.3f s" % cell["wallclock_seconds"]
+            if forensics is not None:
+                cost += " + %.3f s analysis" % cell["analysis_seconds"]
             print("tailstudy: %-14s load %.2f  issued %5d  completed %5d"
-                  "  p99 %s us  (%.3f s)"
+                  "  p99 %s us  (%s)"
                   % (placement, load, cell["issued"], cell["completed"],
-                     cell["latency_us"]["p99"],
-                     cell["wallclock_seconds"]), file=sys.stderr)
+                     cell["latency_us"]["p99"], cost), file=sys.stderr)
 
     document = {
         "schema": SCHEMA,

@@ -38,9 +38,10 @@ Two extensions serve the tail-forensics layer (:mod:`repro.trace.request`):
 * **Selective (request-gated) mode.**  With a
   :class:`~repro.trace.request.RequestTracer` attached (see
   :meth:`attach_requests`), :meth:`begin` only starts traces for work the
-  request tracer claims (sampled request ids and their downstream
-  processing), and spans carrying no trace id are dropped instead of
-  recorded — which is what makes tracing a 500-host tail study affordable.
+  request tracer claims (a sampled request's sends and the replies they
+  cause — never an untagged frame at NIC rx), and spans carrying no
+  trace id are dropped instead of recorded — which is what makes tracing
+  a 500-host tail study affordable.
 """
 
 from collections import OrderedDict, deque
@@ -239,13 +240,19 @@ class TraceRecorder:
         In selective mode the attached request tracer decides: work that
         does not belong to a sampled request gets no trace, and any
         stale trace context on the running process is cleared so later
-        spans cannot be misattributed to a previous request.
+        spans cannot be misattributed to a previous request.  A sampled
+        request's traces are born at its sends and reach other hosts as
+        frame tags, so a ``"recv"`` birth — an *untagged* frame at NIC
+        rx — is by definition not part of one.  It is refused without
+        consulting the request tracer: ``route`` would answer from the
+        interrupt process's context, which still holds the tag of the
+        *previous* frame.
         """
         if not self.enabled:
             return None
         rt = self.requests
         if rt is not None:
-            req_id = rt.route(self._sim.current)
+            req_id = None if kind == "recv" else rt.route(self._sim.current)
             if req_id is None:
                 self.adopt(None)
                 return None

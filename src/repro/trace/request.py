@@ -181,6 +181,12 @@ class RequestTracer:
         server replying carries the *request's packet trace* in
         ``trace_ctx`` (adopted off the rx frame), which maps back
         through :attr:`tid_to_req`.  None means: do not trace.
+
+        Only meaningful for a ``"send"`` birth, where ``proc`` is the
+        sender and its context is the work it is answering.  The
+        recorder never asks on behalf of an untagged frame at NIC rx:
+        there ``proc`` is the interrupt process and ``trace_ctx`` is
+        whatever the previous frame left behind.
         """
         if proc is None:
             return None

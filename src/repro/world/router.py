@@ -18,6 +18,7 @@ from repro.net.addr import BROADCAST_MAC, ip_aton, make_mac
 from repro.net.routing import RouteTable
 from repro.stack.context import ExecutionContext
 from repro.stack.instrument import Layer
+from repro.trace import adopt_trace, frame_trace
 
 
 class RouterInterface:
@@ -43,6 +44,9 @@ class RouterInterface:
             frame = yield from self.nic.rx_ring.get()
             self.nic.rx_pop_time()  # keep the timestamp deque aligned
             self.nic.rx_release()
+            # Whatever this process transmits for the frame inherits its
+            # tag (NIC.start_transmit reads the sender's context).
+            adopt_trace(self.router.sim, frame_trace(frame))
             yield from self.router._input(self, frame)
 
 

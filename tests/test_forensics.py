@@ -2,9 +2,12 @@
 exactness, bit-passivity of selective tracing, and the forensics CLI."""
 
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import __main__ as repro_main
 from repro.analysis import experiments, tailstudy
@@ -23,12 +26,16 @@ from repro.analysis.tracing import (
     placement_ledgers,
 )
 from repro.apps.ttcp import ttcp
+from repro.hw.nic import NIC
+from repro.hw.wire import EthernetWire
 from repro.sim.engine import Simulator
-from repro.trace import RequestTracer, Span, WaitSpan
+from repro.trace import RequestTracer, Span, WaitSpan, frame_trace
 from repro.trace.request import _mix
 from repro.world.configs import build_network
 from repro.world.topology import TopologySpec, build_world, warm_arp
-from repro.world.workload import WorkloadSpec, run_workload
+from repro.world.workload import WorkloadSpec, build_schedules, run_workload
+from tests.forensics_reference import critical_path as reference_path
+from tests.test_parallel import _TOPOLOGY, _WORKLOAD
 
 
 # ----------------------------------------------------------------------
@@ -130,6 +137,82 @@ def test_contention_beats_queue_beats_service():
 
 
 # ----------------------------------------------------------------------
+# Differential: the integer-tick pass against the O(n^2) Fraction scan
+# ----------------------------------------------------------------------
+
+# Long-mantissa floats, ints and non-dyadic Fractions, plus a coarse
+# grid so boundaries and (prio, start) ties collide often.
+_instants = st.one_of(
+    st.floats(-40.0, 140.0, allow_nan=False),
+    st.integers(-5, 105),
+    st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0, 50.0, 99.5, 100.0]),
+    st.builds(Fraction, st.integers(-30, 330), st.just(3)),
+)
+_costs = st.one_of(
+    st.just(0),
+    st.just(0.0),
+    st.floats(0.0, 80.0, allow_nan=False),
+    st.integers(-3, 60),
+    st.sampled_from([0.5, 1.0, 2.5, 7.0, 50.0]),
+    st.builds(Fraction, st.integers(0, 90), st.just(7)),
+)
+_owners = st.sampled_from(["h0", "h1", "wire"])
+_layers = st.sampled_from(["tcp", "nic", "wire"])
+# All five causes, an unknown kind, and the transit remainder's own
+# name (a wait of that kind merges with uncovered time).
+_kinds = st.sampled_from(["loss-recovery", "contention", "queue", "service",
+                          "control-plane", "mystery", "transit"])
+_cpu_rows = st.tuples(_instants, _costs, _owners, _layers)
+_wait_rows = st.tuples(_instants, _costs, _owners, _layers, _kinds)
+
+
+def _with_duplicates(rows):
+    # Draw from a small pool so exact duplicates are the common case.
+    return st.lists(rows, min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=14))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_with_duplicates(_cpu_rows), _with_duplicates(_wait_rows),
+       _instants, _instants)
+def test_critical_path_equals_the_quadratic_reference(cpu_rows, wait_rows,
+                                                      t0, t1):
+    cpu = [Span(1, owner, layer, start, cost)
+           for start, cost, owner, layer in cpu_rows]
+    waits = [WaitSpan(1, owner, layer, kind, start, cost)
+             for start, cost, owner, layer, kind in wait_rows]
+    path = critical_path(cpu, waits, t0, t1)
+    assert path == reference_path(cpu, waits, t0, t1)
+    for seg in path:
+        assert type(seg["start"]) is Fraction
+        assert type(seg["end"]) is Fraction
+    lo, hi = Fraction(t0), Fraction(t1)
+    if hi <= lo:
+        assert path == []
+    else:
+        assert path[0]["start"] == lo and path[-1]["end"] == hi
+        assert sum(attribute_path(path).values(), Fraction(0)) == hi - lo
+
+
+def test_critical_path_stays_subquadratic():
+    # 0.2 s for the painting pass; the quadratic scan needs minutes.
+    rng = random.Random(19)
+    kinds = ("queue", "contention", "loss-recovery", "control-plane")
+    cpu, waits = [], []
+    for i in range(20_000):
+        start, cost = rng.uniform(0.0, 10_000.0), rng.uniform(1.0, 200.0)
+        if i % 3:
+            cpu.append(Span(1, "h%d" % (i % 4), "tcp", start, cost))
+        else:
+            waits.append(WaitSpan(1, "h%d" % (i % 4), "nic",
+                                  kinds[i % len(kinds)], start, cost))
+    begin = time.perf_counter()
+    path = critical_path(cpu, waits, 0.0, 10_000.0)
+    assert time.perf_counter() - begin < 3.0
+    assert sum(attribute_path(path).values(), Fraction(0)) == 10_000
+
+
+# ----------------------------------------------------------------------
 # Live worlds: exact sums, bit-passivity, engine parity
 # ----------------------------------------------------------------------
 
@@ -204,6 +287,92 @@ def test_trace_ids_survive_either_engine(engine):
     assert (json.dumps(cell_forensics(world.tracer, rt), sort_keys=True)
             == json.dumps(cell_forensics(world2.tracer, rt2),
                           sort_keys=True))
+
+
+# ----------------------------------------------------------------------
+# Tagging invariants: a span blamed on a request belongs to it.  The
+# exact-sum invariant above cannot see a span that leaked in from
+# another request (the partition still sums to the latency), so these
+# check the tags themselves against the schedule and a test-side ledger
+# of every tagged frame a NIC sent or received.
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module",
+                params=[("wan", 12), ("star", 16)], ids=["wan12", "star16"])
+def tagged_run(request):
+    # The 12-host WAN cell is the one tests/test_parallel.py::_cells
+    # runs, at half its load (at 0.1 its NIC rings overflow); the star
+    # routes every request through its hub.
+    kind, hosts = request.param
+    tspec = TopologySpec(placement="mach25",
+                         **dict(_TOPOLOGY, kind=kind, hosts=hosts))
+    world = build_world(tspec)
+    warm_arp(world)
+    rate = tailstudy.rate_for_load(
+        0.05, dict(_WORKLOAD, us_per_byte=tspec.us_per_byte))
+    wspec = WorkloadSpec(rate_per_client=float(rate), **_WORKLOAD)
+    world.tracer.enable(capacity=1 << 18)
+    rt = RequestTracer(world.tracer, sample_every=4, seed=_TOPOLOGY["seed"])
+
+    host_of = {id(host.nic): host.name for host in world.hosts}
+    ledger = set()  # (host, trace id) for every tagged frame at a NIC
+    real_transmit, real_arrived = EthernetWire.transmit, NIC.frame_arrived
+
+    def transmit(wire, frame, sender):
+        ledger.add((host_of.get(id(sender)), frame_trace(frame)))
+        return real_transmit(wire, frame, sender)
+
+    def frame_arrived(nic, frame):
+        ledger.add((host_of.get(id(nic)), frame_trace(frame)))
+        return real_arrived(nic, frame)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EthernetWire, "transmit", transmit)
+        patch.setattr(NIC, "frame_arrived", frame_arrived)
+        result = run_workload(world, wspec, request_tracer=rt)
+    assert result.censored == 0, "the invariants assume a lossless run"
+    assert not world.tracer.lossy
+    schedules = build_schedules(wspec, len(world.hosts))
+    parties = {req_id: {world.hosts[i].name for i in (client,) + targets}
+               for client, requests in schedules.items()
+               for _t, req_id, targets, _req, _reply in requests}
+    return world.tracer, rt, ledger, parties
+
+
+def _span_host(span):
+    return span.owner.split(":")[0]  # "h003:mach25" -> "h003"
+
+
+def test_traces_are_born_only_at_a_sampled_requests_sends(tagged_run):
+    tracer, rt, _ledger, _parties = tagged_run
+    assert rt.requests_sampled > 0
+    # Each target gets one send and answers with one: 2 x fanout traces
+    # per sampled request, none born at a NIC.
+    expected = rt.requests_sampled * 2 * _WORKLOAD["fanout"]
+    assert tracer.traces_started == len(rt.tid_to_req) == expected
+    assert {tracer.meta(tid).kind for tid in rt.tid_to_req} == {"send"}
+
+
+def test_sampled_requests_are_seen_on_every_host_they_visit(tagged_run):
+    tracer, rt, _ledger, parties = tagged_run
+    grouped = collect_request_spans(tracer, rt)
+    completed = rt.completed_records()
+    assert completed
+    for rec in completed:
+        cpu_spans, _waits = grouped[rec.req_id]
+        owners = {_span_host(span) for span in cpu_spans}
+        assert owners >= parties[rec.req_id], (
+            "request %d left no span on %s"
+            % (rec.req_id, sorted(parties[rec.req_id] - owners)))
+
+
+def test_no_span_sits_on_a_host_its_trace_never_touched(tagged_run):
+    tracer, rt, ledger, _parties = tagged_run
+    bound = [span for span in tracer.spans if span.trace_id in rt.tid_to_req]
+    assert bound
+    strays = {(_span_host(span), span.trace_id) for span in bound} - ledger
+    assert not strays, "spans on hosts that never sent or received " \
+        "a frame with their tag: %r" % sorted(strays)[:5]
 
 
 def _world_fingerprint(net, result):
@@ -363,9 +532,37 @@ def test_tailstudy_forensics_leaves_latencies_untouched(tmp_path):
     traced = json.loads(traced_out.read_text())["results"]
     for p, t in zip(plain, traced):
         t.pop("forensics")
+        t.pop("analysis_seconds")
         p.pop("wallclock_seconds")
         t.pop("wallclock_seconds")
         assert p == t
+
+
+def test_tailstudy_reports_what_the_analysis_cost(forensic_doc):
+    doc = json.loads(forensic_doc.read_text())
+    for cell in doc["results"]:
+        assert cell["analysis_seconds"] >= 0
+    # Volatile like the wall clock: the determinism compares drop it.
+    for cell in tailstudy.strip_volatile(doc)["results"]:
+        assert "analysis_seconds" not in cell
+        assert "forensics" in cell
+    table = tailstudy.wallclock_table(doc["results"]).splitlines()
+    assert table[0] == "| placement | load | record (s) | analysis (s) |"
+    assert table[2].endswith("| %.3f | %.3f |" % (
+        doc["results"][0]["wallclock_seconds"],
+        doc["results"][0]["analysis_seconds"]))
+    # A plain cell has no analysis to report.
+    plain = dict(doc["results"][0])
+    del plain["analysis_seconds"]
+    assert tailstudy.wallclock_table([plain]).endswith(" | - |")
+
+
+def test_ops_report_prints_record_and_analysis_seconds(capsys):
+    assert repro_main.main(["ops", "--bytes", "16384"]) == 0
+    out = capsys.readouterr().out
+    assert "- host cost: " in out
+    assert "s recording the cell, " in out
+    assert "s analysing its traces" in out
 
 
 def test_tailstudy_markdown_carries_counts_and_attribution(capsys):

@@ -137,6 +137,7 @@ def _cells(kind, parallel, forensics=None, metrics=False, **overrides):
                               metrics=metrics)
     # The volatile keys strip_volatile removes from full documents.
     cell.pop("wallclock_seconds")
+    cell.pop("analysis_seconds", None)
     backend = cell.pop("backend")
     return cell, backend
 
