@@ -102,6 +102,7 @@ def host_report(placement):
         "nic": {
             "frames_sent": host.nic.frames_sent,
             "frames_received": host.nic.frames_received,
+            "frames_filtered": host.nic.frames_filtered,
             "frames_dropped": host.nic.frames_dropped,
         },
     }
@@ -213,7 +214,8 @@ def format_control_report(report):
 def fault_report(wire):
     """A structured report of a wire's fault-injection pipeline.
 
-    Returns counters for the wire itself (frames carried) and, when a
+    Returns counters for the wire itself (frames carried, deliveries
+    its NICs' station filters discarded) and, when a
     :class:`repro.faults.FaultPlan` is attached, per-stage counters plus
     the plan's frames_in/frames_delivered fan-out totals.
     """
@@ -222,6 +224,7 @@ def fault_report(wire):
         "frames_carried": wire.frames_carried,
         "frames_lost": wire.frames_lost,
         "frames_corrupted": wire.frames_corrupted,
+        "frames_filtered": wire.frames_filtered,
         "stages": {},
     }
     plan = wire.fault_plan
@@ -235,9 +238,10 @@ def fault_report(wire):
 def format_fault_report(report):
     """Render a fault report as text."""
     lines = ["Fault injection on %s" % report["wire"]]
-    lines.append("  %d frames carried, %d lost, %d corrupted"
+    lines.append("  %d frames carried, %d lost, %d corrupted, "
+                 "%d filtered by NICs (other station)"
                  % (report["frames_carried"], report["frames_lost"],
-                    report["frames_corrupted"]))
+                    report["frames_corrupted"], report["frames_filtered"]))
     if "frames_in" in report:
         lines.append("  pipeline: %d frames in, %d delivered"
                      % (report["frames_in"], report["frames_delivered"]))
@@ -276,6 +280,11 @@ def format_report(report):
                      "%d contended"
                      % (cpu["busy_us"], 100.0 * cpu["utilization"],
                         cpu["charges"], cpu["contended"]))
+    nic = report["nic"]
+    lines.append("NIC: %d sent, %d received, %d filtered (other station), "
+                 "%d dropped (ring overrun)"
+                 % (nic["frames_sent"], nic["frames_received"],
+                    nic["frames_filtered"], nic["frames_dropped"]))
     if "tracer" in report or "metrics" in report:
         tracer = report.get("tracer")
         metrics = report.get("metrics")

@@ -12,11 +12,25 @@ The NIC itself is autonomous hardware: once the driver has placed a frame
 in device memory, transmission onto the wire consumes no host CPU.  The
 per-byte cost of moving data between host and device memory is charged by
 the *driver* (kernel code) using the platform's ``devmem_*`` parameters —
-that cost difference is the whole story of the Gateway's numbers."""
+that cost difference is the whole story of the Gateway's numbers.
+
+Both cards filter on the **station address** in hardware: a frame whose
+destination is neither the card's own MAC nor broadcast is discarded by
+the device before it takes a receive-ring slot or raises an interrupt,
+so a host on a shared segment pays CPU only for its own packets (the
+paper's Table 4 receive path starts at "device intr/read" for a frame
+*this host* was sent).  There is no promiscuous mode.  Two always-on
+counters declare what the receive side discarded:
+
+* ``frames_filtered`` — addressed to another station (normal on a shared
+  segment; also where a frame lands whose destination MAC was corrupted
+  in flight), and
+* ``frames_dropped`` — addressed to us but lost to receive-ring overrun."""
 
 from collections import deque
 from dataclasses import dataclass
 
+from repro.net.addr import BROADCAST_MAC
 from repro.sim.sync import Channel
 from repro.trace import TaggedFrame, frame_trace
 
@@ -39,9 +53,11 @@ class NIC:
 
     The driver enqueues raw frames (bytes) with :meth:`start_transmit`;
     a device-internal process drains the transmit ring onto the wire.
-    Received frames land in the receive ring and wake the host's interrupt
-    handler, which drains :attr:`rx_ring`.  A full receive ring drops
-    frames, as real hardware does under overrun.
+    Received frames addressed to this station (or broadcast) land in the
+    receive ring and wake the host's interrupt handler, which drains
+    :attr:`rx_ring`; frames for other stations are counted in
+    :attr:`frames_filtered` and never seen by the host.  A full receive
+    ring drops frames, as real hardware does under overrun.
     """
 
     def __init__(self, sim, wire, mac, model=LANCE, name=""):
@@ -60,7 +76,11 @@ class NIC:
         self.rx_limit_override = None
         self.frames_sent = 0
         self.frames_received = 0
+        #: Accepted frames lost to receive-ring overrun.
         self.frames_dropped = 0
+        #: Frames the station-address filter discarded (not ours, not
+        #: broadcast): no ring slot, no timestamp, no interrupt.
+        self.frames_filtered = 0
         #: Telemetry hooks (bound by MetricsRegistry.observe_host while
         #: enabled; None costs one test on the hot paths).
         self.rx_depth_gauge = None
@@ -137,10 +157,15 @@ class NIC:
     def frame_arrived(self, frame):
         """Called by the wire when a frame finishes arriving.
 
-        Runs in zero host-CPU time (it is the device DMA engine); the
-        kernel's interrupt handler pays the CPU costs when it drains
-        :attr:`rx_ring`.
+        Runs in zero host-CPU time (it is the device's address filter
+        and DMA engine); the kernel's interrupt handler pays the CPU
+        costs when it drains :attr:`rx_ring`.  This is the one place
+        that decides station acceptance.
         """
+        dst = frame[0:6]
+        if dst != self.mac and dst != BROADCAST_MAC:
+            self.frames_filtered += 1
+            return
         limit = self.model.rx_ring_frames
         if self.rx_limit_override is not None:
             limit = self.rx_limit_override

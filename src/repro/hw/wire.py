@@ -1,10 +1,12 @@
 """A shared 10 Mb/s Ethernet segment.
 
-The wire serializes transmissions (half-duplex shared medium) and delivers
+The wire serializes transmissions (half-duplex shared medium) and offers
 each frame to every attached NIC except the sender, after the frame's
-serialization delay.  Frame time matches the paper's measured network
-transit component: 0.8 microseconds per byte with a 64-byte minimum frame
-(51.2 us for a minimum frame, 1214 us for a full TCP segment).
+serialization delay; each NIC's station-address filter decides whether
+to accept it (:meth:`repro.hw.nic.NIC.frame_arrived`).  Frame time
+matches the paper's measured network transit component: 0.8
+microseconds per byte with a 64-byte minimum frame (51.2 us for a
+minimum frame, 1214 us for a full TCP segment).
 
 Fault injection hooks in between serialization and delivery: a
 :class:`~repro.faults.FaultPlan` sees every serialized frame as a
@@ -106,6 +108,13 @@ class EthernetWire:
         if self.fault_plan is None:
             return 0
         return self.fault_plan.total("corrupted")
+
+    @property
+    def frames_filtered(self):
+        """Deliveries the attached NICs' station filters discarded: one
+        per bystander per unicast frame on a shared segment, and every
+        frame whose destination MAC a fault stage corrupted."""
+        return sum(nic.frames_filtered for nic in self._nics)
 
     def attach(self, nic):
         if nic in self._nics:

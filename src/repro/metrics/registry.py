@@ -489,6 +489,8 @@ class MetricsRegistry:
         self.bind(nic, "rx_depth_gauge", self.gauge("%s.nic.rx_ring" % name))
         self.bind(nic, "tx_depth_gauge", self.gauge("%s.nic.tx_ring" % name))
         self.gauge("%s.nic.rx_dropped" % name, fn=lambda: nic.frames_dropped)
+        self.gauge("%s.nic.rx_filtered" % name,
+                   fn=lambda: nic.frames_filtered)
 
     def observe_wire(self, wire):
         """Register a wire's occupancy gauges and fault-counter bridge."""

@@ -707,12 +707,14 @@ class NetworkStack:
             self.ip_input_errors += 1
             return
         if header.dst != self.env.local_ip:
-            # Not addressed to this host.  The in-kernel placements catch
-            # whole protocols with one filter, so on a shared segment a
-            # stack sees its neighbors' traffic; answering it (RSTs, port
-            # unreachables) or delivering it to a same-port session would
-            # corrupt the neighbors' sessions.  BSD's ip_input drops here
-            # unless the host is a forwarder; so do we.
+            # To our station address but another host's IP (a stale ARP
+            # entry, a misdirected route): the NIC's station filter only
+            # keeps out frames for other MACs.  The in-kernel placements
+            # catch whole protocols with one filter, so the packet gets
+            # this far; answering it (RSTs, port unreachables) or
+            # delivering it to a same-port session would corrupt the
+            # real owner's sessions.  BSD's ip_input drops here unless
+            # the host is a forwarder; so do we.
             self.not_for_host += 1
             return
         if header.proto == ip.PROTO_TCP:

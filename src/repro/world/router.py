@@ -64,6 +64,7 @@ class Router:
         self.ctx = ExecutionContext(sim, self.cpu, priority=Priority.KERNEL,
                                     name=name)
         self.interfaces = []
+        self._own_ips = set()
         self.route_table = RouteTable()
         self.forwarded = 0
         self.ttl_expired = 0
@@ -74,6 +75,7 @@ class Router:
         iface = RouterInterface(self, wire, ip_addr, prefixlen,
                                 len(self.interfaces), nic_model=nic_model)
         self.interfaces.append(iface)
+        self._own_ips.add(iface.ip)
         self.route_table.add(iface.ip, prefixlen, iface=iface)
         return iface
 
@@ -86,20 +88,13 @@ class Router:
                              gateway=gateway)
 
     def owns_ip(self, addr):
-        return any(iface.ip == addr for iface in self.interfaces)
+        return addr in self._own_ips
 
     # ------------------------------------------------------------------
     # Input
     # ------------------------------------------------------------------
 
     def _input(self, iface, frame):
-        # Station-address filter, as NIC hardware does: only frames for
-        # this interface (or broadcast ARP) are processed.  On a shared
-        # segment the router would otherwise reflect neighbor-to-neighbor
-        # unicast traffic back onto the wire as duplicates.
-        dst = bytes(frame[0:6])
-        if dst != iface.mac and dst != BROADCAST_MAC:
-            return
         p = self.ctx.params
         yield self.ctx.charge(Layer.DEVICE_READ,
                                    p.interrupt_entry

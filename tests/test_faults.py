@@ -14,6 +14,7 @@ from repro.faults import (
     DelayJitter,
     Duplicate,
     FaultPlan,
+    FaultStage,
     GilbertElliottLoss,
     Reorder,
     RxOverflow,
@@ -268,6 +269,42 @@ def test_fault_report_surfaces_stage_counters():
     assert set(report["stages"]) == {"gilbert-elliott", "corrupt"}
     text = format_fault_report(report)
     assert "gilbert-elliott" in text and "pipeline" in text
+
+
+class _FlipDestinationMac(FaultStage):
+    """Corrupt the first byte of every frame's destination address."""
+
+    name = "flip-dst-mac"
+
+    def transit(self, t, rng, now):
+        t.frame = bytes([t.frame[0] ^ 0xFF]) + t.frame[1:]
+        return [t]
+
+
+def test_corrupted_destination_mac_is_declared_not_lost_silently():
+    plan = FaultPlan([_FlipDestinationMac()], seed=1)
+    net, a, b = _two_host_net(fault_plan=plan)
+    net.metrics.enable()
+
+    def tx():
+        for i in range(5):
+            yield from a.nic.start_transmit(
+                b.mac + a.mac + b"\x08\x00" + b"frame%02d" % i)
+
+    net.sim.run_process(tx())
+    net.sim.run(until=net.sim.now + 50_000)
+    # No station owns the mangled address: the frames die in b's
+    # hardware filter, cost b's CPU nothing, and every report says so.
+    assert b.nic.frames_filtered == 5
+    assert (b.nic.frames_received, b.nic.frames_dropped) == (0, 0)
+    assert b.cpu.charge_count == 0
+    report = fault_report(net.wire)
+    assert report["frames_carried"] == 5
+    assert report["frames_filtered"] == 5
+    assert "5 filtered by NICs" in format_fault_report(report)
+    gauges = net.metrics.snapshot()["gauges"]
+    assert gauges["beta.nic.rx_filtered"] == 5
+    assert gauges["beta.nic.rx_dropped"] == 0
 
 
 def test_fault_report_without_a_plan():

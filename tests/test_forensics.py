@@ -3,6 +3,7 @@ exactness, bit-passivity of selective tracing, and the forensics CLI."""
 
 import json
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -293,16 +294,17 @@ def test_trace_ids_survive_either_engine(engine):
 # Tagging invariants: a span blamed on a request belongs to it.  The
 # exact-sum invariant above cannot see a span that leaked in from
 # another request (the partition still sums to the latency), so these
-# check the tags themselves against the schedule and a test-side ledger
-# of every tagged frame a NIC sent or received.
+# check the tags themselves against the schedule, the route tables and
+# a test-side ledger of every tagged frame a NIC sent or accepted.
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module",
                 params=[("wan", 12), ("star", 16)], ids=["wan12", "star16"])
 def tagged_run(request):
     # The 12-host WAN cell is the one tests/test_parallel.py::_cells
-    # runs, at half its load (at 0.1 its NIC rings overflow); the star
-    # routes every request through its hub.
+    # runs, at half its load so that nothing is censored; its sites are
+    # shared segments, so most NICs that see a tagged frame are
+    # bystanders.  The star routes every request through its hub.
     kind, hosts = request.param
     tspec = TopologySpec(placement="mach25",
                          **dict(_TOPOLOGY, kind=kind, hosts=hosts))
@@ -323,8 +325,10 @@ def tagged_run(request):
         return real_transmit(wire, frame, sender)
 
     def frame_arrived(nic, frame):
-        ledger.add((host_of.get(id(nic)), frame_trace(frame)))
-        return real_arrived(nic, frame)
+        received = nic.frames_received
+        real_arrived(nic, frame)
+        if nic.frames_received != received:  # passed the station filter
+            ledger.add((host_of.get(id(nic)), frame_trace(frame)))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(EthernetWire, "transmit", transmit)
@@ -333,18 +337,39 @@ def tagged_run(request):
     assert result.censored == 0, "the invariants assume a lossless run"
     assert not world.tracer.lossy
     schedules = build_schedules(wspec, len(world.hosts))
-    parties = {req_id: {world.hosts[i].name for i in (client,) + targets}
-               for client, requests in schedules.items()
-               for _t, req_id, targets, _req, _reply in requests}
-    return world.tracer, rt, ledger, parties
+    parties, on_path = {}, {}
+    for client, requests in schedules.items():
+        for _t, req_id, targets, _req, _reply in requests:
+            parties[req_id] = {world.hosts[i].name
+                               for i in (client,) + targets}
+            on_path[req_id] = parties[req_id].union(*(
+                _routers_between(world, world.hosts[a], world.hosts[b])
+                for target in targets
+                for a, b in ((client, target), (target, client))))
+    return world.tracer, rt, ledger, parties, on_path
+
+
+def _routers_between(world, src, dst):
+    """Names of the routers a packet from ``src`` to ``dst`` crosses,
+    read off the route tables (nothing from the trace)."""
+    route = src.route_table.lookup(dst.ip)
+    names = set()
+    while route.gateway is not None:
+        router, = [r for r in world.routers
+                   if r.owns_ip(route.gateway)]
+        names.add(router.name)
+        route = router.route_table.lookup(dst.ip)
+    return names
 
 
 def _span_host(span):
-    return span.owner.split(":")[0]  # "h003:mach25" -> "h003"
+    # "h003:mach25", "h003.kstack", "h003.nic" -> "h003"; a router's
+    # "site0.if1" -> "site0".
+    return re.split("[:.]", span.owner)[0]
 
 
 def test_traces_are_born_only_at_a_sampled_requests_sends(tagged_run):
-    tracer, rt, _ledger, _parties = tagged_run
+    tracer, rt, _ledger, _parties, _on_path = tagged_run
     assert rt.requests_sampled > 0
     # Each target gets one send and answers with one: 2 x fanout traces
     # per sampled request, none born at a NIC.
@@ -354,7 +379,7 @@ def test_traces_are_born_only_at_a_sampled_requests_sends(tagged_run):
 
 
 def test_sampled_requests_are_seen_on_every_host_they_visit(tagged_run):
-    tracer, rt, _ledger, parties = tagged_run
+    tracer, rt, _ledger, parties, _on_path = tagged_run
     grouped = collect_request_spans(tracer, rt)
     completed = rt.completed_records()
     assert completed
@@ -366,8 +391,22 @@ def test_sampled_requests_are_seen_on_every_host_they_visit(tagged_run):
             % (rec.req_id, sorted(parties[rec.req_id] - owners)))
 
 
+def test_every_span_is_on_the_requests_path(tagged_run):
+    # Client, targets, and the routers between them — no bystander of a
+    # shared segment, though its NIC saw (and filtered) the same tagged
+    # frames.
+    tracer, rt, _ledger, _parties, on_path = tagged_run
+    grouped = collect_request_spans(tracer, rt)
+    assert len(grouped) == rt.requests_sampled
+    for req_id, (cpu_spans, wait_spans) in grouped.items():
+        owners = {_span_host(span) for span in cpu_spans + wait_spans}
+        assert owners <= on_path[req_id], (
+            "request %d has spans off its path, on %s"
+            % (req_id, sorted(owners - on_path[req_id])))
+
+
 def test_no_span_sits_on_a_host_its_trace_never_touched(tagged_run):
-    tracer, rt, ledger, _parties = tagged_run
+    tracer, rt, ledger, _parties, _on_path = tagged_run
     bound = [span for span in tracer.spans if span.trace_id in rt.tid_to_req]
     assert bound
     strays = {(_span_host(span), span.trace_id) for span in bound} - ledger

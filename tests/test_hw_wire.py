@@ -4,7 +4,7 @@ import pytest
 
 from repro.hw.nic import NIC
 from repro.hw.wire import EthernetWire, frame_time, frame_wire_bytes
-from repro.net.addr import make_mac
+from repro.net.addr import BROADCAST_MAC, make_mac
 from repro.sim import Simulator
 
 
@@ -36,7 +36,7 @@ def test_delivery_excludes_sender():
     sim, wire, a, b = make_pair()
 
     def send():
-        yield from a.start_transmit(b"x" * 100)
+        yield from a.start_transmit(b.mac + b"x" * 94)
 
     sim.spawn(send())
     sim.run()
@@ -57,8 +57,8 @@ def test_medium_serializes_concurrent_senders():
             nic.rx_release()
             arrivals.append((sim.now, len(frame)))
 
-    sim.spawn(send(a, b"x" * 100))
-    sim.spawn(send(b, b"y" * 100))
+    sim.spawn(send(a, b.mac + b"x" * 94))
+    sim.spawn(send(b, a.mac + b"y" * 94))
     sim.spawn(watch(a))
     sim.spawn(watch(b))
     sim.run()
@@ -83,7 +83,7 @@ def test_broadcast_reaches_all():
     nics = [NIC(sim, wire, make_mac(i), name=str(i)) for i in range(1, 5)]
 
     def send():
-        yield from nics[0].start_transmit(b"z" * 60)
+        yield from nics[0].start_transmit(BROADCAST_MAC + b"z" * 54)
 
     sim.spawn(send())
     sim.run()

@@ -162,6 +162,11 @@ def test_wan_parallel_telemetry_matches_single_process_bit_for_bit():
     assert single["forensics"]["requests_sampled"] > 0
     assert single["forensics"]["attribution"]["requests"] > 0
     assert single["metrics"]["pull"] and single["metrics"]["gauges"]
+    # Every host's station-filter gauge comes home from the island
+    # that owns the host, next to its rx_dropped sibling.
+    for kind in (".nic.rx_filtered", ".nic.rx_dropped"):
+        assert sum(name.endswith(kind)
+                   for name in parallel["metrics"]["pull"]) == 12
     assert json.dumps(single, sort_keys=True) == \
         json.dumps(parallel, sort_keys=True)
 

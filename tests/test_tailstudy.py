@@ -111,18 +111,21 @@ _GOLDEN_WORKLOAD = dict(proto="udp", clients=0, fanout=2,
      "58c21bd04cd47dfbc98ddcf7cbd099ab370e4f965e5d48d9f4eb572958f7d409"),
     (dict(kind="fattree", hosts=16, seed=7, hosts_per_edge=8, spines=2),
      "mach25",
-     "b0bf24a1e43b84129290f5b5fa360665bde2612ddf31087337e7e8a1b8ceeab0"),
+     "1823eb760810d4802b8fec71c6d052f3d32ebaf1957290e697f466149c82f641"),
     # The cell tests/test_parallel.py::_cells builds.
     (dict(kind="wan", hosts=12, seed=21, hosts_per_edge=8, spines=2,
           sites=2, router_speedup=8.0), "mach25",
-     "6480d97241e37936e8e2614293c9b05702c9c53ce4c99d39bf4a72783e5b20d7"),
+     "d31e3e1ef5b7220f21ff1fd1efb35aef82d5e1e321b6b095cbfb1b8fe3c61294"),
 ], ids=["star16", "fattree16", "wan12"])
 def test_scale_cell_matches_golden(topology, placement, golden):
     # The other scale tests compare a run with itself or its twin, and
     # bench_json covers only two-host worlds; these digests are what
     # makes "the schedule did not change" visible from one commit to
     # the next.  A change that means to move them re-captures all three
-    # and says why.
+    # and says why.  (Last moved by the NIC station-address filter:
+    # fattree16 and wan12 have shared segments, whose hosts stopped
+    # paying receive CPU for their neighbours' frames; star16 has none
+    # and kept its digest.  EXPERIMENTS.md, "Tail at scale".)
     cell = tailstudy.run_cell(
         topology, dict(_GOLDEN_WORKLOAD, seed=topology["seed"]),
         placement, 0.1)

@@ -14,7 +14,10 @@ from repro.metrics.registry import (
     Histogram,
     TimeSeries,
     merge_snapshots,
+    merge_states,
+    state_cell_block,
 )
+from repro.hw.platforms import DECSTATION_5000_200
 from repro.net.addr import ip_aton
 from repro.osserver.unix_server import SLOW_OP_US
 from repro.sim.engine import Simulator
@@ -27,6 +30,7 @@ from repro.trace.flight import (
 )
 from repro.trace.recorder import TraceRecorder, merge_trace_states
 from repro.world.configs import build_network
+from repro.world.network import Network
 
 
 # ----------------------------------------------------------------------
@@ -105,6 +109,37 @@ def test_gauge_merge_keeps_per_island_provenance(partitions):
         kept = [(s[2], s[3]) for s in forward["samples"]
                 if s[0] == island]
         assert kept == list(rows)
+
+
+def test_station_filter_gauges_merge_across_islands():
+    # One shared segment per island; on each, one station sends unicast
+    # frames to a second while a third looks on.
+    states, expected = [], {}
+    for island, frames in enumerate((3, 5)):
+        net = Network(name="seg%d" % island)
+        net.metrics.enable()
+        tx, rx, bystander = (
+            net.add_host("10.0.%d.%d" % (island, i + 1),
+                         DECSTATION_5000_200, name="i%dh%d" % (island, i))
+            for i in range(3))
+
+        def send():
+            for _ in range(frames):
+                yield from tx.nic.start_transmit(
+                    rx.mac + tx.mac + b"\x08\x00" + b"x" * 46)
+
+        net.sim.run_process(send())
+        net.sim.run(until=net.sim.now + 10_000)
+        states.append(net.metrics.export_state(island=island))
+        expected["%s.nic.rx_filtered" % bystander.name] = frames
+        expected["%s.nic.rx_filtered" % rx.name] = 0
+    merged = merge_states(states)
+    assert merged == merge_states(list(reversed(states)))
+    assert merged["islands"] == [0, 1]
+    pull = state_cell_block(merged)["pull"]
+    for name, frames in expected.items():
+        assert pull[name] == frames
+        assert pull[name.replace("rx_filtered", "rx_dropped")] == 0
 
 
 @settings(max_examples=50, deadline=None)

@@ -142,7 +142,13 @@ def test_udp_workload_is_deterministic_run_to_run():
     (16, 0.2, 150_000.0),
     # A reply outlives a client's socket: the refusal reaches a server
     # still inside its last receive poll (it used to die silently).
-    (8, 0.06, 20_000.0),
+    # Load 0.15, not 0.06: the 8 hosts share one segment, and since the
+    # NIC filters on station address they no longer spend CPU on each
+    # other's frames, so it takes 2.5x the offered load to overrun them
+    # (0.06 now completes 176/176).  At 0.15 the cell censors 90 of 435
+    # and a server still gets the refusal: dropping PortUnreachable from
+    # _udp_server's handler kills wl-srv-4 here.
+    (8, 0.15, 20_000.0),
 ], ids=["client", "server"])
 def test_overloaded_udp_cell_survives_port_unreachable(
         monkeypatch, hosts, load, drain_us):
