@@ -3,7 +3,10 @@
 "Applications cache [route and ARP entries] to avoid communication with
 the operating system on the packet send path."  This ablation compares
 the send path with a warm metastate cache against one that is invalidated
-before every send — the worst case the callback machinery can inflict.
+before every send — the worst case the callback machinery can inflict —
+once for an ARP mapping (two hosts, one segment) and once for the route
+entries (one client, 32 destinations behind one gateway: the fan-out a
+per-destination cache would have paid an RPC per peer for).
 """
 
 from conftest import once, show
@@ -12,9 +15,11 @@ from repro.analysis.tables import format_table
 from repro.core.sockets import SOCK_DGRAM
 from repro.net.addr import ip_aton
 from repro.world.configs import build_network
+from repro.world.topology import TopologySpec, build_world, warm_arp
 
 IP1 = ip_aton("10.0.0.1")
 ROUNDS = 40
+DESTINATIONS = 32
 
 
 def measure(invalidate_each_time):
@@ -54,24 +59,79 @@ def measure(invalidate_each_time):
     return mean_rtt / 1000.0, stats
 
 
+def measure_routes(invalidate_each_time):
+    """One echo round trip to each of DESTINATIONS hosts behind the
+    star's hub, from one client socket."""
+    world = build_world(TopologySpec(kind="star", hosts=DESTINATIONS + 1,
+                                     seed=1, placement="library-shm-ipf"))
+    warm_arp(world)
+    client_api = world.new_app(0)
+    listening = []
+    all_listening = world.sim.event()
+
+    def server(api):
+        fd = yield from api.socket(SOCK_DGRAM)
+        yield from api.bind(fd, 9900)
+        listening.append(fd)
+        if len(listening) == DESTINATIONS:
+            all_listening.succeed()
+        data, src = yield from api.recvfrom(fd)
+        yield from api.sendto(fd, data, src)
+
+    def client():
+        yield all_listening
+        fd = yield from client_api.socket(SOCK_DGRAM)
+        meta = client_api.library.metastate
+        samples = []
+        for host in world.hosts[1:]:
+            if invalidate_each_time:
+                meta.invalidate_routes()
+            start = world.sim.now
+            yield from client_api.sendto(fd, b"ping", (host.ip, 9900))
+            yield from client_api.recvfrom(fd)
+            samples.append(world.sim.now - start)
+        return sum(samples) / len(samples), meta.stats()
+
+    results = world.run_all(
+        [client()] + [server(world.new_app(i))
+                      for i in range(1, DESTINATIONS + 1)],
+        until=300_000_000)
+    mean_rtt, stats = results[0]
+    return mean_rtt / 1000.0, stats
+
+
 def test_metastate_cache_ablation(benchmark):
     def run():
-        return {"warm": measure(False), "cold": measure(True)}
+        return {
+            "ARP, warm": measure(False),
+            "ARP, invalidated per send": measure(True),
+            "routes, warm": measure_routes(False),
+            "routes, invalidated per send": measure_routes(True),
+        }
 
     results = once(benchmark, run)
     rows = []
     for label, (rtt_ms, stats) in results.items():
         rows.append([label, "%.2f" % rtt_ms, "%d" % stats["arp_rpcs"],
-                     "%d" % stats["arp_hits"]])
+                     "%d" % stats["arp_hits"], "%d" % stats["route_rpcs"],
+                     "%d" % stats["route_hits"]])
     show(
         "Section 3.3 ablation — cached metastate on the UDP send path",
-        format_table(["Cache state", "RTT ms", "ARP RPCs", "cache hits"],
-                     rows),
+        format_table(["Cache state", "RTT ms", "ARP RPCs", "ARP hits",
+                      "route RPCs", "route hits"], rows),
     )
-    warm_rtt, warm_stats = results["warm"]
-    cold_rtt, cold_stats = results["cold"]
+    warm_rtt, warm_stats = results["ARP, warm"]
+    cold_rtt, cold_stats = results["ARP, invalidated per send"]
     # Warm: exactly one ARP RPC ever (at priming); every send hits cache.
     assert warm_stats["arp_rpcs"] == 1
     # Cold: one server round trip per send, visibly slower.
     assert cold_stats["arp_rpcs"] >= ROUNDS
+    assert cold_rtt > warm_rtt * 1.10
+    warm_rtt, warm_stats = results["routes, warm"]
+    cold_rtt, cold_stats = results["routes, invalidated per send"]
+    # Warm: the entries fetched once serve all 32 destinations.
+    assert warm_stats["route_rpcs"] == 1
+    assert warm_stats["route_hits"] == DESTINATIONS
+    # Cold: what a per-destination cache paid — a fetch per peer.
+    assert cold_stats["route_rpcs"] == DESTINATIONS
     assert cold_rtt > warm_rtt * 1.10

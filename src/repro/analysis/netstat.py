@@ -76,10 +76,11 @@ def udp_sessions(stack):
 def host_report(placement):
     """A structured report for one placement (any style)."""
     backend = placement._backend
+    libraries = list(getattr(backend, "_apps", {}).values())
     stacks = []
     if hasattr(backend, "stack"):
         stacks.append(("os", backend.stack))
-    for library in getattr(backend, "_apps", {}).values():
+    for library in libraries:
         stacks.append(("app:%s" % library.name, library.stack))
     sessions = []
     for where, stack in stacks:
@@ -128,7 +129,48 @@ def host_report(placement):
         report["migrations_in"] = backend.migrations_in
     if getattr(backend, "rpc", None) is not None:
         report["control"] = control_report(placement)
+    if libraries:
+        report["metastate"] = metastate_report(libraries)
     return report
+
+
+def world_send_path(placements):
+    """:func:`send_path_totals` over every library app of ``placements``,
+    or None when there is none (in-kernel and server placements)."""
+    rows = [row for placement in placements
+            for row in metastate_report(
+                getattr(placement._backend, "_apps", {}).values())]
+    return send_path_totals(rows) if rows else None
+
+
+def metastate_report(libraries):
+    """The Section 3.3 block: per library app, how often its send path
+    was answered from cached route/ARP metastate and how often it had to
+    ask the server.  Rows are sorted by app name."""
+    return sorted((dict(library.metastate.stats(), app=library.name)
+                   for library in libraries),
+                  key=lambda row: row["app"])
+
+
+def send_path_totals(rows):
+    """Sum metastate rows: the answer to "how often did the fast path
+    talk to the server?" for a host, or for a whole world."""
+    totals = dict.fromkeys(
+        ("route_rpcs", "route_hits", "arp_rpcs", "arp_hits",
+         "invalidations"), 0)
+    for row in rows:
+        for key in totals:
+            totals[key] += row[key]
+    return totals
+
+
+def format_send_path(totals):
+    """One line: metastate RPCs against the lookups served from cache."""
+    return ("send path → server: %d route + %d ARP RPCs; %d route + %d ARP "
+            "lookups answered from cache; %d invalidations"
+            % (totals["route_rpcs"], totals["arp_rpcs"],
+               totals["route_hits"], totals["arp_hits"],
+               totals["invalidations"]))
 
 
 def control_report(placement):
@@ -307,6 +349,15 @@ def format_report(report):
         lines.append("")
         lines.append("Session migrations: %d out to applications, %d back"
                      % (report["migrations_out"], report["migrations_in"]))
+    if "metastate" in report:
+        lines.append("")
+        lines.append("Cached metastate (Section 3.3):")
+        for row in report["metastate"]:
+            lines.append(
+                "  app %-20s route %d rpcs / %d hits, arp %d rpcs / "
+                "%d hits, %d invalidations"
+                % (row["app"], row["route_rpcs"], row["route_hits"],
+                   row["arp_rpcs"], row["arp_hits"], row["invalidations"]))
     if "control" in report:
         lines.append("")
         lines.append(format_control_report(report["control"]))

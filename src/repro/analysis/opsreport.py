@@ -8,9 +8,11 @@ into a single report:
 
 * **exchange** — a short metrics-enabled transfer on a two-host config
   world: per-host netstat reports (sessions, filters, CPU, NIC,
-  tracer/metrics health) and the control-plane block (server health
-  with the per-op latency histograms and slow-op log, per-app
-  resilience/breaker counters).
+  tracer/metrics health, each library app's cached-metastate
+  counters) and the control-plane block (server health with the per-op
+  latency histograms and slow-op log, per-app resilience/breaker
+  counters), then one "send path → server" line totalling the
+  metastate RPCs.
 * **flight** — the exchange engine's always-on flight-recorder ring:
   how much was recorded, how much fell off, and the most recent events.
 * **telemetry** — one seeded tail-study cell with forensics + metrics
@@ -28,7 +30,13 @@ import argparse
 import json
 import sys
 
-from repro.analysis.netstat import control_report, format_report, host_report
+from repro.analysis.netstat import (
+    control_report,
+    format_report,
+    format_send_path,
+    host_report,
+    world_send_path,
+)
 from repro.apps.ttcp import ttcp
 from repro.world.configs import CONFIGS, build_network
 
@@ -61,6 +69,7 @@ def gather_exchange(config, total_bytes):
         "throughput_kbs": round(result.throughput_kbs, 3),
         "sim_us": network.sim.now,
         "hosts": [host_report(p) for p in (pa, pb)],
+        "send_path": world_send_path((pa, pb)),
         "control_planes": [report for report in
                            (control_report(p) for p in (pa, pb))
                            if report is not None],
@@ -152,6 +161,9 @@ def ops_markdown(report):
         lines.append("```")
         lines.append(format_report(host))
         lines.append("```")
+    if exchange["send_path"] is not None:
+        lines.append("")
+        lines.append(format_send_path(exchange["send_path"]))
 
     flight = exchange["flight"]
     lines.append("")

@@ -36,6 +36,7 @@ import time
 from repro.analysis.forensics import attribution_markdown, cell_forensics
 from math import fsum
 
+from repro.analysis.netstat import world_send_path
 from repro.analysis.timeseries import percentiles
 from repro.hw.wire import frame_wire_bytes
 from repro.metrics.registry import state_cell_block
@@ -197,6 +198,12 @@ def run_cell(topology_args, workload_args, placement, load,
                  else world.metrics.export_state(island=0))
         cell["metrics"] = state_cell_block(state)
     cell["backend"] = backend
+    # How often the library send paths of this cell asked the server
+    # (Section 3.3).  Stripped with the backend block: the counters live
+    # in the workers on the island backend, and the pinned cell digests
+    # are about the simulated outcome, not about who was asked.
+    cell["send_path"] = (world_send_path(world.placements)
+                         if outcome is None else None)
     return cell
 
 
@@ -204,7 +211,9 @@ def strip_volatile(document):
     """A copy of a tailstudy document without wall-clock/backend keys.
 
     The simulated results are deterministic and backend-independent;
-    wall clock and the requested worker count are not.  CI's
+    wall clock, the requested worker count and the per-cell
+    ``send_path`` counters (readable only where the world ran in this
+    process) are not.  CI's
     parallel-equivalence gate and the determinism tests compare
     stripped documents.
     """
@@ -216,6 +225,7 @@ def strip_volatile(document):
         cell.pop("wallclock_seconds", None)
         cell.pop("analysis_seconds", None)
         cell.pop("backend", None)
+        cell.pop("send_path", None)
     return doc
 
 

@@ -72,6 +72,7 @@ class ProtocolLibrary:
             send_frame=self._send_frame,
             resolve=self.metastate.resolve,
             route=self.metastate.route,
+            prime_route=self.metastate.prime_route,
         )
         self.stack = NetworkStack(
             self.ctx,

@@ -6,13 +6,19 @@ send path never talks to the server in the common case; the server holds
 callbacks into each application and invalidates cached entries as they
 expire or change.
 
-This module is the application side: a cache of ARP/route entries filled
-by RPC on miss, emptied by the server's invalidation callbacks.
+This module is the application side.  ARP mappings are cached one by
+one, filled by RPC on a miss.  Route *entries* are cached as the server
+holds them — prefix, length, gateway — and the application does its own
+longest-prefix match, so one fetch serves every destination the entries
+cover: a host that talks to 200 peers through one default route asks the
+server once, not 200 times.  Both are emptied by the server's
+invalidation callbacks.
 """
 
 import random
 
 from repro.net import arp
+from repro.net.routing import longest_match
 from repro.stack.instrument import Layer
 
 
@@ -25,9 +31,15 @@ class MetastateCache:
         self.app_id = app_id
         self.name = name
         self.arp_cache = arp.ArpCache(lambda: sim.now)
-        self._route_cache = {}
+        # The server's route entries, most specific first (None: not
+        # fetched, or invalidated since), and a per-destination memo of
+        # the next hops matched from them, so a send is one dict hit.
+        self._routes = None
+        self._next_hops = {}
+        self._route_epoch = 0  # bumped by invalidate_routes
         self.arp_rpcs = 0
         self.route_rpcs = 0
+        self.route_hits = 0
         self.invalidations = 0
         # Metastate RPCs retry across server crashes; per-app seeded
         # backoff jitter keeps whole runs deterministic.  ``gate`` (set by
@@ -64,33 +76,48 @@ class MetastateCache:
     # ------------------------------------------------------------------
 
     def route(self, dst_ip):
-        """Next-hop for ``dst_ip`` from the cached route entries.
+        """Next hop for ``dst_ip`` from the cached route entries, or None
+        when none are cached (never fetched, or invalidated since).
 
-        Routes are plain (non-charging) lookups on the fast path; misses
-        must be primed with :meth:`prime_route` because the send path
-        itself is not allowed to block on the server mid-transmission.
+        A plain, non-charging lookup: the caller fetches with
+        :meth:`prime_route` on None.  Raises ValueError, as
+        :meth:`Host.route` does, when the table has no route at all.
         """
-        next_hop = self._route_cache.get(dst_ip)
+        next_hop = self._next_hops.get(dst_ip)
         if next_hop is None:
-            raise KeyError(
-                "route for %r not primed in %s" % (dst_ip, self.name)
-            )
+            if self._routes is None:
+                return None
+            next_hop = self._match(dst_ip)
+        self.route_hits += 1
+        return next_hop
+
+    def _match(self, dst_ip):
+        entry = longest_match(self._routes, dst_ip)
+        if entry is None:
+            raise ValueError("no route to %r in %s" % (dst_ip, self.name))
+        next_hop = self._next_hops[dst_ip] = entry.next_hop(dst_ip)
         return next_hop
 
     def has_route(self, dst_ip):
-        return dst_ip in self._route_cache
+        """Whether :meth:`route` can answer for ``dst_ip`` without the
+        server — with whole entries cached, for any destination or none."""
+        return self._routes is not None
 
     def prime_route(self, ctx, dst_ip):
-        """Fetch and cache the route for ``dst_ip`` from the server."""
-        if dst_ip in self._route_cache:
-            return self._route_cache[dst_ip]
-        self.route_rpcs += 1
-        next_hop = yield from self._rpc.call_retrying(
-            ctx, "meta_route", args=(self.app_id, dst_ip),
-            layer=Layer.ENTRY_COPYIN, rng=self._retry_rng, gate=self.gate,
-        )
-        self._route_cache[dst_ip] = next_hop
-        return next_hop
+        """Next hop for ``dst_ip``, fetching the route entries from the
+        server first if none are cached."""
+        while self._routes is None:
+            epoch = self._route_epoch
+            self.route_rpcs += 1
+            routes = yield from self._rpc.call_retrying(
+                ctx, "meta_route", args=(self.app_id,),
+                layer=Layer.ENTRY_COPYIN, rng=self._retry_rng, gate=self.gate,
+            )
+            # A table change that overtook the reply already invalidated
+            # what it carries: ask again.
+            if epoch == self._route_epoch:
+                self._routes = routes
+        return self._match(dst_ip)
 
     # ------------------------------------------------------------------
     # Server-driven invalidation (the callbacks of Section 3.3)
@@ -102,7 +129,9 @@ class MetastateCache:
 
     def invalidate_routes(self):
         self.invalidations += 1
-        self._route_cache.clear()
+        self._route_epoch += 1
+        self._routes = None
+        self._next_hops.clear()
 
     def stats(self):
         return {
@@ -110,5 +139,6 @@ class MetastateCache:
             "arp_misses": self.arp_cache.misses,
             "arp_rpcs": self.arp_rpcs,
             "route_rpcs": self.route_rpcs,
+            "route_hits": self.route_hits,
             "invalidations": self.invalidations,
         }

@@ -2,8 +2,9 @@
 
 Routing entries are long-lived shared metastate: in the paper's design the
 operating system server owns the authoritative table and applications
-cache entries from it (Section 3.3).  The table itself is a classic
-longest-prefix-match structure.
+cache its entries (Section 3.3), answering their own lookups with
+:func:`longest_match` until the server's callback says the table changed.
+The table itself is a classic longest-prefix-match structure.
 """
 
 from repro.net.addr import ip_aton, ip_ntoa, netmask_from_prefix
@@ -29,6 +30,11 @@ class Route:
     def matches(self, dst):
         return (dst & netmask_from_prefix(self.prefixlen)) == self.prefix
 
+    def next_hop(self, dst):
+        """Where a packet for ``dst`` goes next: the gateway, or ``dst``
+        itself on a directly-attached network."""
+        return dst if self.gateway is None else self.gateway
+
     def __repr__(self):
         via = "direct" if self.is_direct else "via %s" % ip_ntoa(self.gateway)
         return "<Route %s/%d %s dev %s>" % (
@@ -39,17 +45,30 @@ class Route:
         )
 
 
+def longest_match(routes, dst):
+    """The first of ``routes`` (ordered most specific first) that matches
+    ``dst``, or None.  The one longest-prefix-match rule: the table and
+    every application-side copy of its entries answer through it."""
+    for route in routes:
+        if route.matches(dst):
+            return route
+    return None
+
+
 class RouteTable:
     """Longest-prefix-match routing with a generation counter.
 
-    The generation number increments on every mutation; application-side
-    caches compare generations to detect staleness (in addition to the
-    explicit invalidation callbacks the server issues).
+    The generation number increments on every mutation, and every
+    mutation calls the registered invalidation callbacks (Section 3.3:
+    "the server holds callbacks into each application and invalidates
+    cached entries as they change") — that, not generation polling, is
+    how application-side copies stay exact.
     """
 
     def __init__(self):
         self._routes = []
         self.generation = 0
+        self._invalidation_callbacks = []
         # Fast path for the overwhelmingly common shape (one /24 per
         # attached or reachable segment plus maybe a default route): a
         # dict keyed on the masked /24 prefix.  Valid as a shortcut only
@@ -58,6 +77,16 @@ class RouteTable:
         # back to the longest-prefix-first scan.
         self._fast24 = {}
         self._longest = 0
+
+    def register_invalidation(self, callback):
+        # Idempotent, like ArpService.register_invalidation: a library
+        # re-registering after a server restart is called once per change.
+        if callback not in self._invalidation_callbacks:
+            self._invalidation_callbacks.append(callback)
+
+    def _changed(self):
+        for callback in self._invalidation_callbacks:
+            callback()
 
     def add(self, prefix, prefixlen, iface, gateway=None):
         self.generation += 1
@@ -71,6 +100,7 @@ class RouteTable:
             self._fast24.setdefault(route.prefix, route)
         if prefixlen > self._longest:
             self._longest = prefixlen
+        self._changed()
         return route
 
     def remove(self, prefix, prefixlen):
@@ -81,6 +111,7 @@ class RouteTable:
                 del self._routes[i]
                 self.generation += 1
                 self._reindex()
+                self._changed()
                 return True
         return False
 
@@ -101,10 +132,7 @@ class RouteTable:
             route = self._fast24.get(dst & 0xFFFFFF00)
             if route is not None:
                 return route
-        for route in self._routes:
-            if route.matches(dst):
-                return route
-        return None
+        return longest_match(self._routes, dst)
 
     def routes(self):
         """Snapshot of all routes, most specific first."""

@@ -272,14 +272,17 @@ class NetServer(UnixServer):
     def register_app(self, library):
         """Register an application's protocol library with the server.
 
-        Wires the metastate invalidation callback of Section 3.3: changes
-        to the authoritative ARP cache invalidate the app's cached copy.
+        Wires the metastate invalidation callbacks of Section 3.3: changes
+        to the authoritative ARP cache or route table invalidate the app's
+        cached copy.
         """
         self._apps[library.app_id] = library
         self._app_status[library.app_id] = Notifier(
             self.host.sim, "appstatus%d" % library.app_id
         )
         self.host.arp.register_invalidation(library.metastate.invalidate_arp)
+        self.host.route_table.register_invalidation(
+            library.metastate.invalidate_routes)
         return library.app_id
 
     def _library(self, app_id):
@@ -702,10 +705,12 @@ class NetServer(UnixServer):
         return mac, 0
 
     def op_meta_route(self, message):
-        _app_id, dst_ip = message.args
-        next_hop = self.host.route(dst_ip)
+        """The route entries, most specific first.  A host's table is a
+        handful of entries, so the whole of it is the reply (still
+        ``reply_len`` 0: a few words in the message, no data copy) and
+        the application matches every later destination by itself."""
         yield self.ctx.charge(Layer.ENTRY_COPYIN, self.ctx.params.proc_call)
-        return next_hop, 0
+        return tuple(self.host.route_table.routes()), 0
 
     # ==================================================================
     # Process-death cleanup (Section 3.2, "Terminating session state")

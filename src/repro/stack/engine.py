@@ -66,15 +66,22 @@ class NetEnv:
       through the kernel's send trap or straight to the device).
     * ``resolve(ctx, next_hop_ip)`` — generator returning the MAC address
       (in-kernel ARP, server ARP, or the library's cached metastate).
-    * ``route(dst_ip)`` — plain call returning the next-hop IP.
+    * ``route(dst_ip)`` — plain call returning the next-hop IP, or None
+      when the answer has to be fetched first: the library's cached
+      route entries were invalidated by the server (Section 3.3).
+    * ``prime_route(ctx, dst_ip)`` — generator doing that fetch and
+      returning the next-hop IP.  Only a stack whose ``route`` can
+      return None needs one.
     """
 
-    def __init__(self, local_ip, local_mac, send_frame, resolve, route):
+    def __init__(self, local_ip, local_mac, send_frame, resolve, route,
+                 prime_route=None):
         self.local_ip = local_ip
         self.local_mac = local_mac
         self.send_frame = send_frame
         self.resolve = resolve
         self.route = route
+        self.prime_route = prime_route
 
 
 class TCPSession:
@@ -640,6 +647,11 @@ class NetworkStack:
             ttl=ttl if ttl is not None else ip.DEFAULT_TTL,
         )
         next_hop = self.env.route(dst_ip)
+        if next_hop is None:
+            # A route change reached this application between two
+            # segments (a retransmit timer asks nobody first): refetch,
+            # as resolve() below does for an invalidated ARP mapping.
+            next_hop = yield from self.env.prime_route(self.ctx, dst_ip)
         for frag in ip.fragment(packet, ethernet.MTU):
             mac = yield from self.env.resolve(self.ctx, next_hop)
             frame = ethernet.encapsulate(

@@ -68,7 +68,7 @@ class Host:
         route = self.route_table.lookup(dst_ip)
         if route is None:
             raise ValueError("no route to %r from %s" % (dst_ip, self.name))
-        return dst_ip if route.is_direct else route.gateway
+        return route.next_hop(dst_ip)
 
     def __repr__(self):
         return "<Host %s>" % self.name

@@ -602,6 +602,8 @@ def test_ops_report_prints_record_and_analysis_seconds(capsys):
     assert "- host cost: " in out
     assert "s recording the cell, " in out
     assert "s analysing its traces" in out
+    # The exchange's library send paths, totalled on one line.
+    assert "send path → server: 2 route + 2 ARP RPCs; " in out
 
 
 def test_tailstudy_markdown_carries_counts_and_attribution(capsys):

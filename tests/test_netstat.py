@@ -159,6 +159,22 @@ def test_host_report_carries_resource_and_telemetry_blocks():
     assert "CPU:" in text
     assert "Telemetry:" in text
     assert "Session migrations" in text
+    # The Section 3.3 block: how often the send path asked the server.
+    (row,) = host_report(pb)["metastate"]
+    assert row["app"] == api_b.library.name
+    assert (row["route_rpcs"], row["arp_rpcs"]) == (1, 1)
+    assert (row["route_hits"], row["arp_hits"]) == (1, 1)
+    assert row["invalidations"] == api_b.library.metastate.invalidations
+    assert ("route 1 rpcs / 1 hits, arp 1 rpcs / 1 hits"
+            in format_report(host_report(pb)))
+
+
+def test_in_kernel_host_report_has_no_metastate_block():
+    _net, pa, _pb = build_network("mach25")
+    pa.new_app()
+    report = host_report(pa)
+    assert "metastate" not in report
+    assert "Cached metastate" not in format_report(report)
 
 
 def test_host_report_reflects_enabled_metrics():

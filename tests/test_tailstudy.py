@@ -108,7 +108,7 @@ _GOLDEN_WORKLOAD = dict(proto="udp", clients=0, fanout=2,
 
 @pytest.mark.parametrize("topology,placement,golden", [
     (dict(kind="star", hosts=16, seed=7), "library-shm-ipf",
-     "58c21bd04cd47dfbc98ddcf7cbd099ab370e4f965e5d48d9f4eb572958f7d409"),
+     "81682039feb0b45b5f2464e6b41efbb2d10823bb5021ef03b7d3725a02be9a15"),
     (dict(kind="fattree", hosts=16, seed=7, hosts_per_edge=8, spines=2),
      "mach25",
      "1823eb760810d4802b8fec71c6d052f3d32ebaf1957290e697f466149c82f641"),
@@ -125,7 +125,10 @@ def test_scale_cell_matches_golden(topology, placement, golden):
     # and says why.  (Last moved by the NIC station-address filter:
     # fattree16 and wan12 have shared segments, whose hosts stopped
     # paying receive CPU for their neighbours' frames; star16 has none
-    # and kept its digest.  EXPERIMENTS.md, "Tail at scale".)
+    # and kept its digest.  star16, the library cell, then moved alone
+    # when metastate began caching route entries instead of one next
+    # hop per destination: its clients stopped paying a meta_route RPC
+    # for every new peer.  EXPERIMENTS.md, "Tail at scale".)
     cell = tailstudy.run_cell(
         topology, dict(_GOLDEN_WORKLOAD, seed=topology["seed"]),
         placement, 0.1)
@@ -133,6 +136,23 @@ def test_scale_cell_matches_golden(topology, placement, golden):
     cell, = tailstudy.strip_volatile({"results": [cell]})["results"]
     text = json.dumps(cell, sort_keys=True)
     assert sha256(text.encode()).hexdigest() == golden
+
+
+def test_send_path_counters_ride_outside_the_pinned_document():
+    # Who asked the server is reported per library cell, but stripped
+    # with the backend block: the goldens above pin simulated outcomes.
+    topology = dict(kind="star", hosts=8, seed=3)
+    workload = dict(_GOLDEN_WORKLOAD, seed=3, window_us=50_000.0,
+                    drain_us=50_000.0)
+    cells = [tailstudy.run_cell(topology, workload, placement, 0.1)
+             for placement in ("library-shm-ipf", "mach25")]
+    library, kernel = cells
+    assert kernel["send_path"] is None
+    # Client and server app on each host, one fetch each, then hits.
+    assert library["send_path"]["route_rpcs"] == 16
+    assert library["send_path"]["route_hits"] > 16
+    for cell in tailstudy.strip_volatile({"results": cells})["results"]:
+        assert "send_path" not in cell
 
 
 def test_rate_for_load_scales_linearly():
