@@ -112,6 +112,8 @@ def run_cell(topology_args, workload_args, placement, load,
         rt = RequestTracer(world.tracer,
                            sample_every=forensics["sample_every"],
                            seed=topology_args["seed"])
+    if metrics:
+        world.metrics.enable()
     telemetry = None
     if forensics is not None or metrics:
         telemetry = {

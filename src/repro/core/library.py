@@ -101,7 +101,7 @@ class ProtocolLibrary:
     # ------------------------------------------------------------------
 
     def _send_frame(self, ctx, frame):
-        yield from self.host.kernel.netif_send(ctx, frame, wired=False)
+        return self.host.kernel.netif_send(ctx, frame, wired=False)
 
     # ------------------------------------------------------------------
     # Packet-filter endpoints: created on behalf of the OS server when it

@@ -20,14 +20,13 @@ import random
 from repro.net import arp
 from repro.net.routing import longest_match
 from repro.stack.instrument import Layer
+from repro.core.resilience import ResilientCaller
 
 
 class MetastateCache:
     """Per-application cache of routing and ARP metastate."""
 
     def __init__(self, sim, rpc, app_id, name="meta"):
-        self._sim = sim
-        self._rpc = rpc  # RPC port to the OS server
         self.app_id = app_id
         self.name = name
         self.arp_cache = arp.ArpCache(lambda: sim.now)
@@ -41,13 +40,13 @@ class MetastateCache:
         self.route_rpcs = 0
         self.route_hits = 0
         self.invalidations = 0
-        # Metastate RPCs retry across server crashes; per-app seeded
-        # backoff jitter keeps whole runs deterministic.  ``gate`` (set by
-        # the proxy layer) holds retries until the app has re-registered
-        # with a restarted server, which must happen before any meta RPC
-        # can succeed.
-        self._retry_rng = random.Random(2000 + app_id)
-        self.gate = None
+        #: Metastate RPCs retry across server crashes; per-app seeded
+        #: backoff jitter keeps whole runs deterministic.  Its ``gate``
+        #: (set by the proxy layer) holds retries until the app has
+        #: re-registered with a restarted server.  No context is bound:
+        #: each fetch is charged to the context that asked.
+        self.caller = ResilientCaller(
+            rpc, None, rng=random.Random(2000 + app_id), name=name)
 
     # ------------------------------------------------------------------
     # ARP
@@ -64,9 +63,9 @@ class MetastateCache:
         if mac is not None:
             return mac
         self.arp_rpcs += 1
-        mac = yield from self._rpc.call_retrying(
-            ctx, "meta_arp", args=(self.app_id, next_hop_ip),
-            layer=Layer.ETHER_OUTPUT, rng=self._retry_rng, gate=self.gate,
+        mac = yield from self.caller.call(
+            "meta_arp", args=(self.app_id, next_hop_ip),
+            layer=Layer.ETHER_OUTPUT, ctx=ctx,
         )
         self.arp_cache.insert(next_hop_ip, mac)
         return mac
@@ -109,9 +108,9 @@ class MetastateCache:
         while self._routes is None:
             epoch = self._route_epoch
             self.route_rpcs += 1
-            routes = yield from self._rpc.call_retrying(
-                ctx, "meta_route", args=(self.app_id,),
-                layer=Layer.ENTRY_COPYIN, rng=self._retry_rng, gate=self.gate,
+            routes = yield from self.caller.call(
+                "meta_route", args=(self.app_id,),
+                layer=Layer.ENTRY_COPYIN, ctx=ctx,
             )
             # A table change that overtook the reply already invalidated
             # what it carries: ask again.

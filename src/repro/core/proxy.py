@@ -36,8 +36,11 @@ from repro.core.sockets import (
     SOCK_STREAM,
     SocketAPI,
     SocketError,
+    config_from_opts,
+    is_ready,
+    set_option,
 )
-from repro.osserver.netserver import config_from_opts
+from repro.sim.events import any_of
 from repro.trace import begin_send_trace
 
 #: The Table 1 mapping, introspectable (bench_table1 regenerates the
@@ -130,7 +133,7 @@ class ProxySocketAPI(SocketAPI):
         )
         self._req_seq = 0
         self.closes_deferred = 0
-        library.metastate.gate = self._gate
+        library.metastate.caller.gate = self._gate
         library.proxy_api = self
         self._reregister_watcher = host.sim.spawn(
             self._server_watcher(), name="%s.rereg" % library.name
@@ -212,13 +215,7 @@ class ProxySocketAPI(SocketAPI):
                     "opts": dict(psock.opts),
                 })
             elif psock.mode == "app" and psock.session is not None:
-                snap = {
-                    "sid": psock.sid,
-                    "kind": psock.kind,
-                    "lport": psock.lport,
-                    "remote": psock.remote,
-                    "app_filter": self.library.session_filters.get(psock.sid),
-                }
+                snap = self._snapshot(psock)
                 if psock.kind == SOCK_STREAM:
                     snap.update(
                         self.stack.tcp_migration_snapshot(psock.session)
@@ -235,11 +232,13 @@ class ProxySocketAPI(SocketAPI):
                     "backlog": psock.backlog or 5,
                     "opts": dict(psock.opts),
                 })
-        # Deliberately ungated (this RPC is what opens the gate).
-        _restored, handles = yield from self.rpc.call_retrying(
-            self.ctx, "proxy_reregister", args=(self.library, sessions),
-            layer=Layer.ENTRY_COPYIN, rng=self._retry_rng,
-        )
+        # Deliberately ungated (this RPC is what opens the gate), and
+        # patient whatever the app's policy says.
+        _restored, handles = yield from ResilientCaller(
+            self.rpc, self.ctx, rng=self._retry_rng,
+            name="%s.rereg" % self.library.name,
+        ).call("proxy_reregister", args=(self.library, sessions),
+               layer=Layer.ENTRY_COPYIN)
         # Server-side descriptors from the dead incarnation are gone.
         # Rebuilt listeners get their fresh handle from the reply; other
         # server-managed sessions (post-fork data sessions) died with the
@@ -251,6 +250,33 @@ class ProxySocketAPI(SocketAPI):
             if psock is not None and psock.mode == "server":
                 psock.server_handle = handles.get(psock.sid)
         self.reregistrations += 1
+
+    def _snapshot(self, psock):
+        """What a restarted server needs to know about an app-managed
+        session (see ``NetServer.op_proxy_reregister``)."""
+        return {
+            "sid": psock.sid,
+            "kind": psock.kind,
+            "lport": psock.lport,
+            "remote": psock.remote,
+            "app_filter": self.library.session_filters.get(psock.sid),
+        }
+
+    def _withdraw(self, psock, pending):
+        """Take an app-managed session out of the local stack, ahead of
+        the RPC that hands it to the server.  Returns the state that RPC
+        carries (a stream's; None for a datagram session) and leaves a
+        snapshot in ``pending``: the state now exists only in the
+        caller's frame, so a server that restarts before the RPC lands
+        must hear of the session from re-registration first."""
+        if psock.kind == SOCK_STREAM:
+            yield from self.stack._tcp_drain(psock.session)
+            state = self.stack.export_tcp_session(psock.session)
+        else:
+            yield from psock.session.close()
+            state = None
+        pending[psock.sid] = self._snapshot(psock)
+        return state
 
     def _adopt_tcp(self, psock, state, receiver):
         yield from self._prime_metastate(psock.remote[0])
@@ -291,6 +317,8 @@ class ProxySocketAPI(SocketAPI):
     def bind(self, fd, port):
         psock = self.fds.get(fd).payload
         yield from self._proxy_entry()
+        if psock.mode != "embryonic":
+            raise SocketError("socket already bound")
         lport, receiver = yield from self._rpc("proxy_bind", psock.sid, port,
                                                sid=psock.sid)
         psock.lport = lport
@@ -309,7 +337,7 @@ class ProxySocketAPI(SocketAPI):
             # Re-connect of a bound UDP socket: the filter narrows, so the
             # session bounces through the server.
             self.library.detach_input(psock.input_key)
-            self.stack.udp_close(psock.session)
+            yield from psock.session.close()
         result = yield from self._rpc("proxy_connect", psock.sid, addr,
                                       psock.opts, sid=psock.sid)
         if psock.kind == SOCK_DGRAM:
@@ -350,36 +378,46 @@ class ProxySocketAPI(SocketAPI):
     # sessions; routed through the server otherwise (post-fork)
     # ------------------------------------------------------------------
 
-    def send(self, fd, data):
+    def send(self, fd, data, addr=None):
         psock = self.fds.get(fd).payload
         # Socket entry: each outbound packet starts its own trace.
         begin_send_trace(self.ctx, self.library.host.name, len(data))
         yield from self._proxy_entry()
+        if (addr is not None and psock.mode == "embryonic"
+                and psock.kind == SOCK_DGRAM):
+            # BSD auto-binds: the session gets an ephemeral port and
+            # migrates into the application on first use.
+            lport, receiver = yield from self._rpc("proxy_bind", psock.sid, 0,
+                                                   sid=psock.sid)
+            psock.lport = lport
+            self._adopt_udp(psock, receiver)
         if psock.mode == "app":
             if psock.kind == SOCK_DGRAM:
-                yield from self._udp_send_app(psock, data, psock.remote)
-                return len(data)
-            n = yield from self.stack.tcp_send(psock.session, data)
+                dst = addr or psock.remote
+                if dst is None:
+                    raise SocketError("no destination for datagram")
+                if not self.library.metastate.has_route(dst[0]):
+                    yield from self._prime_metastate(dst[0])
+            n = yield from psock.session.send(data, addr)
             return n
         if psock.mode == "server":
-            n = yield from self._rpc("send", psock.server_handle,
-                                     data=bytes(data), sid=psock.sid)
+            if addr is None:
+                n = yield from self._rpc("send", psock.server_handle,
+                                         data=bytes(data), sid=psock.sid)
+            else:
+                n = yield from self._rpc("sendto", psock.server_handle, addr,
+                                         data=bytes(data), sid=psock.sid)
             return n
         raise SocketError("send on unconnected socket")
+
+    def sendto(self, fd, data, addr):
+        return self.send(fd, data, tuple(addr))
 
     def recv(self, fd, max_bytes):
         psock = self.fds.get(fd).payload
         yield from self._proxy_entry(Layer.COPYOUT_EXIT)
         if psock.mode == "app":
-            if psock.kind == SOCK_DGRAM:
-                _src, data = yield from self.stack.udp_recv(
-                    psock.session, timeout_us=psock.session.recv_timeout_us
-                )
-                return data
-            data = yield from self.stack.tcp_recv(
-                psock.session, max_bytes,
-                timeout_us=psock.session.recv_timeout_us,
-            )
+            data, _src = yield from psock.session.recv(max_bytes)
             return data
         if psock.mode == "server":
             data = yield from self._rpc(
@@ -389,39 +427,12 @@ class ProxySocketAPI(SocketAPI):
             return data
         raise SocketError("recv on unconnected socket")
 
-    def _udp_send_app(self, psock, data, dst):
-        if dst is None:
-            raise SocketError("no destination for datagram")
-        if not self.library.metastate.has_route(dst[0]):
-            yield from self._prime_metastate(dst[0])
-        yield from self.stack.udp_send(psock.session, data, dst=dst)
-
-    def sendto(self, fd, data, addr):
-        psock = self.fds.get(fd).payload
-        begin_send_trace(self.ctx, self.library.host.name, len(data))
-        yield from self._proxy_entry()
-        if psock.mode == "embryonic":
-            # BSD auto-binds: the session gets an ephemeral port and
-            # migrates into the application on first use.
-            lport, receiver = yield from self._rpc("proxy_bind", psock.sid, 0,
-                                                   sid=psock.sid)
-            psock.lport = lport
-            self._adopt_udp(psock, receiver)
-        if psock.mode == "app":
-            yield from self._udp_send_app(psock, data, tuple(addr))
-            return len(data)
-        n = yield from self._rpc("sendto", psock.server_handle, tuple(addr),
-                                 data=bytes(data), sid=psock.sid)
-        return n
-
     def recvfrom(self, fd):
         psock = self.fds.get(fd).payload
         yield from self._proxy_entry(Layer.COPYOUT_EXIT)
         if psock.mode == "app":
-            src, data = yield from self.stack.udp_recv(
-                psock.session, timeout_us=psock.session.recv_timeout_us
-            )
-            return data, src
+            received = yield from psock.session.recv()
+            return received
         if psock.mode == "server":
             src, data = yield from self._rpc(
                 "recvfrom", psock.server_handle, sid=psock.sid,
@@ -440,7 +451,7 @@ class ProxySocketAPI(SocketAPI):
         psock = self.fds.get(fd).payload
         yield from self._proxy_entry()
         if psock.mode == "app" and psock.kind == SOCK_STREAM:
-            yield from self.stack.tcp_shutdown(psock.session)
+            yield from psock.session.shutdown()
         elif psock.mode == "server":
             yield from self._rpc("shutdown", psock.server_handle,
                                  sid=psock.sid)
@@ -454,19 +465,7 @@ class ProxySocketAPI(SocketAPI):
         psock = desc.payload
         yield from self._proxy_entry()
         if psock.mode == "app":
-            if psock.kind == SOCK_STREAM:
-                yield from self.stack._tcp_drain(psock.session)
-                state = self.stack.export_tcp_session(psock.session)
-            else:
-                self.stack.udp_close(psock.session)
-                state = None
-            self._closing[psock.sid] = {
-                "sid": psock.sid,
-                "kind": psock.kind,
-                "lport": psock.lport,
-                "remote": psock.remote,
-                "app_filter": self.library.session_filters.get(psock.sid),
-            }
+            state = yield from self._withdraw(psock, self._closing)
             try:
                 yield from self._rpc("proxy_close", psock.sid, state,
                                      sid=psock.sid)
@@ -525,19 +524,7 @@ class ProxySocketAPI(SocketAPI):
         psock = self.fds.get(fd).payload
         if psock.mode != "app":
             return
-        if psock.kind == SOCK_STREAM:
-            yield from self.stack._tcp_drain(psock.session)
-            state = self.stack.export_tcp_session(psock.session)
-        else:
-            self.stack.udp_close(psock.session)
-            state = None
-        self._migrating[psock.sid] = {
-            "sid": psock.sid,
-            "kind": psock.kind,
-            "lport": psock.lport,
-            "remote": psock.remote,
-            "app_filter": self.library.session_filters.get(psock.sid),
-        }
+        state = yield from self._withdraw(psock, self._migrating)
         try:
             handle = yield from self._rpc("proxy_return", psock.sid, state,
                                           sid=psock.sid)
@@ -583,13 +570,7 @@ class ProxySocketAPI(SocketAPI):
         yield from self._proxy_entry()
         psock.opts[option] = value
         if psock.mode == "app" and psock.session is not None:
-            from repro.osserver.inkernel import _apply_sockopt
-
-            class _D:  # adapt to _apply_sockopt's descriptor shape
-                kind = psock.kind
-                payload = psock.session
-
-            _apply_sockopt(_D, option, value)
+            set_option(psock.session, option, value)
         elif psock.mode == "server":
             yield from self._rpc("setsockopt", psock.server_handle, option,
                                  value, sid=psock.sid)
@@ -599,7 +580,8 @@ class ProxySocketAPI(SocketAPI):
         deadline = None if timeout is None else self.ctx.sim.now + timeout
         self._ensure_status_watcher()
         while True:
-            local_r, local_w, srv_r, srv_w = self._partition(read_fds, write_fds)
+            local_r, srv_r = self._partition(read_fds, "readable")
+            local_w, srv_w = self._partition(write_fds, "writable")
             ready_r = [fd for fd, ready in local_r if ready]
             ready_w = [fd for fd, ready in local_w if ready]
             if ready_r or ready_w:
@@ -641,46 +623,28 @@ class ProxySocketAPI(SocketAPI):
                 # Either a local status change or a timeout: loop and
                 # re-check (the deadline check above ends the loop).
             else:
-                from repro.sim.events import any_of
-
                 waits = [self.stack.select_notify.wait()]
                 if remaining is not None:
                     waits.append(self.ctx.sim.timeout(remaining))
                 yield any_of(self.ctx.sim, waits)
 
-    def _partition(self, read_fds, write_fds):
-        local_r, local_w, srv_r, srv_w = [], [], [], []
-        for fd in read_fds:
+    def _partition(self, fds, field):
+        """Split one select set into ``[(fd, ready)]`` for descriptors
+        this process can test itself and ``[(fd, handle)]`` for those
+        the server must."""
+        local, server = [], []
+        for fd in fds:
             psock = self.fds.get(fd).payload
-            if psock.mode == "server":
-                if psock.server_handle is None:
-                    # The session died with a crashed server incarnation:
-                    # report it ready so the caller's next operation on it
-                    # fails cleanly rather than wedging this select.
-                    local_r.append((fd, True))
-                else:
-                    srv_r.append((fd, psock.server_handle))
+            if psock.mode != "server":
+                local.append((fd, is_ready(psock.session, field)))
+            elif psock.server_handle is None:
+                # The session died with a crashed server incarnation:
+                # report it ready so the caller's next operation on it
+                # fails cleanly rather than wedging this select.
+                local.append((fd, True))
             else:
-                local_r.append((fd, self._local_ready(psock, "readable")))
-        for fd in write_fds:
-            psock = self.fds.get(fd).payload
-            if psock.mode == "server":
-                if psock.server_handle is None:
-                    local_w.append((fd, True))
-                else:
-                    srv_w.append((fd, psock.server_handle))
-            else:
-                local_w.append((fd, self._local_ready(psock, "writable")))
-        return local_r, local_w, srv_r, srv_w
-
-    def _local_ready(self, psock, field):
-        if psock.session is None:
-            return field == "writable"
-        if psock.kind == SOCK_DGRAM:
-            state = self.stack.udp_poll(psock.session)
-        else:
-            state = self.stack.tcp_poll(psock.session)
-        return state[field] or state["error"]
+                server.append((fd, psock.server_handle))
+        return local, server
 
     def _ensure_status_watcher(self):
         """The library-side half of the cooperative interface: when a

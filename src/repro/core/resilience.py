@@ -8,9 +8,10 @@ be credible under stress:
 * **per-op deadline budgets** — short control ops are abandoned (and
   later retried under the same request id) rather than waiting forever
   on a lost reply;
-* **bounded exponential-backoff retries** — byte-compatible with the
-  legacy ``RPCPort.call_retrying`` loop on the default policy, so the
-  happy path and the long-standing crash-recovery tests are unchanged;
+* **bounded exponential-backoff retries** — the one retry loop every
+  client of the port shares (socket calls, metastate fetches,
+  re-registration); on the default policy it arms no timer and draws
+  one jitter sample per retry;
 * **a circuit breaker** — after ``breaker_threshold`` consecutive
   failures the caller fails fast with :class:`ServerUnavailable` instead
   of queueing more doomed work; a single probe per cooldown window tests
@@ -21,10 +22,10 @@ be credible under stress:
   port-reopen wait, so degraded callers surface a clean error instead of
   wedging.
 
-Everything here is off by default: ``ResiliencePolicy()`` reproduces the
-legacy retry loop draw-for-draw (same RNG consumption, same backoff
-schedule, no deadline timers armed), which is what keeps ``BENCH.json``
-byte-identical with faults disabled.
+Everything here is off by default: ``ResiliencePolicy()`` is the patient
+retry loop alone (one RNG draw per retry, doubling backoff, no deadline
+timers armed), which is what keeps ``BENCH.json`` byte-identical with
+faults disabled.
 """
 
 from repro.faults.control import LONG_OPS
@@ -51,10 +52,9 @@ class ServerUnavailable(SocketError):
 class ResiliencePolicy:
     """Knobs for one client's control-plane behavior.
 
-    The defaults reproduce the legacy proxy exactly: 64 retries, 10ms
-    base backoff doubling to a 2s cap, no deadlines, no budget, breaker
-    disabled.  See EXPERIMENTS.md ("Control-plane chaos") for the knob
-    reference.
+    The defaults are the patient client: 64 retries, 10ms base backoff
+    doubling to a 2s cap, no deadlines, no budget, breaker disabled.
+    See EXPERIMENTS.md ("Control-plane chaos") for the knob reference.
     """
 
     def __init__(self, retry_limit=64, backoff_base_us=10_000.0,
@@ -157,10 +157,14 @@ class CircuitBreaker:
 class ResilientCaller:
     """The retry loop, policy-parameterized, for one client of one port.
 
-    On ``ResiliencePolicy()`` this is exactly the legacy
-    ``RPCPort.call_retrying``: the same attempts, the same RNG draws in
-    the same order, the same backoff arithmetic, and no extra timers —
-    the zero-overhead parity test pins this equivalence.
+    On :class:`~repro.kernel.ipc.ServerCrashed` the caller backs off
+    (``delay * (0.5 + rng())``, doubling) and, once the port is open
+    again, retries; a real errno from the server propagates at once.  A
+    crash can land after a handler's side effects but before its reply,
+    so retried ops carry a request id or are idempotent against rebuilt
+    server state.  ``gate()`` returns an event to wait on (or None)
+    before each attempt: the proxy holds retries back until its
+    re-registration has taught the restarted server their session ids.
     """
 
     def __init__(self, rpc, ctx, rng=None, gate=None, policy=None,
@@ -177,31 +181,39 @@ class ResilientCaller:
         self.deadline_expiries = 0
         self.budget_exhaustions = 0
 
-    def call(self, op, args=(), data=b"", layer="rpc", req_id=None):
+    def call(self, op, args=(), data=b"", layer="rpc", req_id=None,
+             ctx=None):
         """Run one logical op to completion, failure, or fast-fail.
+
+        ``ctx`` overrides the context bound at construction: the
+        metastate cache is called from the library's protocol context
+        and from the proxy's application one, and each call pays its own.
 
         When the caller is working a traced packet, the round trip's
         whole duration — queueing on a broken port, backoff sleeps,
         the RPC itself — is recorded as one ``control-plane`` wait span
         (pure observation; the retry loop is unchanged).
         """
-        tracer = getattr(self.ctx.accounting, "tracer", None)
+        if ctx is None:
+            ctx = self.ctx
+        tracer = getattr(ctx.accounting, "tracer", None)
         if tracer is not None and tracer.enabled:
             started = self._sim.now
             tid = tracer.current()
             try:
-                result = yield from self._call(op, args, data, layer, req_id)
+                result = yield from self._call(
+                    ctx, op, args, data, layer, req_id)
             finally:
                 waited = self._sim.now - started
                 if tid is not None and waited > 0:
-                    tracer.record_wait(tid, self.ctx.accounting.owner,
+                    tracer.record_wait(tid, ctx.accounting.owner,
                                        "control/%s" % op, "control-plane",
                                        started, waited)
             return result
-        result = yield from self._call(op, args, data, layer, req_id)
+        result = yield from self._call(ctx, op, args, data, layer, req_id)
         return result
 
-    def _call(self, op, args, data, layer, req_id):
+    def _call(self, ctx, op, args, data, layer, req_id):
         from repro.sim.process import Timeout
 
         policy = self.policy
@@ -250,7 +262,7 @@ class ResilientCaller:
                     yield from self._bounded_wait(event, budget_deadline, op)
             try:
                 result = yield from rpc.call(
-                    self.ctx, op, args=args, data=data, layer=layer,
+                    ctx, op, args=args, data=data, layer=layer,
                     req_id=req_id, deadline_us=deadline_us)
             except ServerCrashed as exc:
                 if self.breaker is not None:

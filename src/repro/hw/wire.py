@@ -77,9 +77,10 @@ class EthernetWire:
         self.capture = None
         self.frames_carried = 0
         self.bytes_carried = 0
-        #: Cumulative serialization time (us): how long the shared medium
-        #: has been occupied.  busy_time / sim.now is wire utilization.
-        self.busy_time = 0.0
+        #: Bytes serialized, padding and CRC included: times
+        #: ``us_per_byte`` it is how long the medium was occupied.  An
+        #: integer, so a cut wire's two island halves add up exactly.
+        self.wire_bytes = 0
         self.fault_plan = None
         if fault_plan is not None:
             self.set_fault_plan(fault_plan)
@@ -89,12 +90,6 @@ class EthernetWire:
         self.fault_plan = plan
         if plan is not None:
             plan.attach(self, self._sim)
-
-    def utilization(self):
-        """Fraction of elapsed simulated time the medium was occupied."""
-        if self._sim.now == 0:
-            return 0.0
-        return self.busy_time / self._sim.now
 
     @property
     def frames_lost(self):
@@ -152,7 +147,7 @@ class EthernetWire:
             yield Timeout(serialization_us)
         finally:
             medium.release()
-        self.busy_time += serialization_us
+        self.wire_bytes += wire_bytes
         self.frames_carried += 1
         self.bytes_carried += frame_len
         if self.fault_plan is None:

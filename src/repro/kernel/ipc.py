@@ -302,49 +302,6 @@ class RPCPort:
             raise result
         return result
 
-    def call_retrying(self, ctx, op, args=(), data=b"", layer="rpc",
-                      rng=None, base_us=10_000.0, max_us=2_000_000.0,
-                      limit=64, gate=None):
-        """RPC that survives server crashes: retry with backoff + jitter.
-
-        On :class:`ServerCrashed` the caller sleeps — exponential backoff
-        with full-ish jitter (``delay * (0.5 + rng())``), capped at
-        ``max_us`` — and, once the port reports open, tries again.  Any
-        other exception (a real errno from the server) propagates
-        immediately.  Note the at-least-once caveat: a crash can land
-        after the handler's side effects but before its reply, so retried
-        operations must be idempotent against rebuilt server state.
-
-        ``gate`` is a zero-argument callable returning an event to wait on
-        (or None) before each attempt.  The proxy layer uses it to hold
-        retries back until its re-registration RPC has rebuilt the
-        restarted server's records — otherwise a quick retry would hit a
-        server that does not know the session/app ids yet and turn a
-        recoverable crash into a hard error.
-        """
-        from repro.sim.process import Timeout
-
-        delay = base_us
-        for attempt in range(limit):
-            if self.broken:
-                yield self.wait_reopen()
-            if gate is not None:
-                event = gate()
-                if event is not None:
-                    yield event
-            try:
-                result = yield from self.call(ctx, op, args=args, data=data,
-                                              layer=layer)
-                return result
-            except ServerCrashed:
-                if attempt == limit - 1:
-                    raise
-                self.retried_calls += 1
-                jitter = rng.random() if rng is not None else 0.5
-                yield Timeout(delay * (0.5 + jitter))
-                delay = min(delay * 2, max_us)
-        raise ServerCrashed(self._broken or "retry limit exceeded")
-
     # ------------------------------------------------------------------
     # Server side
     # ------------------------------------------------------------------

@@ -495,10 +495,10 @@ class MetricsRegistry:
     def observe_wire(self, wire):
         """Register a wire's occupancy gauges and fault-counter bridge."""
         name = wire.name
-        self.gauge("%s.busy_us" % name, fn=lambda: wire.busy_time)
-        self.gauge("%s.utilization" % name, fn=wire.utilization)
         self.gauge("%s.frames" % name, fn=lambda: wire.frames_carried)
         self.gauge("%s.bytes" % name, fn=lambda: wire.bytes_carried)
+        # Occupancy (x us_per_byte = busy time), island-additive exactly.
+        self.gauge("%s.wire_bytes" % name, fn=lambda: wire.wire_bytes)
 
         def fault_counters():
             plan = wire.fault_plan

@@ -16,12 +16,7 @@ from repro.stack.context import ExecutionContext, light_locks
 from repro.stack.engine import NetEnv, NetworkStack
 from repro.stack.instrument import Layer, LayerAccounting
 from repro.trace import adopt_trace, begin_send_trace, frame_trace
-from repro.core.sockets import (
-    SOCK_DGRAM,
-    SOCK_STREAM,
-    SocketAPI,
-    SocketError,
-)
+from repro.core.sockets import SocketAPI, SocketLayer
 
 
 class InKernelNetwork:
@@ -68,7 +63,7 @@ class InKernelNetwork:
 
     def _send_frame(self, ctx, frame):
         # Kernel mbufs are wired: straight to the device, no trap, no copy.
-        yield from self.host.kernel.netif_send(ctx, frame, wired=True)
+        return self.host.kernel.netif_send(ctx, frame, wired=True)
 
     def _input_loop(self):
         sim = self.host.sim
@@ -89,6 +84,7 @@ class KernelSocketAPI(SocketAPI):
         super().__init__()
         self.network = network
         self.stack = network.stack
+        self.layer = SocketLayer(network.stack, self.fds)
         host = network.host
         # Application-side context: user priority, same accounting ledger.
         self.ctx = ExecutionContext(
@@ -110,139 +106,92 @@ class KernelSocketAPI(SocketAPI):
         yield self.ctx.charge(layer, self.ctx.params.trap_return)
 
     # ------------------------------------------------------------------
+    # Every verb is the shared socket layer between a trap and its
+    # return; a bad fd fails in ``fds.get``, before the trap is charged.
 
     def socket(self, kind):
         yield from self._enter(Layer.ENTRY_COPYIN)
-        if kind == SOCK_STREAM:
-            session = self.stack.tcp_create()
-        elif kind == SOCK_DGRAM:
-            session = None  # deferred to bind/sendto (needs a port)
-        else:
-            raise SocketError("unsupported socket type %r" % kind)
-        desc = self.fds.alloc(kind, session)
+        fd = self.layer.socket(kind)
         yield from self._exit(Layer.ENTRY_COPYIN)
-        return desc.fd
-
-    def _udp_session(self, desc, port=None):
-        if desc.payload is None:
-            desc.payload = self.stack.udp_create(local_port=port)
-        return desc.payload
+        return fd
 
     def bind(self, fd, port):
         desc = self.fds.get(fd)
         yield from self._enter(Layer.ENTRY_COPYIN)
-        if desc.kind == SOCK_DGRAM:
-            if desc.payload is not None:
-                raise SocketError("socket already bound")
-            self._udp_session(desc, port=port)
-        else:
-            if desc.payload.conn.local[1] != port:
-                # Rebind the TCP session to the requested port.
-                old = desc.payload
-                self.stack.ports["tcp"].release(
-                    self.network.host.ip, old.conn.local[1]
-                )
-                self.stack.ports["tcp"].bind(self.network.host.ip, port)
-                old.conn.local = (self.network.host.ip, port)
+        self.layer.bind(desc, port)
         yield from self._exit(Layer.ENTRY_COPYIN)
 
     def listen(self, fd, backlog=5):
         desc = self.fds.get(fd)
         yield from self._enter(Layer.ENTRY_COPYIN)
-        self.stack.tcp_listen(desc.payload, backlog)
+        self.layer.listen(desc, backlog)
         yield from self._exit(Layer.ENTRY_COPYIN)
 
     def accept(self, fd):
         desc = self.fds.get(fd)
         yield from self._enter(Layer.ENTRY_COPYIN)
-        child = yield from self.stack.tcp_accept(desc.payload)
-        new_desc = self.fds.alloc(SOCK_STREAM, child)
+        accepted = yield from self.layer.accept(desc)
         yield from self._exit(Layer.ENTRY_COPYIN)
-        return new_desc.fd, child.remote
+        return accepted
 
     def connect(self, fd, addr):
         desc = self.fds.get(fd)
         yield from self._enter(Layer.ENTRY_COPYIN)
-        if desc.kind == SOCK_DGRAM:
-            self.stack.udp_connect(self._udp_session(desc), addr)
-        else:
-            yield from self.stack.tcp_connect(desc.payload, addr)
+        yield from self.layer.connect(desc, addr)
         yield from self._exit(Layer.ENTRY_COPYIN)
 
-    def send(self, fd, data):
+    def send(self, fd, data, addr=None):
         desc = self.fds.get(fd)
         begin_send_trace(self.ctx, self.network.host.name, len(data))
         yield from self._enter(Layer.ENTRY_COPYIN)
-        if desc.kind == SOCK_DGRAM:
-            yield from self.stack.udp_send(desc.payload, data)
-            n = len(data)
-        else:
-            n = yield from self.stack.tcp_send(desc.payload, data)
+        n = yield from self.layer.send(desc, data, addr)
         yield from self._exit(Layer.ENTRY_COPYIN)
         return n
+
+    def sendto(self, fd, data, addr):
+        return self.send(fd, data, addr)
 
     def recv(self, fd, max_bytes):
         desc = self.fds.get(fd)
         yield from self._enter(Layer.COPYOUT_EXIT)
-        if desc.kind == SOCK_DGRAM:
-            _src, data = yield from self.stack.udp_recv(
-                desc.payload, timeout_us=desc.payload.recv_timeout_us
-            )
-        else:
-            data = yield from self.stack.tcp_recv(
-                desc.payload, max_bytes,
-                timeout_us=desc.payload.recv_timeout_us,
-            )
+        data, _src = yield from self.layer.recv(desc, max_bytes)
         yield from self._exit(Layer.COPYOUT_EXIT)
         return data
-
-    def sendto(self, fd, data, addr):
-        desc = self.fds.get(fd)
-        begin_send_trace(self.ctx, self.network.host.name, len(data))
-        yield from self._enter(Layer.ENTRY_COPYIN)
-        yield from self.stack.udp_send(self._udp_session(desc), data, dst=addr)
-        yield from self._exit(Layer.ENTRY_COPYIN)
-        return len(data)
 
     def recvfrom(self, fd):
         desc = self.fds.get(fd)
         yield from self._enter(Layer.COPYOUT_EXIT)
-        session = self._udp_session(desc)
-        src, data = yield from self.stack.udp_recv(
-            session, timeout_us=session.recv_timeout_us
-        )
+        received = yield from self.layer.recv(desc)
         yield from self._exit(Layer.COPYOUT_EXIT)
-        return data, src
+        return received
 
     def shutdown(self, fd):
         desc = self.fds.get(fd)
         yield from self._enter(Layer.ENTRY_COPYIN)
-        yield from self.stack.tcp_shutdown(desc.payload)
+        yield from self.layer.shutdown(desc)
         yield from self._exit(Layer.ENTRY_COPYIN)
 
     def close(self, fd):
         desc = self.fds.free(fd)
         yield from self._enter(Layer.ENTRY_COPYIN)
-        if desc is not None and desc.payload is not None:
-            if desc.kind == SOCK_DGRAM:
-                self.stack.udp_close(desc.payload)
-            else:
-                yield from self.stack.tcp_close(desc.payload)
+        yield from self.layer.close(desc)
         yield from self._exit(Layer.ENTRY_COPYIN)
 
     def setsockopt(self, fd, option, value):
         desc = self.fds.get(fd)
         yield from self._enter(Layer.ENTRY_COPYIN)
-        _apply_sockopt(desc, option, value)
+        self.layer.setsockopt(desc, option, value)
         yield from self._exit(Layer.ENTRY_COPYIN)
 
     def select(self, read_fds, write_fds=(), timeout=None):
         yield from self._enter(Layer.ENTRY_COPYIN)
-        result = yield from _select_on_stack(
-            self.ctx, self.stack, self.fds, read_fds, write_fds, timeout
+        deadline = None if timeout is None else self.ctx.sim.now + timeout
+        yield self.ctx.charge(
+            Layer.ENTRY_COPYIN, self.ctx.params.select_overhead
         )
+        ready = yield from self.layer.select(read_fds, write_fds, deadline)
         yield from self._exit(Layer.ENTRY_COPYIN)
-        return result
+        return ready
 
     def ping(self, dst_ip, **kwargs):
         yield from self._enter(Layer.ENTRY_COPYIN)
@@ -267,72 +216,3 @@ class KernelSocketAPI(SocketAPI):
         yield from self._exit(Layer.ENTRY_COPYIN)
         return child
 
-
-# ----------------------------------------------------------------------
-# Helpers shared with the UX server placement
-# ----------------------------------------------------------------------
-
-def _apply_sockopt(desc, option, value):
-    session = desc.payload
-    if option == "rcvbuf":
-        if desc.kind == SOCK_STREAM:
-            session.conn.rcv_buffer.set_hiwat(value)
-        else:
-            session.hiwat = value
-    elif option == "sndbuf":
-        if desc.kind == SOCK_STREAM:
-            session.conn.snd_buffer.set_hiwat(value)
-    elif option == "nodelay":
-        if desc.kind == SOCK_STREAM:
-            session.conn.config.nodelay = bool(value)
-    elif option == "rcvtimeo":
-        session.recv_timeout_us = value
-    elif option == "keepalive":
-        if desc.kind == SOCK_STREAM:
-            session.conn.config.keepalive = bool(value)
-            # An already-idle session may have been parked by the
-            # scale-mode tick registry; keepalive duty restarts it.
-            session.stack.touch(session)
-    else:
-        raise SocketError("unknown socket option %r" % option)
-
-
-def _select_on_stack(ctx, stack, fds, read_fds, write_fds, timeout):
-    """select() over descriptors that all live on one stack."""
-    from repro.sim.events import any_of
-
-    deadline = None if timeout is None else ctx.sim.now + timeout
-    yield ctx.charge(Layer.ENTRY_COPYIN, ctx.params.select_overhead)
-    while True:
-        ready_r = []
-        ready_w = []
-        for fd in read_fds:
-            desc = fds.get(fd)
-            state = _poll_desc(stack, desc)
-            if state["readable"] or state["error"]:
-                ready_r.append(fd)
-        for fd in write_fds:
-            desc = fds.get(fd)
-            state = _poll_desc(stack, desc)
-            if state["writable"] or state["error"]:
-                ready_w.append(fd)
-        if ready_r or ready_w:
-            return ready_r, ready_w
-        if deadline is not None and ctx.sim.now >= deadline:
-            return [], []
-        for fd in list(read_fds) + list(write_fds):
-            session = fds.get(fd).payload
-            if session is not None:
-                session.selected = True
-        waits = [stack.select_notify.wait()]
-        if deadline is not None:
-            waits.append(ctx.sim.timeout(deadline - ctx.sim.now))
-        yield any_of(ctx.sim, waits)
-
-
-def _poll_desc(stack, desc):
-    if desc.payload is None:
-        return {"readable": False, "writable": True, "error": False}
-    if desc.kind == SOCK_DGRAM:
-        return stack.udp_poll(desc.payload)
-    return stack.tcp_poll(desc.payload)

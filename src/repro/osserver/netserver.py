@@ -23,11 +23,15 @@ from repro.net import ip
 from repro.net.ports import PortInUse
 from repro.net.tcp.header import TCPSegment, RST, ACK
 from repro.net.tcp.state import TCPState
-from repro.sim.events import any_of
 from repro.stack.engine import Notifier
 from repro.stack.instrument import Layer
 from repro.trace import adopt_trace, begin_send_trace
-from repro.core.sockets import SOCK_DGRAM, SOCK_STREAM, SocketError
+from repro.core.sockets import (
+    SOCK_DGRAM,
+    SOCK_STREAM,
+    SocketError,
+    config_from_opts,
+)
 from repro.osserver.unix_server import REMAP_PER_BYTE, UnixServer
 
 #: How long a dead application's ports stay quarantined (microseconds);
@@ -60,21 +64,6 @@ class SessionRecord:
         self.last_rcv_nxt = 0
 
 
-def config_from_opts(stack, opts):
-    """Build a TCPConfig from a proxy-supplied socket-option dict."""
-    opts = opts or {}
-    overrides = {}
-    if "rcvbuf" in opts:
-        overrides["rcv_buf"] = opts["rcvbuf"]
-    if "sndbuf" in opts:
-        overrides["snd_buf"] = opts["sndbuf"]
-    if "nodelay" in opts:
-        overrides["nodelay"] = bool(opts["nodelay"])
-    if "window_scale" in opts:
-        overrides["window_scale"] = opts["window_scale"]
-    return stack.tcp_config(**overrides)
-
-
 class NetServer(UnixServer):
     """The paper's OS server: UX plus the proxy/migration interface."""
 
@@ -89,10 +78,6 @@ class NetServer(UnixServer):
             accounting=accounting,
             tcp_defaults=tcp_defaults,
             heavyweight_sync=heavyweight_sync,
-            # The catch-alls take stray traffic (RSTs for dead TCP ports,
-            # ICMP unreachables for dead UDP ports); per-session filters
-            # are installed at the front of the filter list and win.
-            catch_all_filter=True,
             name=name or ("%s.netserver" % host.name),
         )
         self._apps = {}  # app_id -> ProtocolLibrary
@@ -228,16 +213,8 @@ class NetServer(UnixServer):
                 restored += 1
                 continue
             if snap.get("listener"):
-                listener = self.stack.tcp_create(
-                    local_port=None,
-                    config=config_from_opts(self.stack, snap.get("opts")),
-                )
-                self.stack.ports["tcp"].release(
-                    self.host.ip, listener.conn.local[1]
-                )
-                listener.conn.local = (self.host.ip, record.lport)
-                listener.owns_port = False
-                self.stack.tcp_listen(listener, snap.get("backlog", 5))
+                listener = self._stream_for(record, snap.get("opts"))
+                listener.listen(snap.get("backlog", 5))
                 record.server_session = listener
                 record.mode = "server"
                 # The rebuilt listener's filter is a port wildcard; it
@@ -342,6 +319,16 @@ class NetServer(UnixServer):
             if library is not None:
                 library.forget_app_filter(record.sid)
 
+    def _stream_for(self, record, opts):
+        """A fresh TCP session on the port ``record`` owns."""
+        session = self.stack.tcp_create(
+            config=config_from_opts(self.stack, opts))
+        # tcp_create bound an ephemeral port; the record's is the real one.
+        self.stack.ports["tcp"].release(self.host.ip, session.local[1])
+        session.conn.local = (self.host.ip, record.lport)
+        session.owns_port = False
+        return session
+
     def _alloc_port(self, proto_name, port):
         self._expire_quarantine()
         if port and port in self.quarantined_ports:
@@ -420,15 +407,9 @@ class NetServer(UnixServer):
         server_filter = self._install_server_filter(
             ip.PROTO_TCP, record.lport, None
         )
-        session = self.stack.tcp_create(
-            local_port=None, config=config_from_opts(self.stack, opts)
-        )
-        # tcp_create bound an ephemeral port; rebind to the record's port.
-        self.stack.ports["tcp"].release(self.host.ip, session.conn.local[1])
-        session.conn.local = (self.host.ip, record.lport)
-        session.owns_port = False  # the record owns the binding
+        session = self._stream_for(record, opts)
         try:
-            yield from self.stack.tcp_connect(session, addr)
+            yield from session.connect(addr)
         except Exception:
             self.host.kernel.remove_filter(server_filter)
             raise
@@ -450,13 +431,8 @@ class NetServer(UnixServer):
             raise SocketError("listen on a datagram session")
         if record.lport is None:
             record.lport = self._alloc_port("tcp", 0)
-        listener = self.stack.tcp_create(
-            local_port=None, config=config_from_opts(self.stack, opts)
-        )
-        self.stack.ports["tcp"].release(self.host.ip, listener.conn.local[1])
-        listener.conn.local = (self.host.ip, record.lport)
-        listener.owns_port = False
-        self.stack.tcp_listen(listener, backlog)
+        listener = self._stream_for(record, opts)
+        listener.listen(backlog)
         record.server_session = listener
         record.mode = "server"  # the listener itself stays with the server
         record.server_filter = self._install_server_filter(
@@ -475,7 +451,7 @@ class NetServer(UnixServer):
         listener = record.server_session
         if listener is None:
             raise SocketError("accept before listen")
-        child = yield from self.stack.tcp_accept(listener)
+        child = yield from listener.accept()
         child_sid = self._alloc_sid()
         child_record = SessionRecord(child_sid, SOCK_STREAM, app_id)
         child_record.lport = record.lport
@@ -594,7 +570,7 @@ class NetServer(UnixServer):
     def _graceful_close(self, record, session, server_filter):
         """Drive a returned session through FIN/TIME_WAIT, then clean up."""
         try:
-            yield from self.stack.tcp_close(session)
+            yield from session.close()
             while session.conn.state != TCPState.CLOSED:
                 yield session.notify.wait()
             if server_filter is not None:
@@ -631,24 +607,14 @@ class NetServer(UnixServer):
         yield self.ctx.charge(
             Layer.ENTRY_COPYIN, self.ctx.params.select_overhead
         )
-        status = self._app_status[app_id]
-        while True:
-            ready_r, ready_w = self._poll_handles(read_handles, write_handles)
-            if ready_r or ready_w:
-                return (ready_r, ready_w, False), 0
-            waits = [status.wait(), self.stack.select_notify.wait()]
-            if deadline is not None:
-                if self.ctx.sim.now >= deadline:
-                    return ([], [], False), 0
-                waits.append(self.ctx.sim.timeout(deadline - self.ctx.sim.now))
-            for handle in list(read_handles) + list(write_handles):
-                session = self.fds.get(handle).payload
-                if session is not None:
-                    session.selected = True
-            winner, _value = yield any_of(self.ctx.sim, waits)
-            if winner is waits[0]:
-                # The app saw local status change: return so it rechecks.
-                return ([], [], True), 0
+        ready = yield from self.layer.select(
+            read_handles, write_handles, deadline,
+            wake=self._app_status[app_id],
+        )
+        if ready is None:
+            # The app saw local status change: return so it rechecks.
+            return ([], [], True), 0
+        return (*ready, False), 0
 
     def health_snapshot(self):
         report = super().health_snapshot()
@@ -658,21 +624,6 @@ class NetServer(UnixServer):
         report["apps"] = len(self._apps)
         report["quarantined_ports"] = len(self.quarantined_ports)
         return report
-
-    def _poll_handles(self, read_handles, write_handles):
-        from repro.osserver.inkernel import _poll_desc
-
-        ready_r = []
-        ready_w = []
-        for handle in read_handles:
-            state = _poll_desc(self.stack, self.fds.get(handle))
-            if state["readable"] or state["error"]:
-                ready_r.append(handle)
-        for handle in write_handles:
-            state = _poll_desc(self.stack, self.fds.get(handle))
-            if state["writable"] or state["error"]:
-                ready_w.append(handle)
-        return ready_r, ready_w
 
     def _icmp_error_upcall(self, proto, local_port, remote_addr, error):
         """Deliver an ICMP error to the application session it belongs

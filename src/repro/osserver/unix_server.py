@@ -19,7 +19,6 @@ from repro.kernel.ipc import MessagePort, RPCPort
 from repro.kernel.kernel import IPCDelivery
 from repro.net import ip
 from repro.sim.errors import Interrupt
-from repro.sim.events import any_of
 from repro.stack.context import ExecutionContext, light_locks, spl_locks
 from repro.stack.engine import NetEnv, NetworkStack
 from repro.stack.instrument import Layer, LayerAccounting
@@ -30,8 +29,8 @@ from repro.core.sockets import (
     FDTable,
     SocketAPI,
     SocketError,
+    SocketLayer,
 )
-from repro.osserver.inkernel import _apply_sockopt, _poll_desc
 
 #: Kernel->server packet delivery is by page remapping in UX, nearly free
 #: per byte (Table 4's kernel copyout row for the server barely grows
@@ -62,13 +61,12 @@ class UnixServer:
     SLOW_OP_EXEMPT = frozenset({"select"})
 
     def __init__(self, host, accounting=None, tcp_defaults=None,
-                 heavyweight_sync=True, catch_all_filter=True, name=None):
+                 heavyweight_sync=True, name=None):
         self.host = host
         sim = host.sim
         self.name = name or ("%s.ux" % host.name)
         self.accounting = accounting or LayerAccounting()
         self._tcp_defaults = tcp_defaults
-        self._catch_all_filter = catch_all_filter
         locks = spl_locks(host.platform) if heavyweight_sync else light_locks(
             host.platform
         )
@@ -86,7 +84,6 @@ class UnixServer:
         self._handler_seq = count()
         #: message -> handler Process, for crash() to interrupt cleanly.
         self._inflight = {}
-        self._catch_all_handles = []
         # Cumulative control-plane counters (survive restarts; the replay
         # caches themselves are per-incarnation and reset in _boot).
         self.replays_served = 0
@@ -126,6 +123,7 @@ class UnixServer:
             metrics=getattr(host, "metrics", None),
         )
         self.fds = FDTable(first_fd=1000)  # server-side descriptor space
+        self.layer = SocketLayer(self.stack, self.fds)
         old_port = getattr(self, "_input_port", None)
         self._input_port = MessagePort(sim, name="%s.pktin" % self.name)
         if old_port is not None:
@@ -138,16 +136,19 @@ class UnixServer:
         #: req_id -> [held duplicate Messages] while the original handler
         #: is still running; they are answered when it completes.
         self._replay_inflight = {}
-        self._catch_all_handles = []
-        if self._catch_all_filter:
-            for proto in (ip.PROTO_TCP, ip.PROTO_UDP, ip.PROTO_ICMP):
-                handle = host.kernel.install_filter(
-                    compile_ip_protocol_filter(proto),
-                    IPCDelivery(self._input_port, remap_per_byte=REMAP_PER_BYTE),
-                    accounting=self.accounting,
-                    name="%s.ipfilter" % self.name,
-                )
-                self._catch_all_handles.append(handle)
+        # One catch-all per protocol.  Under the OS server they take
+        # stray traffic (RSTs for dead TCP ports, ICMP unreachables for
+        # dead UDP ports); per-session filters are installed at the
+        # front of the filter list and win.
+        self._catch_all_handles = [
+            host.kernel.install_filter(
+                compile_ip_protocol_filter(proto),
+                IPCDelivery(self._input_port, remap_per_byte=REMAP_PER_BYTE),
+                accounting=self.accounting,
+                name="%s.ipfilter" % self.name,
+            )
+            for proto in (ip.PROTO_TCP, ip.PROTO_UDP, ip.PROTO_ICMP)
+        ]
         self._input_proc = sim.spawn(
             self._input_loop(), name="%s.netin" % self.name
         )
@@ -161,7 +162,7 @@ class UnixServer:
 
     def _send_frame(self, ctx, frame):
         # The server is a user task: sending traps and copies.
-        yield from self.host.kernel.netif_send(ctx, frame, wired=False)
+        return self.host.kernel.netif_send(ctx, frame, wired=False)
 
     def _input_loop(self):
         while True:
@@ -298,122 +299,77 @@ class UnixServer:
 
     def op_socket(self, message):
         (kind,) = message.args
-        if kind == SOCK_STREAM:
-            session = self.stack.tcp_create()
-        elif kind == SOCK_DGRAM:
-            session = None
-        else:
-            raise SocketError("unsupported socket type %r" % kind)
-        desc = self.fds.alloc(kind, session)
+        handle = self.layer.socket(kind)
         yield self.ctx.charge(Layer.ENTRY_COPYIN, self.ctx.params.socket_layer)
-        return desc.fd, 0
-
-    def _udp_session(self, desc, port=None):
-        if desc.payload is None:
-            desc.payload = self.stack.udp_create(local_port=port)
-        return desc.payload
+        return handle, 0
 
     def op_bind(self, message):
         handle, port = message.args
         desc = self.fds.get(handle)
         yield self.ctx.charge(Layer.ENTRY_COPYIN, self.ctx.params.socket_layer)
-        if desc.kind == SOCK_DGRAM:
-            self._udp_session(desc, port=port)
-        else:
-            old_port = desc.payload.conn.local[1]
-            if old_port != port:
-                self.stack.ports["tcp"].release(self.host.ip, old_port)
-                self.stack.ports["tcp"].bind(self.host.ip, port)
-                desc.payload.conn.local = (self.host.ip, port)
+        self.layer.bind(desc, port)
         return None, 0
 
     def op_listen(self, message):
         handle, backlog = message.args
-        desc = self.fds.get(handle)
-        self.stack.tcp_listen(desc.payload, backlog)
+        self.layer.listen(self.fds.get(handle), backlog)
         yield self.ctx.charge(Layer.ENTRY_COPYIN, self.ctx.params.socket_layer)
         return None, 0
 
     def op_accept(self, message):
         (handle,) = message.args
-        desc = self.fds.get(handle)
-        child = yield from self.stack.tcp_accept(desc.payload)
-        child_desc = self.fds.alloc(SOCK_STREAM, child)
-        return (child_desc.fd, child.remote), 0
+        accepted = yield from self.layer.accept(self.fds.get(handle))
+        return accepted, 0
 
     def op_connect(self, message):
         handle, addr = message.args
         desc = self.fds.get(handle)
+        yield from self.layer.connect(desc, addr)
         if desc.kind == SOCK_DGRAM:
-            self.stack.udp_connect(self._udp_session(desc), addr)
+            # A stream's handshake has charged its way through the stack;
+            # pinning a datagram peer is socket-layer work only.
             yield self.ctx.charge(
                 Layer.ENTRY_COPYIN, self.ctx.params.socket_layer
             )
-        else:
-            yield from self.stack.tcp_connect(desc.payload, addr)
         return None, 0
 
     def op_send(self, message):
         (handle,) = message.args
-        desc = self.fds.get(handle)
-        if desc.kind == SOCK_DGRAM:
-            yield from self.stack.udp_send(desc.payload, message.data)
-            n = len(message.data)
-        else:
-            n = yield from self.stack.tcp_send(desc.payload, message.data)
+        n = yield from self.layer.send(self.fds.get(handle), message.data)
         return n, 0
 
     def op_recv(self, message):
         handle, max_bytes = message.args
-        desc = self.fds.get(handle)
-        if desc.kind == SOCK_DGRAM:
-            _src, data = yield from self.stack.udp_recv(
-                desc.payload, timeout_us=desc.payload.recv_timeout_us
-            )
-        else:
-            data = yield from self.stack.tcp_recv(
-                desc.payload, max_bytes,
-                timeout_us=desc.payload.recv_timeout_us,
-            )
+        data, _src = yield from self.layer.recv(
+            self.fds.get(handle), max_bytes
+        )
         return data, len(data)
 
     def op_sendto(self, message):
         handle, addr = message.args
-        desc = self.fds.get(handle)
-        yield from self.stack.udp_send(
-            self._udp_session(desc), message.data, dst=addr
+        n = yield from self.layer.send(
+            self.fds.get(handle), message.data, addr
         )
-        return len(message.data), 0
+        return n, 0
 
     def op_recvfrom(self, message):
         (handle,) = message.args
-        desc = self.fds.get(handle)
-        session = self._udp_session(desc)
-        src, data = yield from self.stack.udp_recv(
-            session, timeout_us=session.recv_timeout_us
-        )
+        data, src = yield from self.layer.recv(self.fds.get(handle))
         return (src, data), len(data)
 
     def op_shutdown(self, message):
         (handle,) = message.args
-        desc = self.fds.get(handle)
-        yield from self.stack.tcp_shutdown(desc.payload)
+        yield from self.layer.shutdown(self.fds.get(handle))
         return None, 0
 
     def op_close(self, message):
         (handle,) = message.args
-        desc = self.fds.free(handle)
-        if desc is not None and desc.payload is not None:
-            if desc.kind == SOCK_DGRAM:
-                self.stack.udp_close(desc.payload)
-            else:
-                yield from self.stack.tcp_close(desc.payload)
+        yield from self.layer.close(self.fds.free(handle))
         return None, 0
 
     def op_setsockopt(self, message):
         handle, option, value = message.args
-        desc = self.fds.get(handle)
-        _apply_sockopt(desc, option, value)
+        self.layer.setsockopt(self.fds.get(handle), option, value)
         yield self.ctx.charge(Layer.ENTRY_COPYIN, self.ctx.params.proc_call)
         return None, 0
 
@@ -435,29 +391,10 @@ class UnixServer:
         yield self.ctx.charge(
             Layer.ENTRY_COPYIN, self.ctx.params.select_overhead
         )
-        while True:
-            ready_r = [
-                h
-                for h in read_handles
-                if _ready(_poll_desc(self.stack, self.fds.get(h)), "readable")
-            ]
-            ready_w = [
-                h
-                for h in write_handles
-                if _ready(_poll_desc(self.stack, self.fds.get(h)), "writable")
-            ]
-            if ready_r or ready_w:
-                return (ready_r, ready_w), 0
-            if deadline is not None and self.ctx.sim.now >= deadline:
-                return ([], []), 0
-            for h in list(read_handles) + list(write_handles):
-                session = self.fds.get(h).payload
-                if session is not None:
-                    session.selected = True
-            waits = [self.stack.select_notify.wait()]
-            if deadline is not None:
-                waits.append(self.ctx.sim.timeout(deadline - self.ctx.sim.now))
-            yield any_of(self.ctx.sim, waits)
+        ready = yield from self.layer.select(
+            read_handles, write_handles, deadline
+        )
+        return ready, 0
 
     def op_proxy_health(self, message):
         """Admission/health snapshot for clients and the chaos harness."""
@@ -496,10 +433,6 @@ class UnixServer:
     def sockets(self, policy=None):
         """A socket API instance for one application process."""
         return ServerSocketAPI(self, policy=policy)
-
-
-def _ready(state, field):
-    return state[field] or state["error"]
 
 
 class ServerSocketAPI(SocketAPI):
@@ -636,7 +569,7 @@ class ServerSocketAPI(SocketAPI):
         yield self.ctx.charge(
             Layer.ENTRY_COPYIN, self.ctx.params.proc_call
         )
-        child = ServerSocketAPI(self.server)
+        child = ServerSocketAPI(self.server, policy=self.resilient.policy)
         for desc in self.fds.descriptors():
             child.fds.adopt(desc)
         return child

@@ -280,6 +280,8 @@ def _island_worker(conn, group_index, groups, topology_args, placement,
             rt = RequestTracer(world.tracer,
                                sample_every=fconf["sample_every"],
                                seed=fconf["seed"])
+        if telemetry and telemetry.get("metrics"):
+            world.metrics.enable()
 
         island_group = {}
         for g, island_indices in enumerate(groups):

@@ -8,7 +8,14 @@ the :class:`~repro.stack.context.ExecutionContext` (whose CPU priority,
 lock package, and accounting they charge) and the :class:`NetEnv` (how
 frames reach the wire and how ARP/routing metastate is found).
 
-All public operations are generators to be driven inside a simulation
+The socket-level verbs live on the two *transports* — :class:`TCPSession`
+(a bytestream) and :class:`UDPSession` (messages) — under one spelling:
+``connect``, ``send(data, dst=None)``, ``recv(max_bytes)`` -> ``(data,
+src)``, ``poll``, ``close``, ``set_option``.  :class:`NetworkStack` is
+the core they share: session creation and migration, IP output, demux,
+ICMP and the TCP timers.
+
+Blocking operations are generators to be driven inside a simulation
 process.  Calls into the sans-I/O TCP machine itself are atomic (no
 yields), so the engine is race-free under the cooperative scheduler.
 """
@@ -85,7 +92,8 @@ class NetEnv:
 
 
 class TCPSession:
-    """A TCP endpoint plus its blocking-IO plumbing."""
+    """The bytestream transport: a TCP endpoint plus its blocking-IO
+    plumbing."""
 
     def __init__(self, stack, conn, owns_port=True):
         self.stack = stack
@@ -130,9 +138,171 @@ class TCPSession:
     def __repr__(self):
         return "<TCPSession %s:%d %s>" % (*self.conn.local, self.conn.state.name)
 
+    def listen(self, backlog=5):
+        if self.conn.state != TCPState.CLOSED:
+            raise TCPError("listen on active session")
+        self.conn.open_passive()
+        self.backlog = max(1, backlog)
+        self.stack._tcp[(self.local[1], None, None)] = self
+
+    def connect(self, remote):
+        """Active open; blocks until ESTABLISHED or failure."""
+        stack = self.stack
+        conn = self.conn
+        conn.open_active(remote)
+        stack._register(self)
+        yield from stack._tcp_drain(self)
+        while True:
+            if conn.is_established:
+                return
+            if conn.state == TCPState.CLOSED:
+                stack._deregister(self)
+                conn.raise_if_dead()
+                raise TCPError("connection failed")
+            yield self.notify.wait()
+
+    def accept(self):
+        """Block until a completed connection is available; return it."""
+        while True:
+            if self.accept_queue:
+                return self.accept_queue.pop(0)
+            if self.conn.state != TCPState.LISTEN:
+                raise TCPError("accept on non-listening session")
+            yield self.notify.wait()
+
+    def send(self, data, dst=None):
+        """Blocking send of all of ``data`` (charges the copyin path);
+        returns the byte count.  A stream has one peer: ``dst`` is
+        ignored, as BSD ignores the address of a sendto on one."""
+        stack = self.stack
+        ctx = stack.ctx
+        p = ctx.params
+        conn = self.conn
+        data = bytes(data)
+        sent = 0
+        if stack._armed is not None:
+            stack._arm(self)
+        stack._trace_send_entry(len(data))
+        yield ctx.charge_lock(Layer.ENTRY_COPYIN)
+        while sent < len(data):
+            taken = conn.send(data[sent:])
+            if taken:
+                if stack.shared_buffers:
+                    yield ctx.charge(Layer.ENTRY_COPYIN, p.mbuf_alloc)
+                else:
+                    ctx.crossings.data_copies += 1
+                    yield ctx.charge_batch((
+                        (Layer.ENTRY_COPYIN, p.mbuf_alloc),
+                        (Layer.ENTRY_COPYIN,
+                         p.copy_fixed + p.copy_per_byte * taken),
+                    ))
+                stack.mbuf_stats.allocated += 1
+                sent += taken
+                yield from stack._tcp_drain(self)
+            else:
+                yield self.notify.wait()
+                conn.raise_if_dead()
+        return sent
+
+    def recv(self, max_bytes=None):
+        """Blocking receive of up to ``max_bytes`` (None: whatever is
+        buffered); returns ``(data, peer)``, with ``b""`` at EOF (peer
+        closed).
+
+        With SO_RCVTIMEO set (``recv_timeout_us``) the call raises
+        :class:`SocketTimeout` if no data arrives in time.
+        """
+        stack = self.stack
+        ctx = stack.ctx
+        sim = ctx.sim
+        conn = self.conn
+        timeout_us = self.recv_timeout_us
+        deadline = None if timeout_us is None else sim.now + timeout_us
+        while True:
+            available = conn.receivable()
+            if available:
+                tracer = ctx.accounting.tracer
+                if self.last_rx_trace is not None:
+                    # Join the inbound segment's timeline for the copyout.
+                    adopt_trace(sim, self.last_rx_trace)
+                    rx_time = self.last_rx_time
+                    self.last_rx_time = None  # consume: record once
+                    if (tracer is not None and tracer.enabled
+                            and rx_time is not None):
+                        waited = sim.now - rx_time
+                        if waited > 0:
+                            tracer.record_wait(
+                                self.last_rx_trace, stack.name,
+                                "socket_queue", "queue", rx_time, waited)
+                elif tracer is not None and tracer.requests is not None:
+                    adopt_trace(sim, None)
+                data = conn.receive(
+                    available if max_bytes is None else max_bytes)
+                if stack.shared_buffers:
+                    yield ctx.charge(Layer.COPYOUT_EXIT, ctx.params.proc_call)
+                else:
+                    yield ctx.charge_copy(Layer.COPYOUT_EXIT, len(data))
+                yield from stack._tcp_drain(self)  # window updates
+                return data, conn.remote
+            if conn.at_eof():
+                return b"", conn.remote
+            conn.raise_if_dead()
+            if conn.state == TCPState.CLOSED:
+                return b"", conn.remote
+            yield from stack._wait_or_timeout(self.notify, deadline)
+
+    def poll(self):
+        """Non-blocking readiness snapshot (select support)."""
+        conn = self.conn
+        return {
+            "readable": conn.receivable() > 0
+            or conn.at_eof()
+            or bool(self.accept_queue)
+            or conn.state == TCPState.CLOSED,
+            "writable": conn.is_established and conn.snd_buffer.space() > 0,
+            "error": conn.error is not None,
+        }
+
+    def set_option(self, option, value):
+        """Apply one socket option; False when there is no such option."""
+        conn = self.conn
+        if option == "rcvbuf":
+            conn.rcv_buffer.set_hiwat(value)
+        elif option == "sndbuf":
+            conn.snd_buffer.set_hiwat(value)
+        elif option == "nodelay":
+            conn.config.nodelay = bool(value)
+        elif option == "rcvtimeo":
+            self.recv_timeout_us = value
+        elif option == "keepalive":
+            conn.config.keepalive = bool(value)
+            # An already-idle session may have been parked by the
+            # scale-mode tick registry; keepalive duty restarts it.
+            self.stack._arm(self)
+        else:
+            return False
+        return True
+
+    def shutdown(self):
+        """shutdown(SHUT_WR): send FIN after queued data, keep reading.
+
+        The session stays where it is (unlike close, which migrates it in
+        the library placement); the read half remains usable until the
+        peer's FIN arrives.
+        """
+        self.conn.close()
+        yield from self.stack._tcp_drain(self)
+
+    def close(self):
+        """Close (FIN); does not linger for the handshake to finish."""
+        self.conn.close()
+        yield from self.stack._tcp_drain(self)
+        self.stack._maybe_reap(self)
+
 
 class UDPSession:
-    """A UDP endpoint: a datagram queue plus blocking-IO plumbing."""
+    """The message transport: a UDP endpoint's datagram queue plus
+    blocking-IO plumbing."""
 
     DEFAULT_HIWAT = 41600  # BSD's udp receive-buffer default
 
@@ -178,13 +348,126 @@ class UDPSession:
     def __repr__(self):
         return "<UDPSession %s:%d>" % self.local
 
+    def connect(self, remote):
+        """Pin the remote endpoint (BSD 'connected' UDP).  Nothing to
+        wait for: the empty result is what a caller's ``yield from``
+        (the stream's handshake is a generator) runs through."""
+        sessions = self.stack._udp
+        sessions.pop((self.local[1], None, None), None)
+        self.remote = remote
+        sessions[(self.local[1], remote[0], remote[1])] = self
+        return ()
+
+    def send(self, data, dst=None):
+        """Send one datagram (blocking only on the device queue);
+        returns its length."""
+        stack = self.stack
+        ctx = stack.ctx
+        p = ctx.params
+        if dst is None:
+            dst = self.remote
+        if dst is None:
+            raise ValueError("unconnected UDP send needs a destination")
+        stack._trace_send_entry(len(data))
+        if stack.udp_send_copies and not stack.shared_buffers:
+            ctx.crossings.data_copies += 1
+            yield ctx.charge_batch((
+                (Layer.ENTRY_COPYIN, p.socket_layer),
+                (Layer.ENTRY_COPYIN,
+                 p.copy_fixed + p.copy_per_byte * len(data)),
+                (Layer.ENTRY_COPYIN, p.mbuf_alloc),
+            ))
+        else:
+            # The library references the caller's data in place: entry is
+            # a procedure call (Table 4: 6-7 us flat for library UDP).
+            yield ctx.charge(Layer.ENTRY_COPYIN, p.proc_call)
+        stack.mbuf_stats.allocated += 1
+        datagram = udp.encapsulate(
+            stack.env.local_ip, dst[0], self.local[1], dst[1], data
+        )
+        yield ctx.charge_batch((
+            (Layer.TCP_UDP_OUTPUT,
+             p.checksum_fixed + p.checksum_per_byte * len(datagram)),
+            (Layer.TCP_UDP_OUTPUT,
+             p.header_build + p.socket_layer + ctx.locks.lock_cost),
+        ))
+        yield from stack.ip_output(ip.PROTO_UDP, dst[0], datagram)
+        return len(data)
+
+    def recv(self, max_bytes=None):
+        """Blocking receive of one whole datagram (``max_bytes`` does
+        not truncate it); returns ``(payload, src_addr)``.
+
+        A pending ICMP error on a connected session is raised (once), as
+        BSD reports ECONNREFUSED on the next operation.  With SO_RCVTIMEO
+        set (``recv_timeout_us``) the call raises :class:`SocketTimeout`.
+        """
+        stack = self.stack
+        ctx = stack.ctx
+        sim = ctx.sim
+        timeout_us = self.recv_timeout_us
+        deadline = None if timeout_us is None else sim.now + timeout_us
+        while not self.queue:
+            if self.error is not None:
+                error, self.error = self.error, None
+                raise error
+            yield from stack._wait_or_timeout(self.notify, deadline)
+        src, payload, rx_trace, enqueued_at = self.dequeue()
+        tracer = ctx.accounting.tracer
+        if rx_trace is not None:
+            adopt_trace(sim, rx_trace)
+            if tracer is not None and tracer.enabled:
+                waited = sim.now - enqueued_at
+                if waited > 0:
+                    tracer.record_wait(rx_trace, stack.name, "socket_queue",
+                                       "queue", enqueued_at, waited)
+        elif tracer is not None and tracer.requests is not None:
+            # Selective mode: this datagram is untraced — clear any
+            # stale context so the copyout is not misattributed.
+            adopt_trace(sim, None)
+        if stack.shared_buffers:
+            yield ctx.charge(Layer.COPYOUT_EXIT, ctx.params.proc_call)
+        else:
+            yield ctx.charge_copy(Layer.COPYOUT_EXIT, len(payload))
+        return payload, src
+
+    def poll(self):
+        return {"readable": bool(self.queue), "writable": True,
+                "error": False}
+
+    def set_option(self, option, value):
+        """Apply one socket option; False when there is no such option
+        (the stream-only ones are accepted and change nothing)."""
+        if option == "rcvbuf":
+            self.hiwat = value
+        elif option == "rcvtimeo":
+            self.recv_timeout_us = value
+        else:
+            return option in ("sndbuf", "nodelay", "keepalive")
+        return True
+
+    def close(self):
+        """Forget the session and release its port.  Returns the empty
+        teardown a caller's ``yield from`` runs through (see connect)."""
+        sessions = self.stack._udp
+        if self.remote:
+            sessions.pop(
+                (self.local[1], self.remote[0], self.remote[1]), None
+            )
+        sessions.pop((self.local[1], None, None), None)
+        try:
+            self.stack.ports["udp"].release(
+                self.stack.env.local_ip, self.local[1])
+        except KeyError:
+            pass
+        return ()
+
 
 class NetworkStack:
     """TCP/UDP/IP protocol machinery bound to one execution context."""
 
     def __init__(self, ctx, env, name="", udp_send_copies=True,
-                 shared_buffers=False, tcp_defaults=None,
-                 port_managers=None, metrics=None):
+                 shared_buffers=False, tcp_defaults=None, metrics=None):
         self.ctx = ctx
         self.env = env
         self.name = name
@@ -196,12 +479,7 @@ class NetworkStack:
         #: True models the NEWAPI shared application/stack buffers (§4.2).
         self.shared_buffers = shared_buffers
         self.tcp_defaults = tcp_defaults or {}
-        if port_managers is None:
-            port_managers = {
-                "tcp": PortManager("tcp"),
-                "udp": PortManager("udp"),
-            }
-        self.ports = port_managers
+        self.ports = {"tcp": PortManager("tcp"), "udp": PortManager("udp")}
         self._tcp = {}  # (lport, rip, rport) -> TCPSession; listeners (lport, None, None)
         self._udp = {}
         self.mbuf_stats = MbufStats()
@@ -249,7 +527,7 @@ class NetworkStack:
             self._timer_proc.interrupt("stack shutdown")
 
     # ==================================================================
-    # TCP socket operations
+    # Session creation, and what both transports' verbs share
     # ==================================================================
 
     def tcp_config(self, **overrides):
@@ -268,38 +546,6 @@ class NetworkStack:
         )
         return TCPSession(self, conn)
 
-    def tcp_listen(self, session, backlog=5):
-        if session.conn.state != TCPState.CLOSED:
-            raise TCPError("listen on active session")
-        session.conn.open_passive()
-        session.backlog = max(1, backlog)
-        self._tcp[(session.local[1], None, None)] = session
-
-    def tcp_connect(self, session, remote):
-        """Active open; blocks until ESTABLISHED or failure."""
-        session.conn.open_active(remote)
-        self._register(session)
-        yield from self._tcp_drain(session)
-        while True:
-            conn = session.conn
-            if conn.is_established:
-                return
-            if conn.state == TCPState.CLOSED:
-                self._deregister(session)
-                conn.raise_if_dead()
-                raise TCPError("connection failed")
-            yield session.notify.wait()
-
-    def tcp_accept(self, listener):
-        """Block until a completed connection is available; return it."""
-        while True:
-            if listener.accept_queue:
-                child = listener.accept_queue.pop(0)
-                return child
-            if listener.conn.state != TCPState.LISTEN:
-                raise TCPError("accept on non-listening session")
-            yield listener.notify.wait()
-
     def _trace_send_entry(self, size):
         """Start a "send" trace for callers that entered the stack
         directly (placement socket APIs begin one at their own entry, in
@@ -308,78 +554,6 @@ class NetworkStack:
         if (tracer is not None and tracer.enabled
                 and tracer.current() is None):
             tracer.begin("send", host=self.name, size=size)
-
-    def tcp_send(self, session, data):
-        """Blocking send of all of ``data`` (charges the copyin path)."""
-        p = self.ctx.params
-        data = bytes(data)
-        sent = 0
-        if self._armed is not None:
-            self._arm(session)
-        self._trace_send_entry(len(data))
-        yield self.ctx.charge_lock(Layer.ENTRY_COPYIN)
-        while sent < len(data):
-            taken = session.conn.send(data[sent:])
-            if taken:
-                if self.shared_buffers:
-                    yield self.ctx.charge(Layer.ENTRY_COPYIN, p.mbuf_alloc)
-                else:
-                    self.ctx.crossings.data_copies += 1
-                    yield self.ctx.charge_batch((
-                        (Layer.ENTRY_COPYIN, p.mbuf_alloc),
-                        (Layer.ENTRY_COPYIN,
-                         p.copy_fixed + p.copy_per_byte * taken),
-                    ))
-                self.mbuf_stats.allocated += 1
-                sent += taken
-                yield from self._tcp_drain(session)
-            else:
-                yield session.notify.wait()
-                session.conn.raise_if_dead()
-        return sent
-
-    def tcp_recv(self, session, max_bytes, timeout_us=None):
-        """Blocking receive; returns b"" at EOF (peer closed).
-
-        ``timeout_us`` gives SO_RCVTIMEO semantics: the call raises
-        :class:`SocketTimeout` if no data arrives in time.
-        """
-        deadline = None if timeout_us is None else self.ctx.sim.now + timeout_us
-        while True:
-            conn = session.conn
-            if conn.receivable():
-                if session.last_rx_trace is not None:
-                    # Join the inbound segment's timeline for the copyout.
-                    adopt_trace(self.ctx.sim, session.last_rx_trace)
-                    rx_time = session.last_rx_time
-                    session.last_rx_time = None  # consume: record once
-                    tracer = self.ctx.accounting.tracer
-                    if (tracer is not None and tracer.enabled
-                            and rx_time is not None):
-                        waited = self.ctx.sim.now - rx_time
-                        if waited > 0:
-                            tracer.record_wait(
-                                session.last_rx_trace, self.name,
-                                "socket_queue", "queue", rx_time, waited)
-                else:
-                    tracer = self.ctx.accounting.tracer
-                    if tracer is not None and tracer.requests is not None:
-                        adopt_trace(self.ctx.sim, None)
-                data = conn.receive(max_bytes)
-                if self.shared_buffers:
-                    yield self.ctx.charge(
-                        Layer.COPYOUT_EXIT, self.ctx.params.proc_call
-                    )
-                else:
-                    yield self.ctx.charge_copy(Layer.COPYOUT_EXIT, len(data))
-                yield from self._tcp_drain(session)  # window updates
-                return data
-            if conn.at_eof():
-                return b""
-            conn.raise_if_dead()
-            if conn.state == TCPState.CLOSED:
-                return b""
-            yield from self._wait_or_timeout(session.notify, deadline)
 
     def _wait_or_timeout(self, notifier, deadline):
         """Wait for a notifier firing, honouring an optional deadline."""
@@ -396,39 +570,6 @@ class NetworkStack:
         )
         if self.ctx.sim.now >= deadline:
             raise SocketTimeout("receive timed out")
-
-    def tcp_shutdown(self, session):
-        """shutdown(SHUT_WR): send FIN after queued data, keep reading.
-
-        The session stays where it is (unlike close, which migrates it in
-        the library placement); the read half remains usable until the
-        peer's FIN arrives.
-        """
-        session.conn.close()
-        yield from self._tcp_drain(session)
-
-    def tcp_close(self, session):
-        """Close (FIN); does not linger for the handshake to finish."""
-        session.conn.close()
-        yield from self._tcp_drain(session)
-        self._maybe_reap(session)
-
-    def tcp_abort(self, session):
-        session.conn.abort()
-        yield from self._tcp_drain(session)
-        self._maybe_reap(session)
-
-    def tcp_poll(self, session):
-        """Non-blocking readiness snapshot (select support)."""
-        conn = session.conn
-        return {
-            "readable": conn.receivable() > 0
-            or conn.at_eof()
-            or bool(session.accept_queue)
-            or conn.state == TCPState.CLOSED,
-            "writable": conn.is_established and conn.snd_buffer.space() > 0,
-            "error": conn.error is not None,
-        }
 
     # ------------------------------------------------------------------
     # Session registration and migration
@@ -450,11 +591,6 @@ class NetworkStack:
             session.conn.t_idle += self._slow_ticks - detick
             session._detick_slow = None
         armed[session] = True
-
-    def touch(self, session):
-        """Public re-enrollment hook (e.g. enabling keepalive on an
-        already-idle session must restart its ticks)."""
-        self._arm(session)
 
     @staticmethod
     def _needs_ticks(conn):
@@ -520,9 +656,7 @@ class NetworkStack:
                 except KeyError:
                     pass  # already released
 
-    # ==================================================================
-    # UDP socket operations
-    # ==================================================================
+    # ------------------------------------------------------------------
 
     def udp_create(self, local_port=None, hiwat=UDPSession.DEFAULT_HIWAT):
         if local_port is None:
@@ -532,90 +666,6 @@ class NetworkStack:
         session = UDPSession(self, (self.env.local_ip, local_port), hiwat=hiwat)
         self._udp[(local_port, None, None)] = session
         return session
-
-    def udp_connect(self, session, remote):
-        """Pin the remote endpoint (BSD 'connected' UDP)."""
-        self._udp.pop((session.local[1], None, None), None)
-        session.remote = remote
-        self._udp[(session.local[1], remote[0], remote[1])] = session
-
-    def udp_send(self, session, data, dst=None):
-        """Send one datagram (blocking only on the device queue)."""
-        p = self.ctx.params
-        if dst is None:
-            dst = session.remote
-        if dst is None:
-            raise ValueError("unconnected UDP send needs a destination")
-        self._trace_send_entry(len(data))
-        if self.udp_send_copies and not self.shared_buffers:
-            self.ctx.crossings.data_copies += 1
-            yield self.ctx.charge_batch((
-                (Layer.ENTRY_COPYIN, p.socket_layer),
-                (Layer.ENTRY_COPYIN,
-                 p.copy_fixed + p.copy_per_byte * len(data)),
-                (Layer.ENTRY_COPYIN, p.mbuf_alloc),
-            ))
-        else:
-            # The library references the caller's data in place: entry is
-            # a procedure call (Table 4: 6-7 us flat for library UDP).
-            yield self.ctx.charge(Layer.ENTRY_COPYIN, p.proc_call)
-        self.mbuf_stats.allocated += 1
-        datagram = udp.encapsulate(
-            self.env.local_ip, dst[0], session.local[1], dst[1], data
-        )
-        yield self.ctx.charge_batch((
-            (Layer.TCP_UDP_OUTPUT,
-             p.checksum_fixed + p.checksum_per_byte * len(datagram)),
-            (Layer.TCP_UDP_OUTPUT,
-             p.header_build + p.socket_layer + self.ctx.locks.lock_cost),
-        ))
-        yield from self.ip_output(ip.PROTO_UDP, dst[0], datagram)
-
-    def udp_recv(self, session, timeout_us=None):
-        """Blocking receive of one datagram; returns (src_addr, payload).
-
-        A pending ICMP error on a connected session is raised (once), as
-        BSD reports ECONNREFUSED on the next operation.  ``timeout_us``
-        gives SO_RCVTIMEO semantics (:class:`SocketTimeout`).
-        """
-        deadline = None if timeout_us is None else self.ctx.sim.now + timeout_us
-        while not session.queue:
-            if session.error is not None:
-                error, session.error = session.error, None
-                raise error
-            yield from self._wait_or_timeout(session.notify, deadline)
-        src, payload, rx_trace, enqueued_at = session.dequeue()
-        if rx_trace is not None:
-            adopt_trace(self.ctx.sim, rx_trace)
-            tracer = self.ctx.accounting.tracer
-            if tracer is not None and tracer.enabled:
-                waited = self.ctx.sim.now - enqueued_at
-                if waited > 0:
-                    tracer.record_wait(rx_trace, self.name, "socket_queue",
-                                       "queue", enqueued_at, waited)
-        else:
-            tracer = self.ctx.accounting.tracer
-            if tracer is not None and tracer.requests is not None:
-                # Selective mode: this datagram is untraced — clear any
-                # stale context so the copyout is not misattributed.
-                adopt_trace(self.ctx.sim, None)
-        if self.shared_buffers:
-            yield self.ctx.charge(Layer.COPYOUT_EXIT, self.ctx.params.proc_call)
-        else:
-            yield self.ctx.charge_copy(Layer.COPYOUT_EXIT, len(payload))
-        return src, payload
-
-    def udp_close(self, session):
-        key_any = (session.local[1], None, None)
-        if session.remote:
-            self._udp.pop(
-                (session.local[1], session.remote[0], session.remote[1]), None
-            )
-        self._udp.pop(key_any, None)
-        try:
-            self.ports["udp"].release(self.env.local_ip, session.local[1])
-        except KeyError:
-            pass
 
     def adopt_udp_session(self, local, remote=None,
                           hiwat=UDPSession.DEFAULT_HIWAT):
@@ -627,10 +677,6 @@ class NetworkStack:
         else:
             self._udp[(local[1], None, None)] = session
         return session
-
-    def udp_poll(self, session):
-        return {"readable": bool(session.queue), "writable": True,
-                "error": False}
 
     # ==================================================================
     # IP output

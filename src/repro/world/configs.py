@@ -222,7 +222,7 @@ class Placement:
         self._backend.register_app(library)
 
         def fork_factory():
-            return self.new_app()
+            return self.new_app(policy=policy)
 
         return ProxySocketAPI(library, self._backend,
                               fork_factory=fork_factory, policy=policy)

@@ -162,6 +162,11 @@ def test_wan_parallel_telemetry_matches_single_process_bit_for_bit():
     assert single["forensics"]["requests_sampled"] > 0
     assert single["forensics"]["attribution"]["requests"] > 0
     assert single["metrics"]["pull"] and single["metrics"]["gauges"]
+    # The registry was enabled on both backends: a block of Nones would
+    # compare equal too.
+    assert None not in single["metrics"]["pull"].values()
+    assert all(g["value"] is not None and g["samples"]
+               for g in single["metrics"]["gauges"].values())
     # Every host's station-filter gauge comes home from the island
     # that owns the host, next to its rx_dropped sibling.
     for kind in (".nic.rx_filtered", ".nic.rx_dropped"):

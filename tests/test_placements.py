@@ -7,7 +7,8 @@ library-based systems — the paper's source-compatibility goal.
 
 import pytest
 
-from repro.core.sockets import SOCK_DGRAM, SOCK_STREAM, SocketError
+from repro.core.sockets import SOCK_DGRAM, SOCK_STREAM, BadFileDescriptor
+from repro.sim.process import Charge
 from repro.net.addr import ip_aton
 
 IP1 = ip_aton("10.0.0.1")
@@ -346,12 +347,205 @@ def test_fork_child_shares_stream(any_placement_pair):
 
 
 def test_bad_fd_raises(any_placement_pair):
+    """EBADF from every verb that names a descriptor, and before
+    anything is charged: no trap, no RPC, no proxy entry."""
     _name, net, pa, _pb = any_placement_pair
     api = pa.new_app()
+    cpu = pa.host.cpu
 
     def prog():
-        with pytest.raises(SocketError):
-            yield from api.send(99, b"nope")
-        return True
+        yield net.sim.timeout(1_000_000)  # past boot-time charges
+        before = cpu.charge_count
+        for call in (
+            lambda: api.bind(99, 7100), lambda: api.listen(99),
+            lambda: api.accept(99), lambda: api.connect(99, (IP2, 7100)),
+            lambda: api.send(99, b"nope"), lambda: api.recv(99, 10),
+            lambda: api.sendto(99, b"nope", (IP2, 7100)),
+            lambda: api.recvfrom(99), lambda: api.shutdown(99),
+            lambda: api.close(99),
+            lambda: api.setsockopt(99, "rcvbuf", 4096),
+        ):
+            with pytest.raises(BadFileDescriptor):
+                yield from call()
+        return cpu.charge_count - before
 
-    assert net.run_all([prog()], until=RUN_BOUND)[0]
+    assert net.run_all([prog()], until=RUN_BOUND)[0] == 0
+
+
+# ----------------------------------------------------------------------
+# One socket layer: the same script reads the same in every placement
+# ----------------------------------------------------------------------
+
+#: Every socket option the stack knows, with a harmless value.
+_OPTIONS = (("rcvbuf", 8192), ("sndbuf", 8192), ("nodelay", 1),
+            ("keepalive", 1), ("rcvtimeo", 5_000_000.0))
+
+
+def _outcome(gen):
+    """Run one socket call; report its result or its exception type."""
+    try:
+        result = yield from gen
+    except Exception as exc:  # noqa: BLE001 - the type is the finding
+        return type(exc).__name__
+    return result
+
+
+def test_one_script_reads_the_same_in_every_placement(any_placement_pair):
+    """Stream and datagram verbs, error cases included, against one
+    transcript: results and exception types may not depend on where the
+    protocol stack lives."""
+    _name, net, pa, pb = any_placement_pair
+    ready = net.sim.event()
+    log = []
+
+    def server(api):
+        # Datagram side: a second bind is an error, not a second port.
+        u = yield from api.socket(SOCK_DGRAM)
+        yield from api.bind(u, 9400)
+        log.append(("bind twice", (yield from _outcome(api.bind(u, 9401)))))
+        for option, value in _OPTIONS:
+            log.append(("udp " + option, (yield from _outcome(
+                api.setsockopt(u, option, value)))))
+        log.append(("udp bogus", (yield from _outcome(
+            api.setsockopt(u, "bogus", 1)))))
+        start = net.sim.now
+        log.append(("select timeout", (yield from api.select(
+            [u], timeout=300_000))))
+        assert net.sim.now - start >= 300_000
+
+        s = yield from api.socket(SOCK_STREAM)
+        yield from api.bind(s, 7400)
+        yield from api.listen(s)
+        ready.succeed()
+        data, src = yield from api.recvfrom(u)
+        log.append(("recvfrom", data, src[0]))
+        yield from api.sendto(u, data.upper(), src)
+        # The listener is ready once the client's handshake completed.
+        log.append(("select listener", (yield from api.select(
+            [u, s], timeout=30_000_000)) == ([s], [])))
+        c, peer = yield from api.accept(s)
+        log.append(("accept", peer[0]))
+        for option, value in _OPTIONS:
+            log.append(("tcp " + option, (yield from _outcome(
+                api.setsockopt(c, option, value)))))
+        log.append(("tcp bogus", (yield from _outcome(
+            api.setsockopt(c, "bogus", 1)))))
+        log.append(("recv", (yield from api.recv_exactly(c, 5))))
+        log.append(("recv at eof", (yield from api.recv(c, 100))))
+        child = yield from api.fork()
+        yield from child.send_all(c, b"HELLO")
+        yield from child.close(c)
+        yield from api.close(c)
+        yield from api.close(s)
+        yield from api.close(u)
+
+    def client(api):
+        yield ready
+        u = yield from api.socket(SOCK_DGRAM)
+        yield from api.sendto(u, b"ping", (IP1, 9400))
+        log.append(("reply", (yield from api.recvfrom(u))))
+        s = yield from api.socket(SOCK_STREAM)
+        yield from api.connect(s, (IP1, 7400))
+        yield from api.send_all(s, b"hello")
+        yield from api.shutdown(s)
+        log.append(("after shutdown",
+                    (yield from api.recv_exactly(s, 5)),
+                    (yield from api.recv(s, 100))))
+        yield from api.close(s)
+        yield from api.close(u)
+
+    net.run_all([server(pa.new_app()), client(pb.new_app())],
+                until=RUN_BOUND)
+    assert log == (
+        [("bind twice", "SocketError")]
+        + [("udp " + option, None) for option, _value in _OPTIONS]
+        + [("udp bogus", "SocketError"),
+           ("select timeout", ([], [])),
+           ("recvfrom", b"ping", IP2),
+           ("reply", (b"PING", (IP1, 9400))),
+           ("select listener", True),
+           ("accept", IP2)]
+        + [("tcp " + option, None) for option, _value in _OPTIONS]
+        + [("tcp bogus", "SocketError"),
+           ("recv", b"hello"),
+           ("recv at eof", b""),
+           ("after shutdown", b"HELLO", b"")]
+    )
+
+
+def _yield_from_chain(gen):
+    names = []
+    while gen is not None:
+        names.append(getattr(getattr(gen, "gi_code", None), "co_name", "?"))
+        gen = getattr(gen, "gi_yieldfrom", None)
+    return names
+
+
+def _probed(gen, chains):
+    """Drive ``gen`` by hand, noting its ``yield from`` chain each time
+    it parks on a CPU charge."""
+    value = None
+    while True:
+        try:
+            target = gen.send(value)
+        except StopIteration as stop:
+            return stop.value
+        if isinstance(target, Charge):
+            chains.append(_yield_from_chain(gen))
+        value = yield target
+
+
+#: Generator frames a CPU charge under a bulk ``send`` resumes through,
+#: application generator included.  Every frame is paid again on each of
+#: a transfer's hundreds of thousands of charges (EXPERIMENTS.md,
+#: "Parallel backend & batching": a socket layer that wrapped the data
+#: verbs ran bulk_tcp 1.06x), so the chains may not grow.
+_SEND_DEPTH = {
+    # client, send_all, send, TCPSession.send, _tcp_drain, ip_output,
+    # netif_send
+    "mach25": 7,
+    "library-shm-ipf": 7,
+    # client, send_all, send, _call, ResilientCaller.call, _call,
+    # RPCPort.call
+    "ux": 7,
+}
+
+
+def test_send_path_generator_depth_does_not_grow(any_placement_pair):
+    name, net, pa, pb = any_placement_pair
+    ready = net.sim.event()
+    app_chains, handler_chains = [], []
+    if name == "ux":
+        handle = pb.server._handle
+        pb.server._handle = lambda message: _probed(handle(message),
+                                                    handler_chains)
+
+    def server(api):
+        fd = yield from api.socket(SOCK_STREAM)
+        yield from api.bind(fd, 7006)
+        yield from api.listen(fd)
+        ready.succeed()
+        cfd, _ = yield from api.accept(fd)
+        yield from api.recv_exactly(cfd, 200_000)
+
+    def client(api):
+        yield ready
+        fd = yield from api.socket(SOCK_STREAM)
+        yield from api.connect(fd, (IP1, 7006))
+        yield from api.send_all(fd, b"d" * 200_000)
+
+    net.run_all([server(pa.new_app()),
+                 _probed(client(pb.new_app()), app_chains)],
+                until=RUN_BOUND)
+    sending = [chain for chain in app_chains if "send_all" in chain]
+    bottom = "call" if name == "ux" else "netif_send"
+    assert any(chain[-1] == bottom for chain in sending)
+    deepest = max(sending, key=len)
+    assert len(deepest) <= _SEND_DEPTH[name], deepest
+    if name == "ux":
+        # _handle, op_send, TCPSession.send, _tcp_drain, ip_output,
+        # netif_send
+        sending = [chain for chain in handler_chains if "op_send" in chain]
+        assert any(chain[-1] == "netif_send" for chain in sending)
+        deepest = max(sending, key=len)
+        assert len(deepest) <= 6, deepest

@@ -532,3 +532,28 @@ def test_circuit_breaker_lifecycle():
     snap = b.snapshot()
     assert snap["trips"] == 1 and snap["probes"] == 2
     assert snap["fast_fails"] >= 2
+
+
+@pytest.mark.parametrize("config", ["ux", "library-shm-ipf"])
+def test_fork_child_inherits_the_resilience_policy(config):
+    """A forked child fails as fast as its parent was configured to: it
+    used to come up on the default policy and park on the dead port for
+    64 patient retries."""
+    policy = ResiliencePolicy(retry_limit=4, backoff_base_us=5_000.0,
+                              breaker_threshold=2,
+                              breaker_cooldown_us=500_000.0)
+    net, pa, _pb = build_network(config)
+    api = pa.new_app(name="forker", policy=policy)
+
+    def prog():
+        child = yield from api.fork()
+        assert child.resilient.policy is policy
+        assert child.resilient.breaker is not api.resilient.breaker
+        pa.server.rpc.down("server crashed")
+        before = net.sim.now
+        with pytest.raises(ServerUnavailable):
+            yield from child.socket(SOCK_STREAM)
+        return net.sim.now - before
+
+    elapsed = net.run_all([prog()], until=BOUND)[0]
+    assert elapsed < 100_000  # two backoff slices, not an outage's worth
