@@ -92,6 +92,8 @@ def host_report(placement):
     report = {
         "host": host.name,
         "sessions": sessions,
+        "time_wait": {where: stack.time_wait_count()
+                      for where, stack in stacks},
         "filters": [
             {"name": handle.name, "matched": handle.matched}
             for handle in kernel._filters
@@ -127,6 +129,7 @@ def host_report(placement):
     if hasattr(backend, "migrations_out"):
         report["migrations_out"] = backend.migrations_out
         report["migrations_in"] = backend.migrations_in
+        report["stragglers_forwarded"] = backend.stack.stragglers_forwarded
     if getattr(backend, "rpc", None) is not None:
         report["control"] = control_report(placement)
     if libraries:
@@ -308,6 +311,8 @@ def format_report(report):
                         "-" if cwnd is None else cwnd,
                         "-" if srtt is None else srtt,
                         row["where"]))
+    lines.append("TIME_WAIT: " + ", ".join(
+        "%s %d" % pair for pair in report["time_wait"].items()))
     lines.append("")
     lines.append("Packet filters (%d installed, %d frames demuxed, "
                  "%d unmatched):"
@@ -347,8 +352,10 @@ def format_report(report):
         lines.append("Telemetry: " + ", ".join(parts))
     if "migrations_out" in report:
         lines.append("")
-        lines.append("Session migrations: %d out to applications, %d back"
-                     % (report["migrations_out"], report["migrations_in"]))
+        lines.append("Session migrations: %d out to applications, %d back; "
+                     "%d stragglers forwarded"
+                     % (report["migrations_out"], report["migrations_in"],
+                        report["stragglers_forwarded"]))
     if "metastate" in report:
         lines.append("")
         lines.append("Cached metastate (Section 3.3):")

@@ -278,6 +278,13 @@ class ProxySocketAPI(SocketAPI):
         pending[psock.sid] = self._snapshot(psock)
         return state
 
+    def _detach(self, psock):
+        """Stop a withdrawn session's input thread.  Nothing else feeds
+        its 4-tuple into the local stack, so the tombstone goes too."""
+        self.library.detach_input(psock.input_key)
+        if psock.kind == SOCK_STREAM:
+            self.stack.clear_tombstone(psock.lport, psock.remote)
+
     def _adopt_tcp(self, psock, state, receiver):
         yield from self._prime_metastate(psock.remote[0])
         session = self.stack.adopt_tcp_state(
@@ -478,7 +485,7 @@ class ProxySocketAPI(SocketAPI):
                 self._defer_close(psock.sid, state)
             else:
                 self._closing.pop(psock.sid, None)
-            self.library.detach_input(psock.input_key)
+            self._detach(psock)
         elif psock.mode in ("server", "embryonic"):
             try:
                 yield from self._rpc("proxy_close", psock.sid, None,
@@ -530,7 +537,7 @@ class ProxySocketAPI(SocketAPI):
                                           sid=psock.sid)
         finally:
             self._migrating.pop(psock.sid, None)
-        self.library.detach_input(psock.input_key)
+        self._detach(psock)
         psock.session = None
         psock.server_handle = handle
         psock.mode = "server"

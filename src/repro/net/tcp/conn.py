@@ -105,6 +105,20 @@ class TCPStats:
 class TCPConnection:
     """One TCP endpoint.  See the module docstring for the driving model."""
 
+    # A host holds every connection it closed for 2MSL (TIME_WAIT); an
+    # instance dict of ~40 fields would be the largest thing those cost.
+    __slots__ = (
+        "config", "local", "remote", "name", "state",
+        "iss", "snd_una", "snd_nxt", "snd_max", "snd_wnd", "snd_wl1",
+        "snd_wl2", "snd_up", "irs", "rcv_nxt", "rcv_adv", "rcv_up",
+        "urgent_valid", "snd_scale", "rcv_scale",
+        "snd_buffer", "rcv_buffer", "reass",
+        "fin_queued", "fin_sent", "fin_received",
+        "timers", "_keep_probes_sent", "t_idle", "t_rtt", "rtt_seq", "rtt",
+        "cc", "ack_now", "delack_pending", "peer_mss", "eff_mss", "error",
+        "stats", "_outbox", "probe",
+    )
+
     def __init__(self, local, remote=None, config=None, name=""):
         self.config = config or TCPConfig()
         self.local = local  # (ip, port)

@@ -14,7 +14,9 @@ or while closing — are served through the ordinary RPC data path of
 Migration follows Section 3.2 exactly: a migrating session carries its
 local endpoint, remote endpoint, connection state variables (with any
 queued data), and a packet-filter port; the server installs/removes the
-kernel packet filters on every transition.
+kernel packet filters on every transition.  "Any queued data" includes
+segments the server's own filter took just before the session left:
+they are forwarded to the session's new filter, not dropped.
 """
 
 from repro.filter.compile import compile_session_filter
@@ -318,6 +320,26 @@ class NetServer(UnixServer):
             library = self._apps.get(record.app_id)
             if library is not None:
                 library.forget_app_filter(record.sid)
+            if record.kind == SOCK_STREAM:
+                # Its stragglers' forward target is gone with it.
+                self.stack.clear_tombstone(record.lport, record.remote)
+
+    def _migrate_out(self, record, session):
+        """Hand an established stream to its application (Section 3.2):
+        point its packets at a fresh app filter and export its state.
+        Segments our own filter took before the app filter existed are
+        still queued for this stack; the exported 4-tuple forwards them
+        through the app filter's delivery.  Returns ``(state,
+        receiver)``."""
+        receiver = self._install_app_filter(record, ip.PROTO_TCP,
+                                            record.remote)
+        state = self.stack.export_tcp_session(
+            session, forward_to=record.app_filter.delivery)
+        record.last_snd_nxt = state["snd_nxt"]
+        record.last_rcv_nxt = state["rcv_nxt"]
+        record.mode = "app"
+        self.migrations_out += 1
+        return state, receiver
 
     def _stream_for(self, record, opts):
         """A fresh TCP session on the port ``record`` owns."""
@@ -414,13 +436,8 @@ class NetServer(UnixServer):
             self.host.kernel.remove_filter(server_filter)
             raise
         record.remote = addr
-        state = self.stack.export_tcp_session(session)
-        record.last_snd_nxt = state["snd_nxt"]
-        record.last_rcv_nxt = state["rcv_nxt"]
         self.host.kernel.remove_filter(server_filter)
-        receiver = self._install_app_filter(record, ip.PROTO_TCP, addr)
-        record.mode = "app"
-        self.migrations_out += 1
+        state, receiver = self._migrate_out(record, session)
         return (record.lport, state, receiver), 0
 
     def op_proxy_listen(self, message):
@@ -457,15 +474,9 @@ class NetServer(UnixServer):
         child_record.lport = record.lport
         child_record.owns_port = False
         child_record.remote = child.remote
-        remote = child.remote
-        state = self.stack.export_tcp_session(child)
-        child_record.last_snd_nxt = state["snd_nxt"]
-        child_record.last_rcv_nxt = state["rcv_nxt"]
-        receiver = self._install_app_filter(child_record, ip.PROTO_TCP, remote)
-        child_record.mode = "app"
         self._records[child_sid] = child_record
-        self.migrations_out += 1
-        return (child_sid, remote, state, receiver), 0
+        state, receiver = self._migrate_out(child_record, child)
+        return (child_sid, child.remote, state, receiver), 0
 
     def op_proxy_return(self, message):
         """A session migrates back to the server (fork, Section 3.2).
@@ -515,43 +526,40 @@ class NetServer(UnixServer):
         if record.kind == SOCK_DGRAM:
             self._remove_app_filter(record)
             self._release_record_port(record, "udp")
-            record.mode = "closed"
+            del self._records[sid]
             yield self.ctx.charge(
                 Layer.ENTRY_COPYIN, self.ctx.params.socket_layer
             )
             return None, 0
+        session = None
         if record.mode == "app":
             self._remove_app_filter(record)
             if state is not None:
                 session = self.stack.adopt_tcp_state(state)
                 self.migrations_in += 1
-                server_filter = self._install_server_filter(
+                record.server_filter = self._install_server_filter(
                     ip.PROTO_TCP, record.lport, record.remote
                 )
-                self._spawn_close(record, session, server_filter)
-            else:
-                self._release_record_port(record, "tcp")
         elif record.mode == "server":
             if record.server_handle is not None:
                 self.fds.free(record.server_handle)
                 record.server_handle = None
-            if record.server_session is not None:
-                if record.server_session.conn.state == TCPState.LISTEN:
-                    record.server_session.conn.close()
-                    self.stack._deregister(record.server_session)
-                    self._remove_server_filter(record)
-                    self._release_record_port(record, "tcp")
-                else:
-                    session = record.server_session
-                    server_filter, record.server_filter = (
-                        record.server_filter, None
-                    )
-                    self._spawn_close(record, session, server_filter)
-        elif record.mode == "embryonic":
-            # Closing a bound-but-never-connected stream session must
-            # still give its reserved port back.
+            session = record.server_session
+            if session is not None and session.conn.state == TCPState.LISTEN:
+                session.conn.close()
+                self.stack._deregister(session)
+                self._remove_server_filter(record)
+                session = None
+        if session is not None:
+            # Kept (closed) until the teardown is done: crash() still
+            # has to find its server filter.
+            record.mode = "closed"
+            self._spawn_close(record, session)
+        else:
+            # Nothing left to tear down (a listener, an embryonic or a
+            # never-connected session): give the port back now.
             self._release_record_port(record, "tcp")
-        record.mode = "closed"
+            del self._records[sid]
         return None, 0
 
     def _remove_server_filter(self, record):
@@ -559,23 +567,33 @@ class NetServer(UnixServer):
             self.host.kernel.remove_filter(record.server_filter)
             record.server_filter = None
 
-    def _spawn_close(self, record, session, server_filter):
+    def _spawn_close(self, record, session):
         """Run a graceful close in the background, tracked so crash() can
         interrupt it."""
         self._background[record.sid] = self.host.sim.spawn(
-            self._graceful_close(record, session, server_filter),
+            self._graceful_close(record, session),
             name="%s.close%d" % (self.name, record.sid),
         )
 
-    def _graceful_close(self, record, session, server_filter):
-        """Drive a returned session through FIN/TIME_WAIT, then clean up."""
+    def _graceful_close(self, record, session):
+        """Drive a returned session through its FIN exchange, then forget
+        the record.
+
+        Teardown is done at TIME_WAIT: what is left — acking a
+        retransmitted FIN, the 2MSL wait, giving the port back when the
+        stack reaps the CLOSED session — is the stack's, so the session
+        takes over the record's port.  The exact server filter goes now:
+        the TCP catch-all feeds the same input port, and 2MSL's worth of
+        exact filters would sit in front of every live session's.
+        """
+        session.owns_port = record.owns_port
         try:
             yield from session.close()
-            while session.conn.state != TCPState.CLOSED:
+            while session.conn.state not in (TCPState.TIME_WAIT,
+                                             TCPState.CLOSED):
                 yield session.notify.wait()
-            if server_filter is not None:
-                self.host.kernel.remove_filter(server_filter)
-            self._release_record_port(record, "tcp")
+            self._remove_server_filter(record)
+            self._records.pop(record.sid, None)
         finally:
             self._background.pop(record.sid, None)
 

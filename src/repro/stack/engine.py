@@ -95,6 +95,11 @@ class TCPSession:
     """The bytestream transport: a TCP endpoint plus its blocking-IO
     plumbing."""
 
+    __slots__ = ("stack", "conn", "notify", "accept_queue", "backlog",
+                 "children", "parent", "selected", "recv_timeout_us",
+                 "last_rx_trace", "last_rx_time", "last_tx_trace",
+                 "owns_port", "_detick_slow")
+
     def __init__(self, stack, conn, owns_port=True):
         self.stack = stack
         self.conn = conn
@@ -490,10 +495,13 @@ class NetworkStack:
         self.unmatched_udp = 0
         self.ip_input_errors = 0
         self.not_for_host = 0
-        #: 4-tuples of sessions migrated away from this stack.  Straggler
-        #: segments for them are dropped silently (the peer retransmits
-        #: into the session's new filter) instead of drawing a RST.
-        self.migrated_tombstones = set()
+        #: 4-tuple -> forward target of each session migrated away from
+        #: this stack.  A straggler — a segment this stack's filter took
+        #: before the session's new filter existed — never draws a RST:
+        #: it goes on through the target's ``deliver`` (the new owner's
+        #: filter delivery), or is dropped when the target is None.
+        self.migrated = {}
+        self.stragglers_forwarded = 0
         #: Called with (proto, local_port, remote_addr, exception) when an
         #: ICMP error matches no session in this stack — the OS server
         #: uses it to upcall errors into application-managed sessions.
@@ -628,22 +636,25 @@ class NetworkStack:
         conn = session.conn
         return {"snd_nxt": conn.snd_nxt, "rcv_nxt": conn.rcv_nxt}
 
-    def export_tcp_session(self, session):
+    def export_tcp_session(self, session, forward_to=None):
         """Export a session's state and remove it from this stack.
 
         The 4-tuple is tombstoned so stragglers still in this stack's
-        input path do not trigger RSTs while the session lives elsewhere.
+        input path do not trigger RSTs while the session lives elsewhere;
+        with ``forward_to`` (a filter delivery) they are handed on to the
+        session's new owner instead of being dropped.
         """
         self._deregister(session)
         lport = session.local[1]
         rip, rport = session.remote if session.remote else (None, None)
-        self.migrated_tombstones.add((lport, rip, rport))
+        self.migrated[(lport, rip, rport)] = forward_to
         return session.conn.export_state()
 
     def clear_tombstone(self, local_port, remote):
-        """Drop a tombstone (the session migrated back to this stack)."""
+        """Drop a tombstone: the session migrated back to this stack, or
+        its new owner's filter is gone (no straggler can reach us)."""
         rip, rport = remote if remote else (None, None)
-        self.migrated_tombstones.discard((local_port, rip, rport))
+        self.migrated.pop((local_port, rip, rport), None)
 
     def _maybe_reap(self, session):
         """Deregister sessions that reached CLOSED."""
@@ -776,13 +787,13 @@ class NetworkStack:
             self.not_for_host += 1
             return
         if header.proto == ip.PROTO_TCP:
-            yield from self._tcp_input(header, payload)
+            yield from self._tcp_input(header, payload, frame)
         elif header.proto == ip.PROTO_UDP:
             yield from self._udp_input(header, payload, packet)
         elif header.proto == ip.PROTO_ICMP:
             yield from self._icmp_input(header, payload)
 
-    def _tcp_input(self, header, payload):
+    def _tcp_input(self, header, payload, frame):
         p = self.ctx.params
         yield self.ctx.charge_checksum(Layer.TCP_UDP_INPUT, len(payload))
         try:
@@ -793,8 +804,15 @@ class NetworkStack:
             Layer.TCP_UDP_INPUT,
             p.header_build + self.ctx.locks.lock_cost + p.socket_layer,
         )
-        if (seg.dst_port, header.src, seg.src_port) in self.migrated_tombstones:
-            return  # straggler for a migrated session: drop silently
+        key = (seg.dst_port, header.src, seg.src_port)
+        if key in self.migrated:
+            # A straggler for a migrated session: on to its new owner,
+            # paid for on this stack's context.
+            target = self.migrated[key]
+            if target is not None:
+                self.stragglers_forwarded += 1
+                yield from target.deliver(self.ctx, frame, False)
+            return
         session = self._tcp_demux(header.src, seg)
         if session is None:
             self.unmatched_tcp += 1
@@ -1115,6 +1133,12 @@ class NetworkStack:
 
     def tcp_session_count(self):
         return len(self._tcp)
+
+    def time_wait_count(self):
+        """Sessions waiting out 2MSL (they still hold a demux entry and,
+        if they own one, their port)."""
+        return sum(1 for session in self._tcp.values()
+                   if session.conn.state == TCPState.TIME_WAIT)
 
     def udp_session_count(self):
         return len(self._udp)

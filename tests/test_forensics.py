@@ -604,6 +604,9 @@ def test_ops_report_prints_record_and_analysis_seconds(capsys):
     assert "s analysing its traces" in out
     # The exchange's library send paths, totalled on one line.
     assert "send path → server: 2 route + 2 ARP RPCs; " in out
+    # Each host's netstat block: TIME_WAIT per stack, forwarded stragglers.
+    assert out.count("TIME_WAIT: os ") == 2
+    assert out.count(" stragglers forwarded") == 2
 
 
 def test_tailstudy_markdown_carries_counts_and_attribution(capsys):

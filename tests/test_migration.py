@@ -3,14 +3,20 @@
 These are the paper's Section 3.2 mechanisms, tested on the library
 placement specifically: sessions migrate out on connect/accept/bind,
 back on fork and close; in-flight data survives; stragglers never draw
-RSTs; dying applications get cleaned up.
+RSTs and are forwarded, not lost; dying applications get cleaned up; a
+churn of connections leaves nothing behind once TIME_WAIT is over.
 """
 
 import pytest
 
 from repro.core.sockets import SOCK_DGRAM, SOCK_STREAM
+from repro.faults import FaultPlan, FaultStage
+from repro.net import ip
 from repro.net.addr import ip_aton
+from repro.net.tcp import output as tcp_output
+from repro.net.tcp.header import ACK, SYN
 from repro.net.tcp.state import TCPState
+from repro.net.tcp.timers import SLOW_TICK_US, TCPTV_MSL
 from repro.world.configs import build_network
 
 IP1 = ip_aton("10.0.0.1")
@@ -317,3 +323,175 @@ def test_proxy_table1_mapping_is_exported():
     assert PROXY_CALL_MAP["socket"] == "proxy_socket"
     assert PROXY_CALL_MAP["fork"] == "proxy_return"
     assert PROXY_CALL_MAP["send/recv (all variants)"] is None
+
+
+# ----------------------------------------------------------------------
+# Connection churn: stragglers, TIME_WAIT, leak-freedom
+# ----------------------------------------------------------------------
+
+CHURN_PORT = 7110
+CHURN_CONNECTIONS = 20
+BANNER = b"220 ready\r\n"
+TWO_MSL_US = 2 * TCPTV_MSL * SLOW_TICK_US
+
+
+@pytest.fixture
+def rto_fired(monkeypatch):
+    """Every TCP retransmission-timer expiry, in any stack."""
+    fired = []
+    real = tcp_output.retransmit_timeout
+
+    def counting(conn):
+        fired.append(conn.local)
+        real(conn)
+
+    monkeypatch.setattr(tcp_output, "retransmit_timeout", counting)
+    return fired
+
+
+def _listen(net, api):
+    def prog():
+        fd = yield from api.socket(SOCK_STREAM)
+        yield from api.bind(fd, CHURN_PORT)
+        yield from api.listen(fd)
+        return fd
+
+    (fd,) = net.run_all([prog()], until=net.sim.now + BOUND)
+    return fd
+
+
+def _churn(net, server, listen_fd, client, banner=False):
+    """CHURN_CONNECTIONS connections in turn against ``listen_fd`` on
+    10.0.0.1: the client speaks first (a 16-byte echo) or, with
+    ``banner``, the server does.  Both ends close at once.  Returns
+    each connection's socket-to-close latency."""
+    sim = net.sim
+
+    def serve():
+        for _ in range(CHURN_CONNECTIONS):
+            cfd, _addr = yield from server.accept(listen_fd)
+            if banner:
+                yield from server.send_all(cfd, BANNER)
+                yield from server.recv_exactly(cfd, 4)
+            else:
+                data = yield from server.recv_exactly(cfd, 16)
+                yield from server.send_all(cfd, data)
+            yield from server.close(cfd)
+
+    def connect():
+        latencies = []
+        for i in range(CHURN_CONNECTIONS):
+            start = sim.now
+            fd = yield from client.socket(SOCK_STREAM)
+            yield from client.connect(fd, (IP1, CHURN_PORT))
+            if banner:
+                assert (yield from client.recv_exactly(fd, len(BANNER))) \
+                    == BANNER
+                yield from client.send_all(fd, b"QUIT")
+            else:
+                payload = bytes([i]) * 16
+                yield from client.send_all(fd, payload)
+                assert (yield from client.recv_exactly(fd, 16)) == payload
+            yield from client.close(fd)
+            latencies.append(sim.now - start)
+        return latencies
+
+    _served, latencies = net.run_all([serve(), connect()],
+                                     until=sim.now + BOUND)
+    return latencies
+
+
+def test_client_first_churn_loses_no_segment_to_migration(world, rto_fired):
+    """The client's first segment reaches the listener's host while the
+    accept-time migration is under way: the listener's server filter
+    takes it, and the child is exported before the server's stack gets
+    to it.  It is forwarded to the child's new app filter, so no
+    connection waits out a retransmission timeout (~1.4 s each)."""
+    net, pa, pb = world
+    api_a, api_b = pa.new_app(), pb.new_app()
+    listen_fd = _listen(net, api_a)
+    latencies = _churn(net, api_a, listen_fd, api_b)
+    assert rto_fired == []
+    assert max(latencies) < 50_000
+    assert pa.server.stack.stragglers_forwarded >= 1
+
+
+class _DuplicateSynAck(FaultStage):
+    """Every SYN-ACK arrives twice, 100 us apart: the copy reaches the
+    connecting host's OS server after its connect-time export."""
+
+    name = "duplicate-syn-ack"
+
+    def transit(self, t, rng, now):
+        frame = t.frame
+        tcp = 14 + 4 * (frame[14] & 0x0F) if len(frame) > 34 else None
+        if (tcp is not None and frame[23] == ip.PROTO_TCP
+                and frame[tcp + 13] & (SYN | ACK) == SYN | ACK):
+            twin = t.copy()
+            twin.delay_us += 100.0
+            return [t, twin]
+        return [t]
+
+
+def test_server_first_churn_forwards_connect_side_stragglers(rto_fired):
+    """Server speaks first (a banner right after accept).  The
+    connecting host's copy of each duplicated SYN-ACK is a straggler of
+    the connect-time export; it goes on to the app like the accept
+    side's, and every banner is read without a retransmission."""
+    net, pa, pb = build_network("library-shm-ipf",
+                                fault_plan=FaultPlan([_DuplicateSynAck()]))
+    api_a, api_b = pa.new_app(), pb.new_app()
+    listen_fd = _listen(net, api_a)
+    latencies = _churn(net, api_a, listen_fd, api_b, banner=True)
+    assert rto_fired == []
+    assert max(latencies) < 50_000
+    assert pb.server.stack.stragglers_forwarded == CHURN_CONNECTIONS
+
+
+def test_time_wait_sessions_keep_no_filter(world):
+    """Both ends close at once, so both hosts hold their sessions in
+    TIME_WAIT; the catch-all filters serve them, the filter list is back
+    at its pre-churn length."""
+    net, pa, pb = world
+    api_a, api_b = pa.new_app(), pb.new_app()
+    listen_fd = _listen(net, api_a)
+    before = [p.host.kernel.filter_count() for p in (pa, pb)]
+    _churn(net, api_a, listen_fd, api_b)
+    net.sim.run(until=net.sim.now + 1_000_000)  # the last teardown
+    assert pa.server.stack.time_wait_count() > CHURN_CONNECTIONS // 2
+    assert pb.server.stack.time_wait_count() > CHURN_CONNECTIONS // 2
+    assert [p.host.kernel.filter_count() for p in (pa, pb)] == before
+
+
+def _census(net, placements):
+    """What every connection borrows and must give back, per host, and
+    the world's live processes."""
+    # Settle the current instant: run_all returns as soon as its last
+    # process finishes, before that process's exit is dispatched.
+    net.sim.run(until=net.sim.now)
+    rows = []
+    for placement in placements:
+        backend = placement._backend
+        libraries = list(getattr(backend, "_apps", {}).values())
+        stacks = [backend.stack] + [lib.stack for lib in libraries]
+        rows.append({
+            "records": len(getattr(backend, "_records", ())),
+            "tombstones": sum(len(stack.migrated) for stack in stacks),
+            "filters": placement.host.kernel.filter_count(),
+            "ports": sum(stack.ports[proto].bound_count()
+                         for stack in stacks for proto in ("tcp", "udp")),
+            "input_threads": sum(lib.input_thread_count()
+                                 for lib in libraries),
+        })
+    return rows, net.sim._live_processes
+
+
+@pytest.mark.parametrize("placement", ["mach25", "ux", "library-shm-ipf"])
+def test_churn_leaves_nothing_behind_after_2msl(placement):
+    net, pa, pb = build_network(placement)
+    api_a, api_b = pa.new_app(), pb.new_app()
+    listen_fd = _listen(net, api_a)
+    after_listen = _census(net, (pa, pb))
+    _churn(net, api_a, listen_fd, api_b)
+    net.sim.run(until=net.sim.now + TWO_MSL_US + 1_000_000)
+    assert _census(net, (pa, pb)) == after_listen

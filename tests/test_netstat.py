@@ -169,6 +169,62 @@ def test_host_report_carries_resource_and_telemetry_blocks():
             in format_report(host_report(pb)))
 
 
+def _churn_world(placement, connections=3, port=7490):
+    """``connections`` client-speaks-first echoes, both ends closing at
+    once, then a second for the last teardown."""
+    net, pa, pb = build_network(placement)
+    api_a = pa.new_app()
+    api_b = pb.new_app()
+    ready = net.sim.event()
+
+    def server():
+        fd = yield from api_a.socket(SOCK_STREAM)
+        yield from api_a.bind(fd, port)
+        yield from api_a.listen(fd)
+        ready.succeed()
+        for _ in range(connections):
+            cfd, _ = yield from api_a.accept(fd)
+            data = yield from api_a.recv_exactly(cfd, 4)
+            yield from api_a.send_all(cfd, data)
+            yield from api_a.close(cfd)
+
+    def client():
+        yield ready
+        for _ in range(connections):
+            fd = yield from api_b.socket(SOCK_STREAM)
+            yield from api_b.connect(fd, (IP1, port))
+            yield from api_b.send_all(fd, b"ping")
+            yield from api_b.recv_exactly(fd, 4)
+            yield from api_b.close(fd)
+
+    net.run_all([server(), client()], until=120_000_000)
+    net.sim.run(until=net.sim.now + 1_000_000)
+    return pa, api_a
+
+
+def test_host_report_counts_time_wait_and_forwarded_stragglers():
+    pa, api_a = _churn_world("library-shm-ipf")
+    report = host_report(pa)
+    app = "app:%s" % api_a.library.name
+    # The closed sessions wait out 2MSL in the server that tore them
+    # down, not in the application that used them.
+    assert report["time_wait"] == {"os": 3, app: 0}
+    # Each client's first segment raced its accept-time migration.
+    assert report["stragglers_forwarded"] >= 1
+    text = format_report(report)
+    assert "TIME_WAIT: os 3, %s 0" % app in text
+    assert "; %d stragglers forwarded" % report["stragglers_forwarded"] \
+        in text
+
+
+def test_in_kernel_host_report_counts_time_wait_in_its_one_stack():
+    pa, _api_a = _churn_world("mach25")
+    report = host_report(pa)
+    assert report["time_wait"] == {"os": 3}
+    assert "stragglers_forwarded" not in report
+    assert "TIME_WAIT: os 3" in format_report(report)
+
+
 def test_in_kernel_host_report_has_no_metastate_block():
     _net, pa, _pb = build_network("mach25")
     pa.new_app()
