@@ -9,6 +9,7 @@ system's observability.
 """
 
 from repro.net.addr import ip_ntoa
+from repro.stack.timewait import TimeWait
 
 
 def _addr(pair):
@@ -27,6 +28,24 @@ def tcp_sessions(stack):
     for (lport, rip, rport), session in sorted(
         stack._tcp.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0)
     ):
+        if isinstance(session, TimeWait):
+            session = session.live or session  # live: taking a segment now
+        if isinstance(session, TimeWait):
+            # A closed connection kept as its TIME_WAIT record.
+            rows.append({
+                "proto": "tcp",
+                "local": _addr((stack.env.local_ip, lport)),
+                "remote": _addr((rip, rport)),
+                "state": session.state.name,
+                "sndq": 0,
+                "rcvq": session.rcvq,
+                "retransmits": session.retransmits,
+                "cwnd": session.cwnd,
+                "ssthresh": session.ssthresh,
+                "srtt": session.srtt,
+                "buffers": session.buffer_levels(),
+            })
+            continue
         conn = session.conn
         rows.append({
             "proto": "tcp",

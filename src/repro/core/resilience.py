@@ -31,6 +31,7 @@ faults disabled.
 from repro.faults.control import LONG_OPS
 from repro.kernel.ipc import ServerCrashed
 from repro.sim.events import any_of
+from repro.sim.process import Timeout
 from repro.core.sockets import SocketError
 
 
@@ -214,8 +215,6 @@ class ResilientCaller:
         return result
 
     def _call(self, ctx, op, args, data, layer, req_id):
-        from repro.sim.process import Timeout
-
         policy = self.policy
         rpc = self.rpc
         deadline_us = policy.deadline_for(op)

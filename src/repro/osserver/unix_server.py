@@ -129,10 +129,10 @@ class UnixServer:
         if old_port is not None:
             # An attached control-fault plan survives the incarnation.
             self._input_port.faults = old_port.faults
-        #: req_id -> (result, reply_len) for completed requests, plus the
-        #: FIFO eviction order; see REPLAY_CACHE_LIMIT.
+        #: req_id -> (result, reply_len) for completed requests, oldest
+        #: first (the dict's insertion order is the FIFO eviction order);
+        #: see REPLAY_CACHE_LIMIT.
         self._replay_cache = {}
-        self._replay_order = []
         #: req_id -> [held duplicate Messages] while the original handler
         #: is still running; they are answered when it completes.
         self._replay_inflight = {}
@@ -277,12 +277,12 @@ class UnixServer:
             self._inflight.pop(message, None)
 
     def _remember_reply(self, rid, result, reply_len):
-        if rid in self._replay_cache:
+        cache = self._replay_cache
+        if rid in cache:
             return
-        if len(self._replay_order) >= REPLAY_CACHE_LIMIT:
-            self._replay_cache.pop(self._replay_order.pop(0), None)
-        self._replay_cache[rid] = (result, reply_len)
-        self._replay_order.append(rid)
+        if len(cache) >= REPLAY_CACHE_LIMIT:
+            del cache[next(iter(cache))]
+        cache[rid] = (result, reply_len)
 
     def _crash_now(self):
         """Serve-fault crash hook: only the restartable NetServer knows

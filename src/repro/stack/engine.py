@@ -28,9 +28,11 @@ from repro.net.tcp.header import SYN, TCPSegment
 from repro.net.tcp.output import rst_for
 from repro.net.tcp.tcb import TCPError
 from repro.net.tcp.timers import FAST_TICK_US, SLOW_TICK_US
+from repro.sim.events import any_of
 from repro.sim.process import Timeout
 from repro.sim.scale import ScaleSimulator
 from repro.stack.instrument import Layer
+from repro.stack.timewait import TimeWait
 from repro.trace import adopt_trace, current_trace
 
 
@@ -98,14 +100,11 @@ class TCPSession:
     __slots__ = ("stack", "conn", "notify", "accept_queue", "backlog",
                  "children", "parent", "selected", "recv_timeout_us",
                  "last_rx_trace", "last_rx_time", "last_tx_trace",
-                 "owns_port", "_detick_slow")
+                 "owns_port", "_detick_slow", "closed", "tw")
 
     def __init__(self, stack, conn, owns_port=True):
         self.stack = stack
         self.conn = conn
-        m = getattr(stack, "metrics", None)
-        if m is not None and m.enabled:
-            m.attach_tcp_probe(conn, stack.name)
         self.notify = Notifier(stack.ctx.sim, "tcp.notify")
         self.accept_queue = []  # completed child sessions (listeners only)
         self.backlog = 0
@@ -131,6 +130,15 @@ class TCPSession:
         #: while enrolled (or on a plain Simulator, which ticks every
         #: session unconditionally).
         self._detick_slow = None
+        #: The owner has called close() (shutdown() leaves it open): no
+        #: one will read or write through this object again, so TIME_WAIT
+        #: may replace it with a :class:`TimeWait` record.
+        self.closed = False
+        #: The TimeWait record that stands for this session in the stack:
+        #: set once it was compacted (a timer pass still holding the
+        #: session ticks the record) or while it is one rebuilt from a
+        #: record to take a segment.
+        self.tw = None
 
     @property
     def local(self):
@@ -139,6 +147,10 @@ class TCPSession:
     @property
     def remote(self):
         return self.conn.remote
+
+    @property
+    def state(self):
+        return self.conn.state
 
     def __repr__(self):
         return "<TCPSession %s:%d %s>" % (*self.conn.local, self.conn.state.name)
@@ -300,6 +312,7 @@ class TCPSession:
 
     def close(self):
         """Close (FIN); does not linger for the handshake to finish."""
+        self.closed = True
         self.conn.close()
         yield from self.stack._tcp_drain(self)
         self.stack._maybe_reap(self)
@@ -485,7 +498,9 @@ class NetworkStack:
         self.shared_buffers = shared_buffers
         self.tcp_defaults = tcp_defaults or {}
         self.ports = {"tcp": PortManager("tcp"), "udp": PortManager("udp")}
-        self._tcp = {}  # (lport, rip, rport) -> TCPSession; listeners (lport, None, None)
+        #: (lport, rip, rport) -> TCPSession, or the TimeWait record of a
+        #: closed one; listeners under (lport, None, None).
+        self._tcp = {}
         self._udp = {}
         self.mbuf_stats = MbufStats()
         self.reassembler = ip.Reassembler(lambda: ctx.sim.now)
@@ -552,7 +567,15 @@ class NetworkStack:
         conn = TCPConnection(
             (self.env.local_ip, local_port), config=config or self.tcp_config()
         )
-        return TCPSession(self, conn)
+        return self._session(conn)
+
+    def _session(self, conn, owns_port=True):
+        """A new session over ``conn``, probed while the metrics registry
+        is enabled."""
+        m = self.metrics
+        if m is not None and m.enabled:
+            m.attach_tcp_probe(conn, self.name)
+        return TCPSession(self, conn, owns_port)
 
     def _trace_send_entry(self, size):
         """Start a "send" trace for callers that entered the stack
@@ -568,8 +591,6 @@ class NetworkStack:
         if deadline is None:
             yield notifier.wait()
             return
-        from repro.sim.events import any_of
-
         remaining = deadline - self.ctx.sim.now
         if remaining <= 0:
             raise SocketTimeout("receive timed out")
@@ -592,8 +613,8 @@ class NetworkStack:
         an idle connection, and tcp_output's idle-restart of the
         congestion window depends on it."""
         armed = self._armed
-        if armed is None or session in armed:
-            return
+        if armed is None or session in armed or session.tw is not None:
+            return  # (one with a TimeWait record is enrolled as the record)
         detick = session._detick_slow
         if detick is not None:
             session.conn.t_idle += self._slow_ticks - detick
@@ -625,7 +646,7 @@ class NetworkStack:
         """Import a migrated TCP session into this stack (Section 3.2)."""
         conn = TCPConnection((0, 0), config=config or self.tcp_config())
         conn.import_state(state)
-        session = TCPSession(self, conn, owns_port=False)
+        session = self._session(conn, owns_port=False)
         self.clear_tombstone(conn.local[1], conn.remote)
         self._register(session)
         return session
@@ -660,12 +681,49 @@ class NetworkStack:
         """Deregister sessions that reached CLOSED."""
         if session.conn.state == TCPState.CLOSED:
             self._deregister(session)
-            if session.owns_port:
-                session.owns_port = False
-                try:
-                    self.ports["tcp"].release(self.env.local_ip, session.local[1])
-                except KeyError:
-                    pass  # already released
+            self._release_port(session, session.local[1])
+
+    def _release_port(self, entry, lport):
+        if entry.owns_port:
+            entry.owns_port = False
+            try:
+                self.ports["tcp"].release(self.env.local_ip, lport)
+            except KeyError:
+                pass  # already released
+
+    def _compact(self, session):
+        """Replace a closed TIME_WAIT session by its :class:`TimeWait`
+        record — or hand a revived one back to the record it came from."""
+        record = session.tw
+        if record is not None:
+            record.capture(session)
+            return
+        record = session.tw = TimeWait(session)
+        self._tcp[(record.lport, record.rip, record.rport)] = record
+        armed = self._armed
+        if armed is not None:
+            # The record takes the session's place in the tick order.
+            entries = list(armed)
+            armed.clear()
+            for entry in entries:
+                armed[record if entry is session else entry] = True
+
+    def _revive(self, record):
+        """The whole session a TimeWait record stands for, to take one
+        segment (``record.live`` until :meth:`_compact` hands it back).
+        Not a new session: no tcp_probe is attached."""
+        session = record.live = TCPSession(
+            self, record.connection(self.env.local_ip),
+            owns_port=record.owns_port)
+        session.closed = True
+        session.selected = record.selected
+        session.tw = record
+        return session
+
+    def _retire(self, record):
+        """Reap a TimeWait record whose 2MSL expired."""
+        self._tcp.pop((record.lport, record.rip, record.rport), None)
+        self._release_port(record, record.lport)
 
     # ------------------------------------------------------------------
 
@@ -821,6 +879,8 @@ class NetworkStack:
                 packed = rst.pack(self.env.local_ip, header.src)
                 yield from self.ip_output(ip.PROTO_TCP, header.src, packed)
             return
+        if session.__class__ is TimeWait:
+            session = session.live or self._revive(session)
         conn = session.conn
         was_listener = conn.state == TCPState.LISTEN
         sim = self.ctx.sim
@@ -837,6 +897,8 @@ class NetworkStack:
         self._promote_child(session)
         if conn.state == TCPState.CLOSED:
             self._maybe_reap(session)
+        elif conn.state == TCPState.TIME_WAIT and TimeWait.fits(session):
+            self._compact(session)
 
     def _tcp_demux(self, src_ip, seg):
         """Find the session for a segment: exact 4-tuple, then listener."""
@@ -870,7 +932,7 @@ class NetworkStack:
             ),
         )
         child_conn.open_passive()
-        child = TCPSession(self, child_conn, owns_port=False)
+        child = self._session(child_conn, owns_port=False)
         child.parent = listener
         listener.children[(src_ip, seg.src_port)] = child
         return child
@@ -993,8 +1055,6 @@ class NetworkStack:
         killed the TTL — the traceroute signal), "unreachable", or
         "timeout".  ``reporter_ip`` identifies who answered.
         """
-        from repro.sim.events import any_of
-
         self._ping_ident = (self._ping_ident + 1) & 0xFFFF
         key = (self._ping_ident, 1)
         request = icmp.ICMPMessage.echo_request(
@@ -1081,51 +1141,90 @@ class NetworkStack:
                 m = self.metrics
                 if m is not None and m.enabled:
                     m.sample()
-            armed = self._armed
-            sessions = list(self._tcp.values()) if armed is None else list(armed)
-            tracer = self.ctx.accounting.tracer
-            trace_rexmt = tracer is not None and tracer.enabled
-            for session in sessions:
-                conn = session.conn
+            yield from self._tick_sessions(slow)
+
+    def _tick_sessions(self, slow):
+        """One timer pass over a snapshot of the sessions.
+
+        The snapshot lives in this frame, not the timer loop's: a session
+        reaped or compacted during the pass must not stay reachable from
+        the loop's suspended frame until the next tick."""
+        armed = self._armed
+        sessions = list(self._tcp.values()) if armed is None else list(armed)
+        tracer = self.ctx.accounting.tracer
+        trace_rexmt = tracer is not None and tracer.enabled
+        for session in sessions:
+            # A TimeWait record, or a session compacted into one since
+            # the snapshot: the record is what this pass ticks — or the
+            # session it is revived as while it takes a segment.
+            record = session if session.__class__ is TimeWait else session.tw
+            if record is not None:
+                if record.live is None:
+                    self._tick_time_wait(record, slow)
+                    continue
+                session = record.live
+            slot = session if record is None else record  # armed's key
+            conn = session.conn
+            if conn.state == TCPState.CLOSED:
+                self._maybe_reap(session)
+                if armed is not None:
+                    armed.pop(slot, None)
+                    session._detick_slow = None
+                continue
+            conn.tick_fast()
+            if slow:
+                if trace_rexmt and session.last_tx_trace is not None:
+                    # Observe an RTO episode: if this slow tick fires the
+                    # retransmit timer, the interval the sender just sat
+                    # out (approximated by the pre-backoff RTO) is
+                    # loss-recovery time on the last traced outbound
+                    # segment's request.  Pure observation — tick_slow
+                    # runs identically either way.
+                    before = conn.stats.retransmits
+                    rto_us = conn.rtt.rto_ticks() * SLOW_TICK_US
+                    conn.tick_slow()
+                    if conn.stats.retransmits > before:
+                        now = self.ctx.sim.now
+                        tracer.record_wait(
+                            session.last_tx_trace, self.name,
+                            "tcp_rexmt", "loss-recovery",
+                            now - rto_us, rto_us)
+                else:
+                    conn.tick_slow()
+            if conn.has_output():
+                yield from self._tcp_drain(session)
+                yield from self._wake(session.notify, session.selected)
+            elif slow and conn.state == TCPState.CLOSED:
+                yield from self._wake(session.notify, session.selected)
+            if armed is not None:
                 if conn.state == TCPState.CLOSED:
                     self._maybe_reap(session)
-                    if armed is not None:
-                        armed.pop(session, None)
-                        session._detick_slow = None
-                    continue
-                conn.tick_fast()
-                if slow:
-                    if trace_rexmt and session.last_tx_trace is not None:
-                        # Observe an RTO episode: if this slow tick fires
-                        # the retransmit timer, the interval the sender
-                        # just sat out (approximated by the pre-backoff
-                        # RTO) is loss-recovery time on the last traced
-                        # outbound segment's request.  Pure observation —
-                        # tick_slow runs identically either way.
-                        before = conn.stats.retransmits
-                        rto_us = conn.rtt.rto_ticks() * SLOW_TICK_US
-                        conn.tick_slow()
-                        if conn.stats.retransmits > before:
-                            now = self.ctx.sim.now
-                            tracer.record_wait(
-                                session.last_tx_trace, self.name,
-                                "tcp_rexmt", "loss-recovery",
-                                now - rto_us, rto_us)
-                    else:
-                        conn.tick_slow()
-                if conn.has_output():
-                    yield from self._tcp_drain(session)
-                    yield from self._wake(session.notify, session.selected)
-                elif slow and conn.state == TCPState.CLOSED:
-                    yield from self._wake(session.notify, session.selected)
+                    armed.pop(slot, None)
+                    session._detick_slow = None
+                elif slow and not self._needs_ticks(conn):
+                    armed.pop(slot, None)
+                    session._detick_slow = self._slow_ticks
+
+    def _tick_time_wait(self, record, slow):
+        """A record's part of a timer pass: what ``tick_slow``, the wakeup
+        and the reap do to a whole session in TIME_WAIT (its fast tick,
+        idle count and notifier have no one left to observe them)."""
+        armed = self._armed
+        if not record.ticks:
+            # Expired on an earlier pass (plain Simulator): reaped now,
+            # like a whole session the pass finds CLOSED.
+            self._retire(record)
+            if armed is not None:
+                armed.pop(record, None)
+            return
+        if slow:
+            record.ticks -= 1
+            if not record.ticks:
+                if record.selected:
+                    self.select_notify.fire()
                 if armed is not None:
-                    if conn.state == TCPState.CLOSED:
-                        self._maybe_reap(session)
-                        armed.pop(session, None)
-                        session._detick_slow = None
-                    elif slow and not self._needs_ticks(conn):
-                        armed.pop(session, None)
-                        session._detick_slow = self._slow_ticks
+                    self._retire(record)
+                    armed.pop(record, None)
 
     # ==================================================================
     # Introspection
@@ -1135,10 +1234,10 @@ class NetworkStack:
         return len(self._tcp)
 
     def time_wait_count(self):
-        """Sessions waiting out 2MSL (they still hold a demux entry and,
-        if they own one, their port)."""
-        return sum(1 for session in self._tcp.values()
-                   if session.conn.state == TCPState.TIME_WAIT)
+        """Sessions waiting out 2MSL, whole or as TimeWait records (they
+        still hold a demux entry and, if they own one, their port)."""
+        return sum(1 for entry in self._tcp.values()
+                   if entry.state == TCPState.TIME_WAIT)
 
     def udp_session_count(self):
         return len(self._udp)

@@ -16,6 +16,7 @@ from repro.hw.nic import LANCE, NIC
 from repro.net import arp, ethernet, icmp, ip
 from repro.net.addr import BROADCAST_MAC, ip_aton, make_mac
 from repro.net.routing import RouteTable
+from repro.sim.events import any_of
 from repro.stack.context import ExecutionContext
 from repro.stack.instrument import Layer
 from repro.trace import adopt_trace, frame_trace
@@ -210,8 +211,6 @@ class Router:
         yield from iface.nic.start_transmit(frame)
 
     def _resolve(self, iface, next_hop, tries=3, wait_us=500_000.0):
-        from repro.sim.events import any_of
-
         mac = iface.arp_cache.lookup(next_hop)
         if mac is not None:
             return mac

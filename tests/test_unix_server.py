@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.sockets import SOCK_DGRAM, SOCK_STREAM, SocketError
 from repro.net.addr import ip_aton
+from repro.osserver.unix_server import REPLAY_CACHE_LIMIT
 from repro.world.configs import build_network
 
 IP1 = ip_aton("10.0.0.1")
@@ -104,6 +105,36 @@ def test_server_rpc_counts_accumulate(ux_world):
         return rpc.calls - before
 
     assert net.run_all([prog()], until=BOUND)[0] == 3
+
+
+def test_replay_cache_evicts_oldest_first(ux_world):
+    """The replay cache holds the last REPLAY_CACHE_LIMIT replies: once
+    one more request has completed, a duplicate of the oldest runs again
+    (a fresh descriptor), a duplicate of the newest is replayed."""
+    net, pa, _pb = ux_world
+    api = pa.new_app()
+    server = pa.server
+
+    def socket(i):
+        handle = yield from server.rpc.call(
+            api.ctx, "socket", args=(SOCK_DGRAM,), req_id=("evict", i))
+        return handle
+
+    def prog():
+        handles = []
+        for i in range(REPLAY_CACHE_LIMIT + 1):
+            handles.append((yield from socket(i)))
+        replays = server.replays_served
+        oldest = yield from socket(0)
+        newest = yield from socket(REPLAY_CACHE_LIMIT)
+        return handles, oldest, newest, server.replays_served - replays
+
+    handles, oldest, newest, replayed = net.run_all([prog()], until=BOUND)[0]
+    assert len(set(handles)) == len(handles)
+    assert oldest not in handles  # evicted: executed again
+    assert newest == handles[-1]  # cached: the original reply
+    assert replayed == 1
+    assert len(server._replay_cache) == REPLAY_CACHE_LIMIT
 
 
 def test_udp_data_path_goes_through_server(ux_world):
