@@ -186,19 +186,20 @@ def collect_metrics_block(config_key="library-shm-ipf", platform="decstation",
     """
     from repro.analysis.timeseries import probe_summary
     from repro.apps.ttcp import ttcp
+    from repro.metrics.registry import state_cell_block
     from repro.world.configs import CONFIGS, build_network
 
     net, src, dst = build_network(config_key, platform=platform)
     net.metrics.enable()
     result = ttcp(net, src, dst, total_bytes=total_bytes,
                   rcvbuf_kb=CONFIGS[config_key].best_rcvbuf_kb)
-    snap = net.metrics.snapshot()
+    block = state_cell_block(net.metrics.export_state())
     return {
         "config": config_key,
         "throughput_kbs": result.throughput_kbs,
         "tcp_probes": probe_summary(net.metrics),
-        "rtt_ticks": snap["histograms"].get("tcp.rtt_ticks"),
-        "gauges": snap["gauges"],
+        "rtt_ticks": block["histograms"].get("tcp.rtt_ticks"),
+        "gauges": block["pull"],
     }
 
 

@@ -7,8 +7,9 @@ this module explains *why*.  Given a selective
 :class:`~repro.trace.request.RequestTracer` that drove it through one
 workload run, it:
 
-* groups every retained CPU span and wait span under the workload
-  request it served (via the tracer's trace-id → request-id binding),
+* groups every retained span of the recorder's one ring — CPU
+  (``service``) spans and waits alike — under the workload request it
+  served (via the tracer's trace-id → request-id binding),
 * computes each completed request's **critical path** — a partition of
   its end-to-end interval ``[t0, t1]`` into non-overlapping segments,
   each blamed on one ``(layer, cause)``,
@@ -48,20 +49,22 @@ the request's own spans cost; ``tailstudy`` reports it per cell as
 ``analysis_seconds`` next to the recording's ``wallclock_seconds``.
 
 Determinism: everything here is pure arithmetic over the recorder's
-rings with sorted, explicitly tie-broken orderings — same seed, same
-rings, same JSON bytes.
+ring with sorted, explicitly tie-broken orderings — same seed, same
+ring, same JSON bytes.
 """
 
 from fractions import Fraction
 from itertools import chain
 from math import lcm
 
+from repro.trace.recorder import SERVICE
+
 #: Critical-path blame priority (lower wins when intervals overlap).
 CAUSE_PRIORITY = {
     "loss-recovery": 0,
     "contention": 1,
     "queue": 2,
-    "service": 3,
+    SERVICE: 3,
     "control-plane": 4,
 }
 
@@ -73,20 +76,16 @@ _TRANSIT_BLAME = ("wire",) + TRANSIT
 
 
 def _span_key(span):
-    return (span.start, span.cost, span.owner, span.layer, span.trace_id)
-
-
-def _wait_key(wait):
-    return (wait.start, wait.cost, wait.owner, wait.layer, wait.kind,
-            wait.trace_id)
+    return (span.start, span.cost, span.owner, span.layer, span.kind,
+            span.trace_id)
 
 
 def collect_request_spans(tracer, request_tracer):
-    """Group retained spans/waits by request id.
+    """Group retained spans by request id, split by kind.
 
     Returns ``{req_id: (cpu_spans, wait_spans)}`` with each request's
     lists in *canonical content order* — sorted by ``(start, cost,
-    owner, layer, [kind,] trace_id)`` rather than raw ring order.  Ring
+    owner, layer, kind, trace_id)`` rather than raw ring order.  Ring
     order is backend-dependent: a run merged from island processes
     interleaves per-island rings, and same-tick spans from different
     islands have no meaningful relative order.  Sorting by content in
@@ -99,14 +98,11 @@ def collect_request_spans(tracer, request_tracer):
     for span in tracer.spans:
         req = tid_to_req.get(span.trace_id)
         if req is not None:
-            grouped.setdefault(req, ([], []))[0].append(span)
-    for wait in tracer.waits:
-        req = tid_to_req.get(wait.trace_id)
-        if req is not None:
-            grouped.setdefault(req, ([], []))[1].append(wait)
+            cpu_spans, wait_spans = grouped.setdefault(req, ([], []))
+            (cpu_spans if span.kind == SERVICE else wait_spans).append(span)
     for cpu_spans, wait_spans in grouped.values():
         cpu_spans.sort(key=_span_key)
-        wait_spans.sort(key=_wait_key)
+        wait_spans.sort(key=_span_key)
     return grouped
 
 
@@ -128,9 +124,9 @@ def critical_path(cpu_spans, wait_spans, t0, t1):
     through a path-compressed "next unpainted interval" index, so no
     interval is visited by more than one painter.
     """
-    service = CAUSE_PRIORITY["service"]
+    service = CAUSE_PRIORITY[SERVICE]
     unknown = len(CAUSE_PRIORITY)
-    blames = [(service, (span.owner, span.layer, "service"))
+    blames = [(service, (span.owner, span.layer, SERVICE))
               for span in cpu_spans]
     blames += [(CAUSE_PRIORITY.get(wait.kind, unknown),
                 (wait.owner, wait.layer, wait.kind)) for wait in wait_spans]
@@ -324,7 +320,6 @@ def cell_forensics(tracer, request_tracer, p99_us=None, exemplar_cap=3):
         "sampled_completed": request_tracer.sampled_completed,
         "sampled_censored": request_tracer.sampled_censored,
         "spans_evicted": tracer.spans_evicted,
-        "waits_evicted": tracer.waits_evicted,
         "lossy": tracer.lossy,
         "attribution_exact": all_exact,
         "attribution": {

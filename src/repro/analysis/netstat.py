@@ -119,7 +119,6 @@ def host_report(placement):
         ],
         "frames_demuxed": kernel.frames_demuxed,
         "frames_unmatched": kernel.frames_dropped_no_match,
-        "cpu_busy_us": host.cpu.busy_time,
         "cpu": host.cpu.snapshot(),
         "nic": {
             "frames_sent": host.nic.frames_sent,
@@ -133,18 +132,13 @@ def host_report(placement):
         report["tracer"] = {
             "enabled": tracer.enabled,
             "spans_recorded": tracer.spans_recorded,
-            "spans_retained": len(tracer.spans),
             "spans_evicted": tracer.spans_evicted,
-            "waits_recorded": tracer.waits_recorded,
-            "waits_evicted": tracer.waits_evicted,
         }
-    metrics = getattr(host, "metrics", None)
-    if metrics is not None:
-        report["metrics"] = {
-            "enabled": metrics.enabled,
-            "registered": len(metrics),
-            "tcp_probes": len(metrics.tcp_probes),
-        }
+    report["metrics"] = {
+        "enabled": host.metrics.enabled,
+        "registered": len(host.metrics),
+        "tcp_probes": len(host.metrics.tcp_probes),
+    }
     if hasattr(backend, "migrations_out"):
         report["migrations_out"] = backend.migrations_out
         report["migrations_in"] = backend.migrations_in
@@ -351,24 +345,20 @@ def format_report(report):
                  "%d dropped (ring overrun)"
                  % (nic["frames_sent"], nic["frames_received"],
                     nic["frames_filtered"], nic["frames_dropped"]))
-    if "tracer" in report or "metrics" in report:
-        tracer = report.get("tracer")
-        metrics = report.get("metrics")
-        parts = []
-        if tracer is not None:
-            part = ("tracer %s (%d spans)"
-                    % ("on" if tracer["enabled"] else "off",
-                       tracer["spans_recorded"]))
-            evicted = (tracer.get("spans_evicted", 0)
-                       + tracer.get("waits_evicted", 0))
-            if evicted:
-                part += " LOSSY: %d evicted" % evicted
-            parts.append(part)
-        if metrics is not None:
-            parts.append("metrics %s (%d registered, %d tcp probes)"
-                         % ("on" if metrics["enabled"] else "off",
-                            metrics["registered"], metrics["tcp_probes"]))
-        lines.append("Telemetry: " + ", ".join(parts))
+    parts = []
+    tracer = report.get("tracer")
+    if tracer is not None:
+        part = ("tracer %s (%d spans)"
+                % ("on" if tracer["enabled"] else "off",
+                   tracer["spans_recorded"]))
+        if tracer["spans_evicted"]:
+            part += " LOSSY: %d evicted" % tracer["spans_evicted"]
+        parts.append(part)
+    metrics = report["metrics"]
+    parts.append("metrics %s (%d registered, %d tcp probes)"
+                 % ("on" if metrics["enabled"] else "off",
+                    metrics["registered"], metrics["tcp_probes"]))
+    lines.append("Telemetry: " + ", ".join(parts))
     if "migrations_out" in report:
         lines.append("")
         lines.append("Session migrations: %d out to applications, %d back; "

@@ -116,7 +116,6 @@ def telemetry_health(cell):
             "requests_sampled": block["requests_sampled"],
             "sampled_completed": block["sampled_completed"],
             "spans_evicted": block["spans_evicted"],
-            "waits_evicted": block["waits_evicted"],
             "lossy": block["lossy"],
             "attribution_exact": block["attribution_exact"],
         },
@@ -207,10 +206,9 @@ def ops_markdown(report):
         "%s %s us" % (name, latency[name]) for name in sorted(latency)))
     tracer = tele["tracer"]
     lines.append("- tracer: %d/%d requests sampled, %d sampled "
-                 "completed; %d span + %d wait evictions%s%s"
+                 "completed; %d spans evicted%s%s"
                  % (tracer["requests_sampled"], tracer["requests_seen"],
                     tracer["sampled_completed"], tracer["spans_evicted"],
-                    tracer["waits_evicted"],
                     " [LOSSY]" if tracer["lossy"] else "",
                     "" if tracer["attribution_exact"]
                     else " (attribution approximate)"))

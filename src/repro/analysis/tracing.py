@@ -2,9 +2,10 @@
 
 :mod:`repro.stack.instrument` accumulates per-layer CPU time in ledgers;
 the :class:`~repro.trace.recorder.TraceRecorder` mirrors every one of
-those charges as a per-packet span.  Folding the span stream back down
-must therefore reproduce the ledgers *tick for tick* — same floats, same
-addition order.  This module provides that fold, the crosscheck that
+those charges as a per-packet ``service`` span, in the same ring as the
+packet's waits.  Folding the service spans back down must therefore
+reproduce the ledgers *tick for tick* — same floats, same addition
+order.  This module provides that fold, the crosscheck that
 enforces the invariant, and a breakdown runner that derives the paper's
 Table 4 from real packet timelines instead of the raw ledgers.
 """
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.apps.protolat import protolat
 from repro.stack.instrument import Layer
+from repro.trace.recorder import SERVICE
 from repro.world.configs import build_network
 
 #: Span capacity used for breakdown runs: large enough that a full
@@ -90,7 +92,7 @@ class TraceBreakdown:
     breakdown: dict = field(default_factory=dict)
     #: owner -> {layer: total us} — the full fold, all ledgers.
     fold: dict = field(default_factory=dict)
-    #: Spans folded (steady-state window only).
+    #: Service spans folded (steady-state window only).
     spans: int = 0
     #: Per-packet traces observed in the window.
     traces: int = 0
@@ -160,7 +162,7 @@ def run_traced_breakdown(config_key, proto, message_size,
         rounds=result.rounds,
         breakdown=breakdown,
         fold=fold,
-        spans=recorded,
+        spans=sum(1 for span in tracer.spans if span.kind == SERVICE),
         traces=tracer.traces_started - window["base_traces"],
         rtt=result,
     )

@@ -81,7 +81,7 @@ class ProtocolLibrary:
             udp_send_copies=False,  # the library references user data
             shared_buffers=shared_buffers,
             tcp_defaults=tcp_defaults,
-            metrics=getattr(host, "metrics", None),
+            metrics=host.metrics,
         )
         self._input_threads = {}
         #: sid -> kernel FilterHandle for this app's app-managed sessions.

@@ -81,11 +81,6 @@ class Gauge:
         self.samples.append((self._now(), value))
         self.recorded += 1
 
-    def sample(self):
-        """Pull gauges: read the callable and record its value."""
-        if self.fn is not None:
-            self.record(self.fn())
-
     def snapshot(self, island=0):
         """Mergeable state: every sample carries ``(island, seq)``
         provenance so merges are deterministic and order-insensitive."""
@@ -601,24 +596,6 @@ class MetricsRegistry:
                 continue
             metrics[name] = self._metrics[name].snapshot(island)
         return {"islands": [island], "metrics": metrics}
-
-    def snapshot(self):
-        """A structured, name-sorted snapshot of current levels (takes a
-        final pull sample first; see :meth:`series`)."""
-        self.sample()
-        out = {"enabled": self.enabled, "counters": {}, "gauges": {},
-               "histograms": {}, "series_samples": {}}
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if isinstance(metric, Counter):
-                out["counters"][name] = metric.value
-            elif isinstance(metric, Gauge):
-                out["gauges"][name] = metric.value
-            elif isinstance(metric, Histogram):
-                out["histograms"][name] = metric.snapshot()
-            elif isinstance(metric, TimeSeries):
-                out["series_samples"][name] = metric.recorded
-        return out
 
     def __repr__(self):
         return "<MetricsRegistry %s, %d metrics>" % (

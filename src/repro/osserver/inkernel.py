@@ -47,7 +47,7 @@ class InKernelNetwork:
             name="%s.kstack" % host.name,
             udp_send_copies=True,
             tcp_defaults=tcp_defaults,
-            metrics=getattr(host, "metrics", None),
+            metrics=host.metrics,
         )
         self._input = Channel(sim, name="%s.netisr" % host.name)
         # One filter per protocol catches all traffic for the host;

@@ -9,11 +9,9 @@ package — the two effects Table 4 charges the server placement for.
 """
 
 import random
-from collections import deque
 from itertools import count
 
 from repro.filter.compile import compile_ip_protocol_filter
-from repro.metrics.registry import Histogram
 from repro.hw.cpu import Priority
 from repro.kernel.ipc import MessagePort, RPCPort
 from repro.kernel.kernel import IPCDelivery
@@ -47,7 +45,8 @@ REPLAY_CACHE_LIMIT = 512
 #: reply-ready) earns an entry in the bounded slow-op log.
 SLOW_OP_US = 5_000.0
 
-#: Slow-op log capacity: newest entries win, flight-recorder style.
+#: Slow-op log entries a health snapshot shows: the newest win,
+#: flight-recorder style.
 SLOW_OP_LOG = 32
 
 
@@ -90,16 +89,18 @@ class UnixServer:
         self.duplicates_held = 0
         self.ops_stalled = 0
         self.ops_failed = 0
-        #: Per-op service latency (dispatch to reply-ready): one
-        #: log-bucket histogram per RPC op, plus a bounded ring of the
-        #: slowest recent ops.  Cumulative across restarts, like the
-        #: counters above; replayed duplicates are not re-counted.
+        #: Per-op service latency (dispatch to reply-ready) and the
+        #: slow-op log, as instruments of the host's metrics registry:
+        #: one histogram ``<server>.rpc.op.<op>`` per RPC op (op ->
+        #: histogram here, fetched once) and the series
+        #: ``<server>.rpc.slow_ops``.  They record whether or not the
+        #: registry is enabled and are cumulative across restarts, like
+        #: the counters above; replayed duplicates are not re-counted.
         self.op_latency = {}
-        self.slow_ops = deque(maxlen=SLOW_OP_LOG)
+        self.slow_ops = host.metrics.timeseries(
+            "%s.rpc.slow_ops" % self.name, ("op", "us"))
         self._boot()
-        metrics = getattr(host, "metrics", None)
-        if metrics is not None:
-            metrics.observe_server(self)
+        host.metrics.observe_server(self)
 
     def _boot(self):
         """Build one server incarnation: stack, descriptor space, packet
@@ -120,7 +121,7 @@ class UnixServer:
             name=self.name,
             udp_send_copies=True,
             tcp_defaults=self._tcp_defaults,
-            metrics=getattr(host, "metrics", None),
+            metrics=host.metrics,
         )
         self.fds = FDTable(first_fd=1000)  # server-side descriptor space
         self.layer = SocketLayer(self.stack, self.fds)
@@ -251,10 +252,12 @@ class UnixServer:
             elapsed = self.host.sim.now - t0
             hist = self.op_latency.get(message.op)
             if hist is None:
-                hist = self.op_latency[message.op] = Histogram(message.op)
+                name = "%s.rpc.op.%s" % (self.name, message.op)
+                hist = self.op_latency[message.op] = (
+                    self.host.metrics.histogram(name))
             hist.observe(elapsed)
             if elapsed >= SLOW_OP_US and message.op not in self.SLOW_OP_EXEMPT:
-                self.slow_ops.append((t0, message.op, elapsed))
+                self.slow_ops.append(t0, message.op, elapsed)
             if crash_after == "after":
                 # Side effects done, reply lost: the at-least-once window
                 # that the replay/re-registration machinery must cover.
@@ -425,7 +428,8 @@ class UnixServer:
                 for op, hist in sorted(self.op_latency.items())
             },
             "slow_ops": [{"t_us": t, "op": op, "us": elapsed}
-                         for t, op, elapsed in self.slow_ops],
+                         for t, op, elapsed
+                         in list(self.slow_ops.samples)[-SLOW_OP_LOG:]],
         }
 
     # ------------------------------------------------------------------

@@ -339,9 +339,8 @@ class UDPSession:
         #: Telemetry hook (receive-queue occupancy, bytes); bound by the
         #: metrics registry when enabled, else None.
         self.depth_gauge = None
-        m = getattr(stack, "metrics", None)
-        if m is not None and m.enabled:
-            m.attach_udp_gauge(self, stack.name)
+        if stack.metrics.enabled:
+            stack.metrics.attach_udp_gauge(self, stack.name)
 
     def enqueue(self, src_addr, payload, trace=None):
         if self.queued_bytes + len(payload) > self.hiwat:
@@ -484,13 +483,13 @@ class UDPSession:
 class NetworkStack:
     """TCP/UDP/IP protocol machinery bound to one execution context."""
 
-    def __init__(self, ctx, env, name="", udp_send_copies=True,
-                 shared_buffers=False, tcp_defaults=None, metrics=None):
+    def __init__(self, ctx, env, metrics, name="", udp_send_copies=True,
+                 shared_buffers=False, tcp_defaults=None):
         self.ctx = ctx
         self.env = env
         self.name = name
-        #: The world's MetricsRegistry (or None).  Sessions created on
-        #: this stack attach their telemetry through it when enabled.
+        #: The host's MetricsRegistry.  Sessions created on this stack
+        #: attach their telemetry through it when enabled.
         self.metrics = metrics
         #: False models the library's reference-passing UDP send path.
         self.udp_send_copies = udp_send_copies
@@ -572,9 +571,8 @@ class NetworkStack:
     def _session(self, conn, owns_port=True):
         """A new session over ``conn``, probed while the metrics registry
         is enabled."""
-        m = self.metrics
-        if m is not None and m.enabled:
-            m.attach_tcp_probe(conn, self.name)
+        if self.metrics.enabled:
+            self.metrics.attach_tcp_probe(conn, self.name)
         return TCPSession(self, conn, owns_port)
 
     def _trace_send_entry(self, size):
@@ -638,9 +636,20 @@ class NetworkStack:
         self._arm(session)
 
     def _deregister(self, session):
+        """Remove a session from this stack: from its demux table and,
+        in scale mode, from the tick registry, where it may stand as its
+        TimeWait record.  A session left there keeps ticking: an
+        exported one sends stale ACKs, and a reaped one is reaped again
+        on the next tick, taking the demux entry of whatever connection
+        has reused its 4-tuple since."""
         lport = session.local[1]
         rip, rport = session.remote if session.remote else (None, None)
         self._tcp.pop((lport, rip, rport), None)
+        armed = self._armed
+        if armed is not None:
+            armed.pop(session, None)
+            if session.tw is not None:
+                armed.pop(session.tw, None)
 
     def adopt_tcp_state(self, state, config=None):
         """Import a migrated TCP session into this stack (Section 3.2)."""
@@ -1138,9 +1147,7 @@ class NetworkStack:
                 # sampled here without any dedicated simulation process.
                 # Every stack's timer loop ticks at the same instants, so
                 # the registry dedupes by simulated time.
-                m = self.metrics
-                if m is not None and m.enabled:
-                    m.sample()
+                self.metrics.sample()
             yield from self._tick_sessions(slow)
 
     def _tick_sessions(self, slow):

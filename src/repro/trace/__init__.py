@@ -1,4 +1,5 @@
-"""Per-packet event tracing (see :mod:`repro.trace.recorder`).
+"""Per-packet event tracing: one ring of CPU and wait spans (see
+:mod:`repro.trace.recorder`).
 
 Layer code uses the tiny helpers here so call sites stay one-liners and
 cost nothing when tracing is off:
@@ -17,7 +18,6 @@ from repro.trace.recorder import (
     TaggedFrame,
     TraceMeta,
     TraceRecorder,
-    WaitSpan,
     frame_trace,
 )
 from repro.trace.request import RequestRecord, RequestTracer
@@ -29,7 +29,6 @@ __all__ = [
     "TaggedFrame",
     "TraceMeta",
     "TraceRecorder",
-    "WaitSpan",
     "adopt_trace",
     "begin_send_trace",
     "chrome_trace",

@@ -10,9 +10,20 @@ Two formats:
 * :func:`text_timeline` — a plain-text timeline of a single packet for
   terminal debugging, one line per span with absolute and relative
   timestamps.
+
+Both read the recorder's one ring: a wait span is labelled
+``layer [kind]`` next to the CPU spans (whose kind is ``service``).
 """
 
 import json
+
+from repro.trace.recorder import SERVICE
+
+
+def _label(span):
+    if span.kind == SERVICE:
+        return span.layer
+    return "%s [%s]" % (span.layer, span.kind)
 
 
 def chrome_trace(recorder, trace_id=None, metrics=None):
@@ -29,7 +40,7 @@ def chrome_trace(recorder, trace_id=None, metrics=None):
         if trace_id is not None and span.trace_id != trace_id:
             continue
         events.append({
-            "name": span.layer,
+            "name": _label(span),
             "cat": "packet" if span.trace_id is not None else "untraced",
             "ph": "X",
             "ts": span.start,
@@ -57,6 +68,8 @@ def text_timeline(recorder, trace_id):
           t=1240.800  +6.800   client/library-shm     udp_output       18.300us
           ...
         total attributed CPU: 110.400us across 9 spans
+
+    Waits are listed in place but do not count toward the CPU total.
     """
     spans = recorder.trace(trace_id)
     meta = recorder.meta(trace_id)
@@ -72,14 +85,13 @@ def text_timeline(recorder, trace_id):
         return "\n".join(lines)
     origin = meta.start if meta is not None else spans[0].start
     owner_w = max(len(s.owner or "?") for s in spans)
-    layer_w = max(len(s.layer) for s in spans)
-    total = 0.0
+    layer_w = max(len(_label(s)) for s in spans)
+    cpu = [s for s in spans if s.kind == SERVICE]
     for span in spans:
-        total += span.cost
         lines.append("  t=%12.3f  %+10.3f   %-*s  %-*s  %9.3fus"
                      % (span.start, span.start - origin,
                         owner_w, span.owner or "?",
-                        layer_w, span.layer, span.cost))
+                        layer_w, _label(span), span.cost))
     lines.append("total attributed CPU: %.3fus across %d spans"
-                 % (total, len(spans)))
+                 % (sum(s.cost for s in cpu), len(cpu)))
     return "\n".join(lines)

@@ -1,26 +1,36 @@
-"""Per-packet event tracing.
+"""Per-packet event tracing: one ring of spans.
 
 The paper's central evidence is a *breakdown*: Table 4 attributes every
 microsecond of a packet's life to a named layer, measured with a
 high-resolution timer.  :mod:`repro.stack.instrument` keeps the aggregate
 ledgers; this module adds the per-packet dimension.  Every simulated CPU
-charge emits a :class:`Span` ``(trace_id, owner, layer, start, cost)``
-into a bounded ring attached to the :class:`~repro.world.network.Network`,
-and a packet's spans — from socket entry, across the proxy/IPC boundary,
-through the kernel, NIC and wire, to the far side's copyout — share one
-trace id.
+charge emits a :class:`Span` ``(trace_id, owner, layer, start, cost)`` of
+kind ``"service"`` into a bounded ring attached to the
+:class:`~repro.world.network.Network`, and a packet's spans — from socket
+entry, across the proxy/IPC boundary, through the kernel, NIC and wire,
+to the far side's copyout — share one trace id.
+
+An interval a traced packet spent *not* running is a span too, recorded
+by :meth:`~TraceRecorder.record_wait` into the same ring.  Its ``kind``
+names the cause in the vocabulary of :mod:`repro.analysis.forensics`:
+``"queue"`` (NIC ring or socket queue), ``"contention"`` (blocked on the
+CPU's priority lock), ``"loss-recovery"`` (a TCP retransmit episode) or
+``"control-plane"`` (a resilient RPC round trip).
 
 Design rules:
 
 * **Disabled by default.**  A recorder that has not been
   :meth:`~TraceRecorder.enable`\\ d records nothing and adds no spans.
-* **Chronological ring.**  Spans live in one bounded deque in record
-  order.  Folding the ring per (owner, layer) replays the exact float
-  additions the :class:`~repro.stack.instrument.LayerAccounting` ledgers
-  performed, so the trace-derived breakdown agrees with the instrument
-  accounting tick for tick (a standing invariant test).
+* **One chronological ring.**  Spans of every kind live in one bounded
+  deque in record order.  Folding its ``service`` spans per (owner,
+  layer) replays the exact float additions the
+  :class:`~repro.stack.instrument.LayerAccounting` ledgers performed, so
+  the trace-derived breakdown agrees with the instrument accounting tick
+  for tick (a standing invariant test); the other kinds never enter the
+  fold.
 * **Exact counters.**  ``spans_recorded`` / ``traces_started`` keep
-  counting past eviction, so bounding never silently loses statistics.
+  counting past eviction, so bounding never silently loses statistics;
+  one ``spans_evicted`` counts what the ring overwrote, of every kind.
 
 Attribution rides on the process: :meth:`TraceRecorder.begin` and
 :meth:`~TraceRecorder.adopt` stamp the *currently running* simulation
@@ -28,20 +38,14 @@ process (``sim.current.trace_ctx``), and the CPU's accounting callback —
 which always runs inside the charging process's generator frame — reads
 it back at :meth:`~TraceRecorder.record` time.
 
-Two extensions serve the tail-forensics layer (:mod:`repro.trace.request`):
-
-* **Wait spans.**  :meth:`~TraceRecorder.record_wait` records intervals a
-  packet spent *not* running — queue waits, CPU contention, loss-recovery
-  stalls, control-plane round trips — in a second ring
-  (:attr:`~TraceRecorder.waits`).  They never enter :meth:`fold`, so the
-  fold-vs-ledger crosscheck invariant is untouched.
-* **Selective (request-gated) mode.**  With a
-  :class:`~repro.trace.request.RequestTracer` attached (see
-  :meth:`attach_requests`), :meth:`begin` only starts traces for work the
-  request tracer claims (a sampled request's sends and the replies they
-  cause — never an untagged frame at NIC rx), and spans carrying no
-  trace id are dropped instead of recorded — which is what makes tracing
-  a 500-host tail study affordable.
+**Selective (request-gated) mode** serves the tail-forensics layer
+(:mod:`repro.trace.request`).  With a
+:class:`~repro.trace.request.RequestTracer` attached (see
+:meth:`~TraceRecorder.attach_requests`), :meth:`~TraceRecorder.begin`
+only starts traces for work the request tracer claims (a sampled
+request's sends and the replies they cause — never an untagged frame at
+NIC rx), and spans carrying no trace id are dropped instead of recorded
+— which is what makes tracing a 500-host tail study affordable.
 """
 
 from collections import OrderedDict, deque
@@ -49,26 +53,29 @@ from collections import OrderedDict, deque
 DEFAULT_CAPACITY = 65536
 DEFAULT_MAX_TRACES = 8192
 
+#: The kind of a span that is a CPU charge; every other kind is a wait.
+SERVICE = "service"
+
 
 class Span:
-    """One CPU charge attributed to a layer (and maybe a packet trace)."""
+    """An interval of one packet's life attributed to a layer: a CPU
+    charge (``kind`` ``"service"``) or a wait, whose ``kind`` names its
+    cause.  ``trace_id`` is None for untraced work."""
 
-    __slots__ = ("trace_id", "owner", "layer", "start", "cost")
+    __slots__ = ("trace_id", "owner", "layer", "start", "cost", "kind")
 
-    def __init__(self, trace_id, owner, layer, start, cost):
+    def __init__(self, trace_id, owner, layer, start, cost, kind=SERVICE):
         self.trace_id = trace_id
         self.owner = owner
         self.layer = layer
         self.start = start
         self.cost = cost
-
-    @property
-    def end(self):
-        return self.start + self.cost
+        self.kind = kind
 
     def __repr__(self):
-        return "Span(trace=%r, owner=%r, layer=%r, start=%.3f, cost=%.3f)" % (
-            self.trace_id, self.owner, self.layer, self.start, self.cost)
+        return ("Span(trace=%r, owner=%r, layer=%r, start=%.3f, cost=%.3f, "
+                "kind=%r)" % (self.trace_id, self.owner, self.layer,
+                              self.start, self.cost, self.kind))
 
 
 class TraceMeta:
@@ -86,37 +93,6 @@ class TraceMeta:
     def __repr__(self):
         return "TraceMeta(id=%r, kind=%r, host=%r, start=%.3f, size=%r)" % (
             self.trace_id, self.kind, self.host, self.start, self.size)
-
-
-class WaitSpan:
-    """An interval a traced packet spent waiting rather than running.
-
-    ``kind`` names the cause: ``"queue"`` (NIC ring or socket queue),
-    ``"contention"`` (blocked on the CPU's priority lock),
-    ``"loss-recovery"`` (a TCP retransmit/RTO episode), or
-    ``"control-plane"`` (a resilient RPC round trip).  Wait spans live in
-    their own ring and never participate in :meth:`TraceRecorder.fold`.
-    """
-
-    __slots__ = ("trace_id", "owner", "layer", "kind", "start", "cost")
-
-    def __init__(self, trace_id, owner, layer, kind, start, cost):
-        self.trace_id = trace_id
-        self.owner = owner
-        self.layer = layer
-        self.kind = kind
-        self.start = start
-        self.cost = cost
-
-    @property
-    def end(self):
-        return self.start + self.cost
-
-    def __repr__(self):
-        return ("WaitSpan(trace=%r, owner=%r, layer=%r, kind=%r, "
-                "start=%.3f, cost=%.3f)" % (
-                    self.trace_id, self.owner, self.layer, self.kind,
-                    self.start, self.cost))
 
 
 class TaggedFrame(bytes):
@@ -146,9 +122,9 @@ def frame_trace(frame):
 class TraceRecorder:
     """Bounded ring of per-packet spans, attached to a Network.
 
-    Spans are kept newest-last in a single chronological deque; once
-    ``capacity`` is reached the oldest spans fall off, but the lifetime
-    counters stay exact.
+    Spans of every kind are kept newest-last in a single chronological
+    deque; once ``capacity`` is reached the oldest spans fall off, but
+    the lifetime counters stay exact.
     """
 
     def __init__(self, sim, capacity=DEFAULT_CAPACITY,
@@ -158,13 +134,10 @@ class TraceRecorder:
         self.max_traces = max_traces
         self.enabled = False
         self.spans = deque(maxlen=capacity)
-        self.waits = deque(maxlen=capacity)
         self._meta = OrderedDict()   # trace_id -> TraceMeta (bounded)
         self._next_id = 1
         self.spans_recorded = 0
-        self.waits_recorded = 0
         self.spans_cleared = 0
-        self.waits_cleared = 0
         self.traces_started = 0
         #: The attached :class:`~repro.trace.request.RequestTracer`, or
         #: None.  When set the recorder is *selective*: traces begin only
@@ -180,14 +153,9 @@ class TraceRecorder:
         if capacity is not None:
             self.capacity = capacity
             self.spans = deque(self.spans, maxlen=capacity)
-            self.waits = deque(self.waits, maxlen=capacity)
         if max_traces is not None:
             self.max_traces = max_traces
         self.enabled = True
-        return self
-
-    def disable(self):
-        self.enabled = False
         return self
 
     def attach_requests(self, request_tracer):
@@ -205,9 +173,7 @@ class TraceRecorder:
         measured interval.
         """
         self.spans_cleared += len(self.spans)
-        self.waits_cleared += len(self.waits)
         self.spans.clear()
-        self.waits.clear()
         self._meta.clear()
 
     @property
@@ -217,15 +183,10 @@ class TraceRecorder:
         return self.spans_recorded - self.spans_cleared - len(self.spans)
 
     @property
-    def waits_evicted(self):
-        """How many wait spans the bounded ring has overwritten so far."""
-        return self.waits_recorded - self.waits_cleared - len(self.waits)
-
-    @property
     def lossy(self):
-        """True when either ring has overwritten data — a fold or
+        """True when the ring has overwritten spans — a fold or
         attribution over this recorder is incomplete."""
-        return self.spans_evicted > 0 or self.waits_evicted > 0
+        return self.spans_evicted > 0
 
     # ------------------------------------------------------------------
     # Trace context (process-local)
@@ -309,13 +270,13 @@ class TraceRecorder:
         trace_id = self.current()
         if trace_id is None and self.requests is not None:
             return
-        span = Span(trace_id, owner, layer,
-                    self._sim.now - cost, cost)
-        self.spans.append(span)
+        self.spans.append(Span(trace_id, owner, layer,
+                               self._sim.now - cost, cost))
         self.spans_recorded += 1
 
     def record_wait(self, trace_id, owner, layer, kind, start, cost):
-        """Record an interval a traced packet spent waiting.
+        """Record an interval a traced packet spent waiting, as a span
+        of cause ``kind`` in the same ring.
 
         Unlike :meth:`record` this is explicit about the trace id — the
         waiter is usually *not* the running process (a frame parked in
@@ -324,9 +285,8 @@ class TraceRecorder:
         """
         if not self.enabled or trace_id is None:
             return
-        self.waits.append(WaitSpan(trace_id, owner, layer, kind,
-                                   start, cost))
-        self.waits_recorded += 1
+        self.spans.append(Span(trace_id, owner, layer, start, cost, kind))
+        self.spans_recorded += 1
 
     # ------------------------------------------------------------------
     # Queries
@@ -336,7 +296,8 @@ class TraceRecorder:
         return self._meta.get(trace_id)
 
     def trace(self, trace_id):
-        """All retained spans of one trace, in chronological order."""
+        """All retained spans of one trace, CPU and waits, in record
+        order (a span is recorded when it ends)."""
         return [s for s in self.spans if s.trace_id == trace_id]
 
     def trace_ids(self):
@@ -344,13 +305,16 @@ class TraceRecorder:
         return list(self._meta)
 
     def fold(self):
-        """Replay the ring into ``{owner: {layer: total}}``.
+        """Replay the ring's ``service`` spans into ``{owner: {layer:
+        total}}``.
 
         Iterates in record order, so per-(owner, layer) float addition
         order matches the live ledgers exactly.
         """
         totals = {}
         for span in self.spans:
+            if span.kind != SERVICE:
+                continue
             acc = totals.setdefault(span.owner, {})
             acc[span.layer] = acc.get(span.layer, 0.0) + span.cost
         return totals
@@ -362,26 +326,18 @@ class TraceRecorder:
     def export_state(self, island=0):
         """Picklable state of this recorder for cross-process merging.
 
-        Carries the island id, the retained rings, the retained birth
-        metadata, and — critically — the *lifetime* counters, so ring
-        wraps that happened inside an island process survive the merge
-        (the merged view's ``spans_evicted`` / ``lossy`` stay honest
-        instead of silently resetting at the process boundary).
+        Carries the island id, the retained ring and — critically — the
+        *lifetime* counters, so ring wraps that happened inside an island
+        process survive the merge (the merged view's ``spans_evicted`` /
+        ``lossy`` stay honest instead of silently resetting at the
+        process boundary).
         """
         return {
             "island": island,
-            "capacity": self.capacity,
-            "spans": [(s.trace_id, s.owner, s.layer, s.start, s.cost)
-                      for s in self.spans],
-            "waits": [(w.trace_id, w.owner, w.layer, w.kind, w.start,
-                       w.cost) for w in self.waits],
-            "meta": [(m.trace_id, m.kind, m.host, m.start, m.size)
-                     for m in self._meta.values()],
+            "spans": [(s.trace_id, s.owner, s.layer, s.start, s.cost,
+                       s.kind) for s in self.spans],
             "spans_recorded": self.spans_recorded,
             "spans_cleared": self.spans_cleared,
-            "waits_recorded": self.waits_recorded,
-            "waits_cleared": self.waits_cleared,
-            "traces_started": self.traces_started,
         }
 
     def __repr__(self):
@@ -394,45 +350,27 @@ class MergedTraceState:
     """A read-only, recorder-shaped view over merged island states.
 
     Exposes exactly the surface :mod:`repro.analysis.forensics` reads —
-    ``spans``, ``waits``, the lifetime counters and the derived
-    ``spans_evicted`` / ``waits_evicted`` / ``lossy`` — computed from
-    the *sums* of the per-island lifetime counters, so a ring that
-    wrapped inside one island still marks the merged view LOSSY.
+    ``spans``, the lifetime counters and the derived ``spans_evicted`` /
+    ``lossy`` — computed from the *sums* of the per-island lifetime
+    counters, so a ring that wrapped inside one island still marks the
+    merged view LOSSY.
     """
 
     def __init__(self):
         self.islands = []
         self.spans = []
-        self.waits = []
-        self._meta = {}
         self.spans_recorded = 0
         self.spans_cleared = 0
-        self.waits_recorded = 0
-        self.waits_cleared = 0
-        self.traces_started = 0
 
     def absorb(self, state):
         self.islands.append(state["island"])
         self.spans.extend(Span(*row) for row in state["spans"])
-        self.waits.extend(WaitSpan(*row) for row in state["waits"])
-        for row in state["meta"]:
-            self._meta[row[0]] = TraceMeta(*row)
         self.spans_recorded += state["spans_recorded"]
         self.spans_cleared += state["spans_cleared"]
-        self.waits_recorded += state["waits_recorded"]
-        self.waits_cleared += state["waits_cleared"]
-        self.traces_started += state["traces_started"]
         return self
 
     spans_evicted = TraceRecorder.spans_evicted
-    waits_evicted = TraceRecorder.waits_evicted
     lossy = TraceRecorder.lossy
-
-    def meta(self, trace_id):
-        return self._meta.get(trace_id)
-
-    def trace_ids(self):
-        return sorted(self._meta)
 
     def __repr__(self):
         return "<MergedTraceState islands=%r spans=%d>" % (

@@ -13,6 +13,7 @@ from repro.filter.compile import compile_arp_filter
 from repro.hw.cpu import CPU, Priority
 from repro.hw.nic import LANCE, NIC
 from repro.kernel.kernel import Kernel, QueueDelivery
+from repro.metrics import MetricsRegistry
 from repro.net import arp, ethernet
 from repro.net.addr import BROADCAST_MAC, ip_aton, make_mac
 from repro.net.routing import RouteTable
@@ -45,7 +46,8 @@ class Host:
         self.mac = make_mac(self.host_id)
         self.platform = platform
         self.tracer = tracer
-        self.metrics = metrics
+        #: The world's registry, or one of the host's own.
+        self.metrics = metrics if metrics is not None else MetricsRegistry(sim)
         self.cpu = CPU(sim, platform, name="%s.cpu" % name)
         self.nic = NIC(sim, wire, self.mac, model=nic_model, name="%s.nic" % name)
         self.nic.tracer = tracer
@@ -59,8 +61,7 @@ class Host:
         # Route constructor masks the prefix to its length.
         self.route_table.add(self.ip, prefixlen, iface="en0")
         self.arp = ArpService(self)
-        if metrics is not None:
-            metrics.observe_host(self)
+        self.metrics.observe_host(self)
 
     def route(self, dst_ip):
         """Next-hop IP for ``dst_ip`` (the gateway, or the address itself

@@ -22,6 +22,7 @@ from repro.faults import (
 )
 from repro.faults.stages import ETHER_HEADER, flip_payload_byte
 from repro.hw.platforms import DECSTATION_5000_200
+from repro.metrics.registry import state_cell_block
 from repro.net.addr import ip_aton
 from repro.sim.engine import Simulator
 from repro.sim.errors import Deadlock
@@ -302,7 +303,7 @@ def test_corrupted_destination_mac_is_declared_not_lost_silently():
     assert report["frames_carried"] == 5
     assert report["frames_filtered"] == 5
     assert "5 filtered by NICs" in format_fault_report(report)
-    gauges = net.metrics.snapshot()["gauges"]
+    gauges = state_cell_block(net.metrics.export_state())["pull"]
     assert gauges["beta.nic.rx_filtered"] == 5
     assert gauges["beta.nic.rx_dropped"] == 0
 

@@ -30,7 +30,7 @@ from repro.apps.ttcp import ttcp
 from repro.hw.nic import NIC
 from repro.hw.wire import EthernetWire
 from repro.sim.engine import Simulator
-from repro.trace import RequestTracer, Span, WaitSpan, frame_trace
+from repro.trace import RequestTracer, Span, frame_trace
 from repro.trace.request import _mix
 from repro.world.configs import build_network
 from repro.world.topology import TopologySpec, build_world, warm_arp
@@ -90,7 +90,7 @@ def _cpu(start, cost, layer="l", owner="o"):
 
 
 def _wait(start, cost, kind, layer="w", owner="o"):
-    return WaitSpan(1, owner, layer, kind, start, cost)
+    return Span(1, owner, layer, start, cost, kind)
 
 
 def test_critical_path_prioritizes_and_fills_transit():
@@ -180,7 +180,7 @@ def test_critical_path_equals_the_quadratic_reference(cpu_rows, wait_rows,
                                                       t0, t1):
     cpu = [Span(1, owner, layer, start, cost)
            for start, cost, owner, layer in cpu_rows]
-    waits = [WaitSpan(1, owner, layer, kind, start, cost)
+    waits = [Span(1, owner, layer, start, cost, kind)
              for start, cost, owner, layer, kind in wait_rows]
     path = critical_path(cpu, waits, t0, t1)
     assert path == reference_path(cpu, waits, t0, t1)
@@ -205,8 +205,8 @@ def test_critical_path_stays_subquadratic():
         if i % 3:
             cpu.append(Span(1, "h%d" % (i % 4), "tcp", start, cost))
         else:
-            waits.append(WaitSpan(1, "h%d" % (i % 4), "nic",
-                                  kinds[i % len(kinds)], start, cost))
+            waits.append(Span(1, "h%d" % (i % 4), "nic", start, cost,
+                              kinds[i % len(kinds)]))
     begin = time.perf_counter()
     path = critical_path(cpu, waits, 0.0, 10_000.0)
     assert time.perf_counter() - begin < 3.0
@@ -239,7 +239,7 @@ def test_every_sampled_request_sums_exactly():
     world, rt, _result = _forensic_run(sample_every=2)
     completed = rt.completed_records()
     assert completed, "expected sampled completed requests"
-    assert world.tracer.waits_recorded > 0
+    assert any(span.kind != "service" for span in world.tracer.spans)
     grouped = collect_request_spans(world.tracer, rt)
     for rec in completed:
         cpu_spans, wait_spans = grouped.get(rec.req_id, ((), ()))
@@ -474,7 +474,6 @@ def test_lossy_ring_warns_and_shows_in_netstat():
         crosscheck(net.tracer, placement_ledgers(pa, pb))
     report = host_report(pa)
     assert report["tracer"]["spans_evicted"] == net.tracer.spans_evicted
-    assert report["tracer"]["waits_evicted"] == net.tracer.waits_evicted
     assert "LOSSY" in format_report(report)
 
 

@@ -27,6 +27,7 @@ from repro.analysis.timeseries import (
 )
 from repro.apps.ttcp import ttcp
 from repro.metrics import MetricsRegistry, TimeSeries
+from repro.metrics.registry import state_cell_block
 from repro.sim.engine import Simulator
 from repro.world.configs import build_network
 
@@ -247,11 +248,11 @@ def test_enabled_run_populates_gauges_and_histogram():
     net.metrics.enable()
     ttcp(net, src, dst, total_bytes=TRANSFER)
     m = net.metrics
-    snap = m.snapshot()
+    pull = state_cell_block(m.export_state())["pull"]
     # Pull gauges sampled on the slow tick: CPU busy time and wire counters.
     assert any(name.endswith(".cpu.busy_us") and value
-               for name, value in snap["gauges"].items())
-    assert snap["gauges"]["ether0.frames"] == net.wire.frames_carried
+               for name, value in pull.items())
+    assert pull["ether0.frames"] == net.wire.frames_carried
     # Event gauges recorded at the choke points.
     waitq = [m.get(n) for n in m.names() if n.endswith(".cpu.waitq")]
     assert any(g.recorded for g in waitq)

@@ -11,6 +11,7 @@ from repro.analysis.netstat import (
     udp_sessions,
 )
 from repro.core.sockets import SOCK_DGRAM, SOCK_STREAM
+from repro.metrics import MetricsRegistry
 from repro.net.addr import ip_aton
 from repro.sim.engine import Simulator
 from repro.stack.engine import UDPSession
@@ -83,7 +84,8 @@ def test_tcp_rows_are_sorted_by_port():
 
 def _stub_stack(sim):
     """The minimal stack surface a UDPSession touches."""
-    return SimpleNamespace(ctx=SimpleNamespace(sim=sim), metrics=None)
+    return SimpleNamespace(ctx=SimpleNamespace(sim=sim),
+                           metrics=MetricsRegistry(sim))
 
 
 def test_udp_rows_sorted_and_deduplicated():

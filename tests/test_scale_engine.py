@@ -250,3 +250,53 @@ def test_scale_tick_registry_credits_idle_time_on_rearm():
 
     got, _ = net.run_all([server(), client()])
     assert got == b"abcdef"
+
+
+def _echo_and_close(sim):
+    """One library TCP echo, both ends closed, then a quiet second; the
+    stacks of both placements (OS servers and application libraries)."""
+    net, pa, pb = build_network("library-shm-ipf", sim=sim)
+    api_a, api_b = pa.new_app(), pb.new_app()
+    ready = net.sim.event()
+
+    def server():
+        fd = yield from api_a.socket(SOCK_STREAM)
+        yield from api_a.bind(fd, 7080)
+        yield from api_a.listen(fd)
+        ready.succeed()
+        child, _addr = yield from api_a.accept(fd)
+        data = yield from api_a.recv_exactly(child, 4)
+        yield from api_a.send_all(child, data)
+        yield from api_a.close(child)
+        yield from api_a.close(fd)
+
+    def client():
+        yield ready
+        fd = yield from api_b.socket(SOCK_STREAM)
+        yield from api_b.connect(fd, (net.hosts[0].ip, 7080))
+        yield from api_b.send_all(fd, b"ping")
+        echo = yield from api_b.recv_exactly(fd, 4)
+        yield from api_b.close(fd)
+        return echo
+
+    _served, echo = net.run_all([server(), client()])
+    assert echo == b"ping"
+    net.sim.run(until=net.sim.now + 1_000_000.0)
+    stacks = [stack for placement in (pa, pb)
+              for stack in [placement._backend.stack] + [
+                  app.stack for app in placement._backend._apps.values()]]
+    return net, stacks
+
+
+def test_scale_tick_registry_drops_sessions_that_leave_the_stack():
+    # A library session exported back to its OS server at close leaves
+    # the library stack's demux table; it must leave the tick registry
+    # too, or the stale copy keeps ticking and puts a delayed ACK (and
+    # the peer's answer) on the wire that the plain engine never sends.
+    scale, stacks = _echo_and_close(ScaleSimulator())
+    for stack in stacks:
+        entries = list(stack._tcp.values())
+        assert all(any(entry is kept for kept in entries)
+                   for entry in stack._armed)
+    plain, _stacks = _echo_and_close(Simulator())
+    assert scale.wire.frames_carried == plain.wire.frames_carried

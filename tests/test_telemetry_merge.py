@@ -1,7 +1,7 @@
 """Distributed-telemetry plumbing: the metric-snapshot merge algebra
 (property tested), eviction-counter survival across island merges, the
 always-on flight recorder and its deadlock dump, and the server's
-per-op latency histograms."""
+per-op latency histograms and slow-op log as registry instruments."""
 
 from functools import reduce
 
@@ -176,22 +176,35 @@ class _FakeSim:
 
 
 def test_trace_eviction_counters_survive_merge():
-    # Two island recorders with tiny rings; one wraps.  The merged view
-    # must still know exactly how many spans were overwritten and stay
-    # marked LOSSY.
+    # Two island recorders with tiny rings holding CPU spans and waits
+    # alike; island 0 records more of both than its ring holds after a
+    # warm-up clear.  Each ring, and the merged view, must know exactly
+    # how many spans of either kind were overwritten and stay LOSSY.
     states = []
-    for island, nspans in enumerate((7, 2)):
+    for island, (warmup, ncpu, nwaits) in enumerate(((2, 4, 3), (0, 1, 1))):
         sim = _FakeSim()
         recorder = TraceRecorder(sim, capacity=3)
         recorder.enable()
-        for i in range(nspans):
+        for _ in range(warmup):
+            recorder.record("host%d" % island, "ip", 1.0)
+        recorder.clear()
+        for i in range(ncpu):
             sim.now = float(i)
             recorder.record("host%d" % island, "ip", 1.0)
+            if i < nwaits:
+                recorder.record_wait(7, "host%d.nic" % island, "nic_tx_ring",
+                                     "queue", sim.now, 0.5)
+        assert recorder.spans_evicted == (
+            recorder.spans_recorded - recorder.spans_cleared
+            - len(recorder.spans))
+        assert recorder.lossy == (island == 0)
         states.append(recorder.export_state(island=island))
     merged = merge_trace_states(states)
     assert merged.islands == [0, 1]
-    assert merged.spans_recorded == 9
+    assert merged.spans_recorded == 2 + 7 + 2
+    assert merged.spans_cleared == 2
     assert len(merged.spans) == 5          # 3 retained + 2 retained
+    assert {span.kind for span in merged.spans} == {"service", "queue"}
     assert merged.spans_evicted == 4       # all inside island 0
     assert merged.lossy
 
@@ -258,7 +271,9 @@ def test_flight_recorder_is_always_on():
 # Per-op latency histograms and the slow-op log on the server
 # ----------------------------------------------------------------------
 
-def test_server_per_op_latency_and_slow_op_log():
+def _accept_after_a_pause():
+    """One connection whose accept parks past the slow-op threshold, on
+    a world whose metrics registry stays disabled."""
     network, pa, pb = build_network("library-shm-ipf")
     api_a = pa.new_app(name="srv")
     api_b = pb.new_app(name="cli")
@@ -283,7 +298,17 @@ def test_server_per_op_latency_and_slow_op_log():
         yield from api_b.close(fd)
 
     network.run_all([server(), client()], until=60_000_000)
-    health = pa._backend.health_snapshot()
+    assert not network.metrics.enabled
+    return network, pa._backend
+
+
+def test_server_per_op_latency_and_slow_op_log():
+    # Two islands' worlds, each recording with its registry disabled.
+    states = []
+    for island in range(2):
+        network, backend = _accept_after_a_pause()
+        states.append(network.metrics.export_state(island=island))
+    health = backend.health_snapshot()
     ops = health["op_latency"]
     assert ops["proxy_socket"]["count"] == 1
     assert ops["proxy_accept"]["count"] == 1
@@ -296,6 +321,22 @@ def test_server_per_op_latency_and_slow_op_log():
     assert all(entry["us"] >= SLOW_OP_US for entry in slow)
     # Ops that park by contract are latency-tracked but never logged
     # as slow: they would evict the genuinely anomalous entries.
-    assert "proxy_select" in type(pa._backend).SLOW_OP_EXEMPT
-    assert not any(entry["op"] in type(pa._backend).SLOW_OP_EXEMPT
+    assert "proxy_select" in type(backend).SLOW_OP_EXEMPT
+    assert not any(entry["op"] in type(backend).SLOW_OP_EXEMPT
                    for entry in slow)
+    # Both are registry instruments: exported like any metric...
+    accept = "%s.rpc.op.proxy_accept" % backend.name
+    slow_ops = "%s.rpc.slow_ops" % backend.name
+    one = states[1]["metrics"]
+    assert one[accept]["count"] == 1
+    assert one[slow_ops]["recorded"] == len(slow)
+    assert sum(snap["count"] for name, snap in one.items()
+               if name.startswith(backend.name + ".rpc.op.")) == sum(
+        row["count"] for row in ops.values())
+    # ...and additive across islands by the registry's merge algebra.
+    merged = merge_states(states)["metrics"]
+    assert merged[accept]["count"] == 2
+    assert merged[accept]["max"] == one[accept]["max"]
+    assert merged[slow_ops]["recorded"] == 2 * len(slow)
+    assert [s[0] for s in merged[slow_ops]["samples"]] == sorted(
+        [0, 1] * len(slow))

@@ -568,3 +568,24 @@ def test_record_behaves_as_the_whole_session(case):
     with mock.patch("repro.net.tcp.conn._iss_source", itertools.count(1000)):
         compact = _run_case(case)
     assert compact == reference
+
+
+def test_scale_engine_sends_what_the_plain_engine_sends_on_reuse():
+    """A SYN reuses a reaped connection's 4-tuple just before a tick.
+    The reaped session must have left the scale engine's tick registry
+    with its demux entry: reaped again on that tick, it took the new
+    connection's entry, so the peer's RST never reached the new one,
+    which went on retransmitting its SYN-ACK.  The plain engine ticks
+    the demux table and never did."""
+    case = dict(placement="mach25", order="server", victim=IP1,
+                tcp=dict(msl_ticks=1, mss=100, rcv_buf=300, snd_buf=1024,
+                         window_scale=None),
+                c_bytes=0, s_bytes=0, read=False, select=False, lose=False,
+                script=[(0, "fin", 0), (-307, "syn", 0)])
+    sent = []
+    for scale in (False, True):
+        with mock.patch("repro.net.tcp.conn._iss_source",
+                        itertools.count(1000)):
+            segments, _observed = _run_case(dict(case, scale=scale))
+        sent.append([segment[1:] for segment in segments])  # untimed
+    assert sent[0] == sent[1]

@@ -181,6 +181,27 @@ def test_traced_breakdown_equals_ledger_breakdown(config_key):
     assert traced.traces > 0
 
 
+def test_traced_breakdown_folds_only_service_spans(monkeypatch):
+    """Waits share the ring with the CPU spans; the fold skips them, so
+    the crosscheck inside run_traced_breakdown stays exact."""
+    from repro.analysis import tracing
+
+    built = []
+
+    def capture(*args, **kwargs):
+        built.append(build_network(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(tracing, "build_network", capture)
+    traced = tracing.run_traced_breakdown("ux", "udp", 512, rounds=20)
+    ring = built[0][0].tracer.spans
+    waits = [span for span in ring if span.kind != "service"]
+    # Not vacuous: RPC round trips, CPU contention and NIC queueing.
+    assert {span.kind for span in waits} == {
+        "control-plane", "contention", "queue"}
+    assert traced.spans == len(ring) - len(waits)
+
+
 def test_chrome_trace_export():
     net, pa, pb = build_network("mach25")
     net.tracer.enable()
