@@ -197,7 +197,7 @@ class ResilientCaller:
         """
         if ctx is None:
             ctx = self.ctx
-        tracer = getattr(ctx.accounting, "tracer", None)
+        tracer = ctx.accounting.tracer
         if tracer is not None and tracer.enabled:
             started = self._sim.now
             tid = tracer.current()

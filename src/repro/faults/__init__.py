@@ -32,7 +32,6 @@ from repro.faults.control import (
     RpcDrop,
     RpcDuplicate,
     RpcReplyDelay,
-    RpcStall,
     ServerCrashOnOp,
     ServerFlakyOp,
     ServerSlowOp,
@@ -65,7 +64,6 @@ __all__ = [
     "ControlFaultStage",
     "RpcDrop",
     "RpcDelay",
-    "RpcStall",
     "RpcDuplicate",
     "RpcReplyDelay",
     "IpcLoss",

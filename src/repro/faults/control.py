@@ -5,7 +5,7 @@ this module aims the same seeded-stage machinery at the control plane —
 the proxy RPCs of Table 1, the per-packet IPC delivery ports of the
 Library-IPC configuration, and the OS server's own request handling:
 
-* request faults — drop, delay, stall, duplicate a client's RPC request;
+* request faults — drop, delay, duplicate a client's RPC request;
 * reply faults — delay a server reply so replies arrive reordered (or
   after the caller's deadline, exercising the replay path);
 * IPC faults — drop/duplicate/delay packet-delivery messages;
@@ -130,27 +130,6 @@ class RpcDelay(ControlFaultStage):
 
     def counters(self):
         return {"delayed": self.delayed}
-
-
-class RpcStall(ControlFaultStage):
-    """A long request stall — enough to trip deadlines and breakers."""
-
-    name = "rpc-stall"
-
-    def __init__(self, rate, stall_us, ops=None):
-        self.rate = rate
-        self.stall_us = stall_us
-        self.ops = frozenset(ops) if ops is not None else None
-        self.stalled = 0
-
-    def on_request(self, op, rng):
-        if self._targets(op) and rng.random() < self.rate:
-            self.stalled += 1
-            return (False, False, self.stall_us)
-        return None
-
-    def counters(self):
-        return {"stalled": self.stalled}
 
 
 class RpcDuplicate(ControlFaultStage):

@@ -100,14 +100,6 @@ class RTTEstimator:
         self.rxtshift += 1
         return self.rxtshift > TCP_MAXRXTSHIFT
 
-    def srtt_us(self):
-        """The smoothed RTT in microseconds (descaled, tick-converted)."""
-        return (self.srtt / (1 << self.SRTT_SHIFT)) * SLOW_TICK_US
-
-    def rttvar_us(self):
-        """The RTT deviation in microseconds (descaled, tick-converted)."""
-        return (self.rttvar / (1 << self.RTTVAR_SHIFT)) * SLOW_TICK_US
-
     def snapshot(self):
         """Raw fixed-point state for telemetry (read-only)."""
         return {

@@ -22,7 +22,7 @@ The programming model follows the classic process-interaction style:
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
 from repro.sim.process import Process, Timeout
-from repro.sim.sync import Channel, Condition, Lock, PriorityLock, Semaphore
+from repro.sim.sync import Channel, Condition, Lock, PriorityLock
 from repro.sim.errors import Deadlock, Interrupt, SimulationError
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "Lock",
     "PriorityLock",
     "Condition",
-    "Semaphore",
     "Channel",
     "SimulationError",
     "Interrupt",

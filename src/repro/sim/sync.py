@@ -283,58 +283,6 @@ class Condition:
         return sum(1 for w in self._waiters if w.alive)
 
 
-class Semaphore:
-    """A counting semaphore with FIFO wakeup."""
-
-    def __init__(self, sim, value=0, name=""):
-        if value < 0:
-            raise ValueError("negative initial value: %r" % value)
-        self._sim = sim
-        self._value = value
-        self._waiters = deque()
-        self.name = name
-        self._waiter_name = "sem:%s" % name
-
-    @property
-    def value(self):
-        return self._value
-
-    def down(self):
-        """``yield from sem.down()`` — block until a unit is available."""
-        if self._value > 0:
-            self._value -= 1
-            return
-        waiter = _Waiter(Event(self._sim, name=self._waiter_name))
-        self._waiters.append(waiter)
-        try:
-            yield waiter.event
-        except BaseException:
-            waiter.alive = False
-            if waiter.event.triggered:
-                self.up()  # the unit handed to us is forwarded
-            raise
-
-    def try_down(self):
-        if self._value > 0:
-            self._value -= 1
-            return True
-        return False
-
-    def up(self, n=1):
-        """Release ``n`` units, waking blocked processes first."""
-        for _ in range(n):
-            woken = False
-            while self._waiters:
-                waiter = self._waiters.popleft()
-                if waiter.alive:
-                    waiter.alive = False
-                    waiter.event.succeed()
-                    woken = True
-                    break
-            if not woken:
-                self._value += 1
-
-
 class Channel:
     """A FIFO message queue between processes.
 
@@ -421,7 +369,3 @@ class Channel:
         if self._putters:
             self._wake(self._putters)
         return True, item
-
-    def peek_all(self):
-        """A snapshot list of queued items (for tests and introspection)."""
-        return list(self._items)

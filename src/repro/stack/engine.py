@@ -30,7 +30,6 @@ from repro.net.tcp.tcb import TCPError
 from repro.net.tcp.timers import FAST_TICK_US, SLOW_TICK_US
 from repro.sim.events import any_of
 from repro.sim.process import Timeout
-from repro.sim.scale import ScaleSimulator
 from repro.stack.instrument import Layer
 from repro.stack.timewait import TimeWait
 from repro.trace import adopt_trace, current_trace
@@ -100,7 +99,7 @@ class TCPSession:
     __slots__ = ("stack", "conn", "notify", "accept_queue", "backlog",
                  "children", "parent", "selected", "recv_timeout_us",
                  "last_rx_trace", "last_rx_time", "last_tx_trace",
-                 "owns_port", "_detick_slow", "closed", "tw")
+                 "owns_port", "closed", "tw")
 
     def __init__(self, stack, conn, owns_port=True):
         self.stack = stack
@@ -125,11 +124,6 @@ class TCPSession:
         #: (false for accepted children, which share the listener's port,
         #: and for sessions migrated in from another stack).
         self.owns_port = owns_port
-        #: Scale-mode tick registry bookkeeping: the stack's slow-tick
-        #: count when this session was parked as quiescent, or None
-        #: while enrolled (or on a plain Simulator, which ticks every
-        #: session unconditionally).
-        self._detick_slow = None
         #: The owner has called close() (shutdown() leaves it open): no
         #: one will read or write through this object again, so TIME_WAIT
         #: may replace it with a :class:`TimeWait` record.
@@ -197,8 +191,6 @@ class TCPSession:
         conn = self.conn
         data = bytes(data)
         sent = 0
-        if stack._armed is not None:
-            stack._arm(self)
         stack._trace_send_entry(len(data))
         yield ctx.charge_lock(Layer.ENTRY_COPYIN)
         while sent < len(data):
@@ -293,9 +285,6 @@ class TCPSession:
             self.recv_timeout_us = value
         elif option == "keepalive":
             conn.config.keepalive = bool(value)
-            # An already-idle session may have been parked by the
-            # scale-mode tick registry; keepalive duty restarts it.
-            self.stack._arm(self)
         else:
             return False
         return True
@@ -525,16 +514,6 @@ class NetworkStack:
         self.icmp_echoes_answered = 0
         self.icmp_errors_sent = 0
         self.select_notify = Notifier(ctx.sim, "select")
-        #: Scale-mode armed-session registry.  On a plain Simulator
-        #: (None) the timer loop scans every session each tick, exactly
-        #: as 1993 BSD did — the bit-identical contract.  On a
-        #: :class:`~repro.sim.scale.ScaleSimulator` the loop touches
-        #: only sessions that actually need ticking (a pending delayed
-        #: ACK, an armed countdown timer, a running RTT measurement, or
-        #: keepalive duty), so a world with thousands of mostly-idle
-        #: sessions pays per armed session, not per session.
-        self._armed = {} if isinstance(ctx.sim, ScaleSimulator) else None
-        self._slow_ticks = 0
         self._timer_proc = ctx.sim.spawn(self._timer_loop(), name="%s.timers" % name)
 
     def shutdown(self, interrupt=False):
@@ -579,7 +558,7 @@ class NetworkStack:
         """Start a "send" trace for callers that entered the stack
         directly (placement socket APIs begin one at their own entry, in
         which case this is a no-op)."""
-        tracer = getattr(self.ctx.accounting, "tracer", None)
+        tracer = self.ctx.accounting.tracer
         if (tracer is not None and tracer.enabled
                 and tracer.current() is None):
             tracer.begin("send", host=self.name, size=size)
@@ -602,54 +581,17 @@ class NetworkStack:
     # Session registration and migration
     # ------------------------------------------------------------------
 
-    def _arm(self, session):
-        """Enroll a session in the scale-mode tick registry (no-op on
-        a plain Simulator).
-
-        A session re-enrolling after a quiescent stretch is credited the
-        slow ticks it slept through: BSD's ``t_idle`` keeps counting on
-        an idle connection, and tcp_output's idle-restart of the
-        congestion window depends on it."""
-        armed = self._armed
-        if armed is None or session in armed or session.tw is not None:
-            return  # (one with a TimeWait record is enrolled as the record)
-        detick = session._detick_slow
-        if detick is not None:
-            session.conn.t_idle += self._slow_ticks - detick
-            session._detick_slow = None
-        armed[session] = True
-
-    @staticmethod
-    def _needs_ticks(conn):
-        """Whether a session still needs the 200/500 ms tick stream."""
-        if conn.delack_pending or conn.t_rtt:
-            return True
-        for ticks in conn.timers.values():
-            if ticks:
-                return True
-        return conn.config.keepalive and conn.is_established
-
     def _register(self, session):
         lport = session.local[1]
         rip, rport = session.remote if session.remote else (None, None)
         self._tcp[(lport, rip, rport)] = session
-        self._arm(session)
 
     def _deregister(self, session):
-        """Remove a session from this stack: from its demux table and,
-        in scale mode, from the tick registry, where it may stand as its
-        TimeWait record.  A session left there keeps ticking: an
-        exported one sends stale ACKs, and a reaped one is reaped again
-        on the next tick, taking the demux entry of whatever connection
-        has reused its 4-tuple since."""
+        """Remove a session from this stack's demux table, which is also
+        what the timer pass ticks."""
         lport = session.local[1]
         rip, rport = session.remote if session.remote else (None, None)
         self._tcp.pop((lport, rip, rport), None)
-        armed = self._armed
-        if armed is not None:
-            armed.pop(session, None)
-            if session.tw is not None:
-                armed.pop(session.tw, None)
 
     def adopt_tcp_state(self, state, config=None):
         """Import a migrated TCP session into this stack (Section 3.2)."""
@@ -709,13 +651,6 @@ class NetworkStack:
             return
         record = session.tw = TimeWait(session)
         self._tcp[(record.lport, record.rip, record.rport)] = record
-        armed = self._armed
-        if armed is not None:
-            # The record takes the session's place in the tick order.
-            entries = list(armed)
-            armed.clear()
-            for entry in entries:
-                armed[record if entry is session else entry] = True
 
     def _revive(self, record):
         """The whole session a TimeWait record stands for, to take one
@@ -786,8 +721,6 @@ class NetworkStack:
     def _tcp_drain(self, session):
         """Transmit everything the TCP machine queued (charging the
         tcp_output layer costs)."""
-        if self._armed is not None:
-            self._arm(session)
         proc = self.ctx.sim.current
         tid = proc.trace_ctx if proc is not None else None
         if tid is not None:
@@ -893,8 +826,6 @@ class NetworkStack:
         conn = session.conn
         was_listener = conn.state == TCPState.LISTEN
         sim = self.ctx.sim
-        if not was_listener and self._armed is not None:
-            self._arm(session)
         proc = sim.current
         session.last_rx_trace = proc.trace_ctx if proc is not None else None
         session.last_rx_time = sim._now
@@ -1126,14 +1057,9 @@ class NetworkStack:
     # ==================================================================
 
     def _timer_loop(self):
-        """Drive TCP's 200 ms fast and 500 ms slow timers.
-
-        On a plain Simulator every session the stack owns is scanned
-        each tick, as 1993 BSD's ``tcp_slowtimo`` did.  In scale mode
-        the armed-session registry replaces that linear scan: only
-        sessions with live timer work are visited, quiescent ones park
-        until an API call, arriving segment, or drain re-arms them (see
-        :meth:`_arm`)."""
+        """Drive TCP's 200 ms fast and 500 ms slow timers: each tick
+        visits every session the stack owns, as 1993 BSD's
+        ``tcp_fasttimo``/``tcp_slowtimo`` did."""
         elapsed = 0.0
         next_slow = SLOW_TICK_US
         while not self._shutdown:
@@ -1142,7 +1068,6 @@ class NetworkStack:
             slow = elapsed >= next_slow
             if slow:
                 next_slow += SLOW_TICK_US
-                self._slow_ticks += 1
                 # Telemetry piggybacks on the slow tick: pull gauges get
                 # sampled here without any dedicated simulation process.
                 # Every stack's timer loop ticks at the same instants, so
@@ -1156,8 +1081,7 @@ class NetworkStack:
         The snapshot lives in this frame, not the timer loop's: a session
         reaped or compacted during the pass must not stay reachable from
         the loop's suspended frame until the next tick."""
-        armed = self._armed
-        sessions = list(self._tcp.values()) if armed is None else list(armed)
+        sessions = list(self._tcp.values())
         tracer = self.ctx.accounting.tracer
         trace_rexmt = tracer is not None and tracer.enabled
         for session in sessions:
@@ -1170,13 +1094,9 @@ class NetworkStack:
                     self._tick_time_wait(record, slow)
                     continue
                 session = record.live
-            slot = session if record is None else record  # armed's key
             conn = session.conn
             if conn.state == TCPState.CLOSED:
                 self._maybe_reap(session)
-                if armed is not None:
-                    armed.pop(slot, None)
-                    session._detick_slow = None
                 continue
             conn.tick_fast()
             if slow:
@@ -1203,35 +1123,20 @@ class NetworkStack:
                 yield from self._wake(session.notify, session.selected)
             elif slow and conn.state == TCPState.CLOSED:
                 yield from self._wake(session.notify, session.selected)
-            if armed is not None:
-                if conn.state == TCPState.CLOSED:
-                    self._maybe_reap(session)
-                    armed.pop(slot, None)
-                    session._detick_slow = None
-                elif slow and not self._needs_ticks(conn):
-                    armed.pop(slot, None)
-                    session._detick_slow = self._slow_ticks
 
     def _tick_time_wait(self, record, slow):
         """A record's part of a timer pass: what ``tick_slow``, the wakeup
         and the reap do to a whole session in TIME_WAIT (its fast tick,
         idle count and notifier have no one left to observe them)."""
-        armed = self._armed
         if not record.ticks:
-            # Expired on an earlier pass (plain Simulator): reaped now,
-            # like a whole session the pass finds CLOSED.
+            # Expired on an earlier pass: reaped now, like a whole
+            # session the pass finds CLOSED.
             self._retire(record)
-            if armed is not None:
-                armed.pop(record, None)
             return
         if slow:
             record.ticks -= 1
-            if not record.ticks:
-                if record.selected:
-                    self.select_notify.fire()
-                if armed is not None:
-                    self._retire(record)
-                    armed.pop(record, None)
+            if not record.ticks and record.selected:
+                self.select_notify.fire()
 
     # ==================================================================
     # Introspection

@@ -59,7 +59,7 @@ def begin_send_trace(ctx, host, size):
     the charging; its accounting ledger knows the recorder (if any).
     Returns the new trace id, or None when tracing is off.
     """
-    tracer = getattr(ctx.accounting, "tracer", None)
+    tracer = ctx.accounting.tracer
     if tracer is None or not tracer.enabled:
         return None
     return tracer.begin("send", host=host, size=size)

@@ -164,7 +164,7 @@ class Placement:
         # Mirror this placement's charges into the network's per-packet
         # trace recorder (a no-op until someone enables it).  The owner
         # label identifies this ledger in the span stream.
-        self.accounting.tracer = getattr(host, "tracer", None)
+        self.accounting.tracer = host.tracer
         self.accounting.owner = "%s:%s" % (host.name, spec.key)
         self.tcp_defaults = tcp_defaults or {}
         if spec.style == STYLE_KERNEL:
@@ -187,7 +187,7 @@ class Placement:
             # The OS server keeps its own ledger (management traffic);
             # trace it under a distinct owner so packet timelines show
             # server-side work separately from the app library's.
-            self._backend.accounting.tracer = getattr(host, "tracer", None)
+            self._backend.accounting.tracer = host.tracer
             self._backend.accounting.owner = "%s:%s.netserver" % (
                 host.name, spec.key)
         else:

@@ -4,9 +4,9 @@ The class shares the base :class:`~repro.sim.engine.Simulator` event
 loop, so the first contract is that the two agree on every timer —
 distinct deadlines and same-instant ties alike — and that a scale world
 still runs real protocol worlds to the same answers (every byte moved)
-and stays bit-deterministic run to run.  The rest pins the two
-structures the class switches on: the indexed packet-filter demux and
-the armed-session tick registry.
+and stays bit-deterministic run to run.  The rest pins the one
+structure the class switches on, the indexed packet-filter demux, and
+checks that TCP over a scale world behaves as over a plain one.
 """
 
 from repro.apps.ttcp import ttcp
@@ -14,7 +14,6 @@ from repro.core.sockets import SOCK_STREAM
 from repro.sim.engine import Simulator
 from repro.sim.process import Timeout
 from repro.sim.scale import ScaleSimulator
-from repro.stack.timewait import TimeWait
 from repro.world.configs import build_network
 
 
@@ -194,33 +193,13 @@ def test_indexed_demux_runs_constant_programs_under_filter_load():
 
 
 # ----------------------------------------------------------------------
-# Scale-mode tick registry (armed sessions only)
+# TCP in a scale world: the same timer pass as on a plain Simulator
 # ----------------------------------------------------------------------
 
-def test_scale_tick_registry_parks_quiescent_sessions():
+def test_scale_world_connection_resumes_after_idling():
     net, pa, pb = build_network("mach25", sim=ScaleSimulator())
-    result = protolat(net, pb, pa, proto="tcp", message_size=200, rounds=3)
-    assert result.rounds == 3
-    stacks = [pa._backend.stack, pb._backend.stack]
-    assert all(s._armed is not None for s in stacks)
-    # Give the slow timer a few seconds: every surviving session has
-    # gone quiescent (or into TIME_WAIT, whose 2MSL timer keeps it
-    # armed until expiry), so the armed registries must be far smaller
-    # than "every session, forever".
-    net.sim.run(until=net.sim.now + 5_000_000)
-    for stack in stacks:
-        for session in stack._armed:
-            if isinstance(session, TimeWait):  # a closed one's 2MSL runs
-                assert session.ticks
-            else:
-                assert stack._needs_ticks(session.conn)
-
-
-def test_scale_tick_registry_credits_idle_time_on_rearm():
-    net, pa, pb = build_network("mach25", sim=ScaleSimulator())
-    # Establish a connection, let it idle long enough to be parked,
-    # then send again: the transfer must still complete (and the
-    # re-arm credits the skipped slow ticks into t_idle first).
+    # Establish a connection, let it idle for many slow ticks, then send
+    # again: the transfer must still complete.
     api_a, api_b = pa.new_app(), pb.new_app()
 
     def server():
@@ -242,8 +221,7 @@ def test_scale_tick_registry_credits_idle_time_on_rearm():
         fd = yield from api_b.socket(SOCK_STREAM)
         yield from api_b.connect(fd, (net.hosts[0].ip, 7070))
         yield from api_b.send_all(fd, b"abc")
-        # Idle well past several slow ticks: the session parks.
-        yield Timeout(10_000_000.0)
+        yield Timeout(10_000_000.0)  # idle across 20 slow ticks
         yield from api_b.send_all(fd, b"def")
         yield from api_b.close(fd)
         return b"ok"
@@ -253,8 +231,7 @@ def test_scale_tick_registry_credits_idle_time_on_rearm():
 
 
 def _echo_and_close(sim):
-    """One library TCP echo, both ends closed, then a quiet second; the
-    stacks of both placements (OS servers and application libraries)."""
+    """One library TCP echo, both ends closed, then a quiet second."""
     net, pa, pb = build_network("library-shm-ipf", sim=sim)
     api_a, api_b = pa.new_app(), pb.new_app()
     ready = net.sim.event()
@@ -282,21 +259,14 @@ def _echo_and_close(sim):
     _served, echo = net.run_all([server(), client()])
     assert echo == b"ping"
     net.sim.run(until=net.sim.now + 1_000_000.0)
-    stacks = [stack for placement in (pa, pb)
-              for stack in [placement._backend.stack] + [
-                  app.stack for app in placement._backend._apps.values()]]
-    return net, stacks
+    return net
 
 
-def test_scale_tick_registry_drops_sessions_that_leave_the_stack():
+def test_scale_engine_carries_the_plain_engines_frames_on_echo_and_close():
     # A library session exported back to its OS server at close leaves
-    # the library stack's demux table; it must leave the tick registry
-    # too, or the stale copy keeps ticking and puts a delayed ACK (and
-    # the peer's answer) on the wire that the plain engine never sends.
-    scale, stacks = _echo_and_close(ScaleSimulator())
-    for stack in stacks:
-        entries = list(stack._tcp.values())
-        assert all(any(entry is kept for kept in entries)
-                   for entry in stack._armed)
-    plain, _stacks = _echo_and_close(Simulator())
+    # the library stack; a stale copy still ticking there would put a
+    # delayed ACK (and the peer's answer) on the wire that the plain
+    # engine never sends.
+    scale = _echo_and_close(ScaleSimulator())
+    plain = _echo_and_close(Simulator())
     assert scale.wire.frames_carried == plain.wire.frames_carried

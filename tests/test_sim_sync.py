@@ -1,4 +1,4 @@
-"""Locks, conditions, semaphores, channels — including renege behavior."""
+"""Locks, conditions, channels — including renege behavior."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.sim import (
     Interrupt,
     Lock,
     PriorityLock,
-    Semaphore,
     Timeout,
 )
 from repro.sim.errors import SimulationError
@@ -210,29 +209,6 @@ def test_condition_notify_all(sim):
     sim.spawn(notifier())
     sim.run()
     assert sorted(woken) == ["a", "b", "c"]
-
-
-def test_semaphore_counts(sim):
-    sem = Semaphore(sim, value=2)
-    inside = []
-
-    def worker(name):
-        yield from sem.down()
-        inside.append(name)
-        yield Timeout(10)
-        sem.up()
-
-    for name in "abc":
-        sim.spawn(worker(name))
-    sim.run(until=5)
-    assert len(inside) == 2  # only two units available
-    sim.run()
-    assert len(inside) == 3
-
-
-def test_semaphore_negative_init(sim):
-    with pytest.raises(ValueError):
-        Semaphore(sim, value=-1)
 
 
 def test_channel_fifo(sim):

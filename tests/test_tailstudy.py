@@ -106,35 +106,50 @@ _GOLDEN_WORKLOAD = dict(proto="udp", clients=0, fanout=2,
                         drain_us=150_000.0)
 
 
-@pytest.mark.parametrize("topology,placement,golden", [
-    (dict(kind="star", hosts=16, seed=7), "library-shm-ipf",
+@pytest.mark.parametrize("topology,workload,placements,golden", [
+    (dict(kind="star", hosts=16, seed=7), {}, ["library-shm-ipf"],
      "81682039feb0b45b5f2464e6b41efbb2d10823bb5021ef03b7d3725a02be9a15"),
     (dict(kind="fattree", hosts=16, seed=7, hosts_per_edge=8, spines=2),
-     "mach25",
+     {}, ["mach25"],
      "1823eb760810d4802b8fec71c6d052f3d32ebaf1957290e697f466149c82f641"),
     # The cell tests/test_parallel.py::_cells builds.
     (dict(kind="wan", hosts=12, seed=21, hosts_per_edge=8, spines=2,
-          sites=2, router_speedup=8.0), "mach25",
+          sites=2, router_speedup=8.0), {}, ["mach25"],
      "d31e3e1ef5b7220f21ff1fd1efb35aef82d5e1e321b6b095cbfb1b8fe3c61294"),
-], ids=["star16", "fattree16", "wan12"])
-def test_scale_cell_matches_golden(topology, placement, golden):
+    # Persistent TCP connections in a scale world, under all three
+    # placements: what the stacks' TCP timer pass does there.
+    (dict(kind="star", hosts=8, seed=7), dict(proto="tcp"),
+     ["library-shm-ipf", "mach25", "ux"],
+     "eec39ae72f29ddb53e570000ba64265398ed3e6f9b917fb92d6a7c93599e3956"),
+    # Long enough for connections to sit idle between requests while
+    # others have output on the same timer pass: pins the order of that
+    # pass (the demux table's, as on a plain Simulator).
+    (dict(kind="star", hosts=8, seed=7),
+     dict(proto="tcp", window_us=600_000.0, drain_us=300_000.0),
+     ["mach25"],
+     "b9a942f0faa9fb314fdc66bb483b35ee645f141b0ce456768a0ec7c25c4e01cd"),
+], ids=["star16", "fattree16", "wan12", "star8_tcp", "star8_tcp_600ms"])
+def test_scale_cell_matches_golden(topology, workload, placements, golden):
     # The other scale tests compare a run with itself or its twin, and
     # bench_json covers only two-host worlds; these digests are what
     # makes "the schedule did not change" visible from one commit to
-    # the next.  A change that means to move them re-captures all three
+    # the next.  A change that means to move them re-captures them all
     # and says why.  (Last moved by the NIC station-address filter:
     # fattree16 and wan12 have shared segments, whose hosts stopped
     # paying receive CPU for their neighbours' frames; star16 has none
     # and kept its digest.  star16, the library cell, then moved alone
     # when metastate began caching route entries instead of one next
     # hop per destination: its clients stopped paying a meta_route RPC
-    # for every new peer.  EXPERIMENTS.md, "Tail at scale".)
-    cell = tailstudy.run_cell(
-        topology, dict(_GOLDEN_WORKLOAD, seed=topology["seed"]),
-        placement, 0.1)
-    assert cell["completed"] > 0
-    cell, = tailstudy.strip_volatile({"results": [cell]})["results"]
-    text = json.dumps(cell, sort_keys=True)
+    # for every new peer.  star8_tcp_600ms was captured when the
+    # scale-only tick registry went; on that registry's order it read
+    # otherwise.  EXPERIMENTS.md, "Tail at scale" and "One TCP timer
+    # pass".)
+    workload = dict(_GOLDEN_WORKLOAD, seed=topology["seed"], **workload)
+    cells = [tailstudy.run_cell(topology, workload, placement, 0.1)
+             for placement in placements]
+    assert all(cell["completed"] > 0 for cell in cells)
+    cells = tailstudy.strip_volatile({"results": cells})["results"]
+    text = "".join(json.dumps(cell, sort_keys=True) for cell in cells)
     assert sha256(text.encode()).hexdigest() == golden
 
 

@@ -509,9 +509,17 @@ def _run_case(case):
     observed = [_observe(sim, stacks, victim_stack, fires)]
     if victim_stack.time_wait_count():
         # From here on no pass of the victim's timer loop has output to
-        # drain, so its passes keep one phase: find it.
-        slow_ticks = victim_stack._slow_ticks
-        while victim_stack._slow_ticks == slow_ticks:
+        # drain, so its passes keep one phase: find it at the next slow
+        # pass, counted as the loop hands it to the tick pass.
+        slow_passes = [0]
+        tick_sessions = victim_stack._tick_sessions
+
+        def counting_tick_sessions(slow):
+            slow_passes[0] += slow
+            return tick_sessions(slow)
+
+        victim_stack._tick_sessions = counting_tick_sessions
+        while not slow_passes[0]:
             sim.step()
         phase = sim.now
         last_ack = log.sent_by(case["victim"])[-1]
@@ -571,12 +579,11 @@ def test_record_behaves_as_the_whole_session(case):
 
 
 def test_scale_engine_sends_what_the_plain_engine_sends_on_reuse():
-    """A SYN reuses a reaped connection's 4-tuple just before a tick.
-    The reaped session must have left the scale engine's tick registry
-    with its demux entry: reaped again on that tick, it took the new
-    connection's entry, so the peer's RST never reached the new one,
-    which went on retransmitting its SYN-ACK.  The plain engine ticks
-    the demux table and never did."""
+    """A SYN reuses a reaped connection's 4-tuple just before a tick:
+    the scale and plain engines put the same segments on the wire.  A
+    reaped session still ticked would be reaped again on that tick and
+    take the new connection's demux entry: the peer's RST would never
+    reach the new one, which would go on retransmitting its SYN-ACK."""
     case = dict(placement="mach25", order="server", victim=IP1,
                 tcp=dict(msl_ticks=1, mss=100, rcv_buf=300, snd_buf=1024,
                          window_scale=None),
