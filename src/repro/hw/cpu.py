@@ -10,10 +10,11 @@ as in the paper's measurements.
 Charges are non-preemptive: a running charge completes before a
 higher-priority one starts.  Interrupt latency is therefore bounded by the
 largest single charge, which the protocol code keeps small by charging
-per-layer.
+per-layer.  Code charges by yielding a :class:`~repro.sim.process.Charge`
+(``yield ctx.charge(layer, cost)``); the process machinery runs it
+against this CPU's run queue.
 """
 
-from repro.sim.process import Timeout
 from repro.sim.sync import PriorityLock
 
 
@@ -37,29 +38,6 @@ class CPU:
         self._sched = PriorityLock(sim, name=name)
         self.busy_time = 0.0
         self.charge_count = 0
-
-    def execute(self, cost, priority=Priority.APPLICATION, account=None):
-        """Charge ``cost`` microseconds of CPU at ``priority``.
-
-        ``account``, if given, is a callable invoked with the cost actually
-        charged — used by the instrumentation layer to attribute time to
-        protocol layers.  Usage: ``yield from cpu.execute(12.5, prio)``.
-        """
-        if cost < 0:
-            raise ValueError("negative CPU cost: %r" % cost)
-        if cost == 0:
-            return
-        sched = self._sched
-        if not sched.try_acquire():
-            yield from sched.acquire(priority)
-        try:
-            yield Timeout(cost)
-        finally:
-            sched.release()
-        self.busy_time += cost
-        self.charge_count += 1
-        if account is not None:
-            account(cost)
 
     @property
     def scheduler(self):

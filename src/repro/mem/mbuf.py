@@ -66,12 +66,6 @@ class Mbuf:
         self.buf[self.off : self.off + len(payload)] = payload
         self.len = len(payload)
 
-    def leading_space(self):
-        return self.off
-
-    def trailing_space(self):
-        return len(self.buf) - self.off - self.len
-
     # ------------------------------------------------------------------
     # Chain construction
     # ------------------------------------------------------------------
@@ -119,10 +113,6 @@ class Mbuf:
             parts.append(memoryview(m.buf)[m.off : m.off + m.len])
             m = m.next
         return b"".join(parts)
-
-    @staticmethod
-    def _slice(m):
-        return bytes(memoryview(m.buf)[m.off : m.off + m.len])
 
     def chain_len(self):
         """Total data bytes in the chain."""

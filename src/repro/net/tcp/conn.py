@@ -197,10 +197,6 @@ class TCPConnection:
         self.state = new_state
 
     @property
-    def is_closed(self):
-        return self.state == TCPState.CLOSED
-
-    @property
     def is_established(self):
         return self.state == TCPState.ESTABLISHED
 

@@ -22,9 +22,6 @@ class ReassemblyQueue:
     def __len__(self):
         return self.used
 
-    def pending_segments(self):
-        return len(self._segments)
-
     def insert(self, seq, data):
         """File ``data`` at sequence ``seq``, trimming any overlap."""
         if not data:

@@ -91,13 +91,6 @@ class Simulator:
         """Run ``fn(*args)`` after ``delay`` microseconds."""
         self.call_at(self._now + delay, fn, *args)
 
-    def _schedule_event(self, event):
-        """Queue a triggered event's callbacks for dispatch (engine use).
-
-        Dispatch always happens at the current time, so it rides the
-        ready deque and never touches the heap."""
-        self._ready.append((None, event))
-
     # ------------------------------------------------------------------
     # Processes
     # ------------------------------------------------------------------

@@ -57,8 +57,8 @@ class Event:
             raise SimulationError("%r has already been triggered" % self)
         self._state = SUCCEEDED
         self._value = value
-        # Inlined sim._schedule_event(self) — this is the hottest way an
-        # event reaches the engine.
+        # Dispatch happens at the current time, so it rides the ready
+        # deque and never touches the heap.
         self._sim._ready.append((None, self))
         return self
 

@@ -19,14 +19,30 @@ so the simulated order of every run is bit-identical to the event-based
 implementation — only the wall-clock cost changes.  The first hop is the
 ready deque's own C ``append``: the timer entry's callable appends the
 fire entry, and a fire made stale by an interrupt no-ops on its token
-check, exactly as a skipped hop would have.
+check, exactly as a skipped hop would have.  :func:`_push_timer` is that
+two-hop push, shared by timeouts and CPU charges.
 """
 
-from heapq import heappop, heappush
+from heapq import heappush
 
 from repro.sim.errors import Interrupt, SimulationError
 from repro.sim.events import Event, PENDING, SUCCEEDED
-from repro.sim.sync import _Waiter
+
+
+def _push_timer(sim, delay, fire):
+    """Run ``fire`` = ``(fn, args)`` ``delay`` microseconds from now by
+    the two-hop path (see module docstring).
+
+    Branches on the computed time, exactly as ``call_at`` does: a
+    positive delay small enough to round away must still ride the ready
+    deque, never leave a stale now-entry on the heap.
+    """
+    ready_append = sim._ready.append
+    when = sim._now + delay
+    if when > sim._now:
+        heappush(sim._queue, (when, next(sim._seq), ready_append, (fire,)))
+    else:
+        ready_append((ready_append, (fire,)))
 
 
 class Timeout:
@@ -56,7 +72,9 @@ class Charge:
     full coroutine-chain resume per CPU hand-off compared with driving
     an equivalent charging subgenerator.  The engine-visible schedule
     (every acquire, sleep, and release point, in sequence order) is
-    identical to that subgenerator's.
+    identical to that subgenerator's, which ``tests/charge_reference.py``
+    keeps as the differential oracle.  Charges are the only way
+    simulated code spends CPU time.
     """
 
     __slots__ = ("cpu", "priority", "accounting", "pairs", "n")
@@ -99,8 +117,8 @@ class Process(Event):
         self._charge = None
         self._charge_i = 0
         self._charge_waiter = None
-        #: Reusable CPU-lock waiter (see PriorityLock.enqueue_charge):
-        #: one contention needs no allocation at all once this exists.
+        #: Reusable CPU waiter (see PriorityLock.enqueue_charge): one
+        #: contention needs no allocation at all once this exists.
         self._cw = None
         #: The Event or Timeout this process is currently blocked on
         #: (deadlock diagnostics); None while runnable or finished.
@@ -139,25 +157,22 @@ class Process(Event):
             return  # stale wakeup (the process was interrupted meanwhile)
         if self._charge is not None:
             # Only an interrupt can land here mid-charge.  Abandon the
-            # charge exactly as the old charging subgenerator's
-            # except/finally blocks did: withdraw a queued CPU waiter
-            # (forwarding the lock if it was handed to us as we died),
-            # or release the CPU we hold mid-sleep.
+            # charge as a charging subgenerator's except/finally blocks
+            # would: withdraw a queued CPU waiter (forwarding the CPU if
+            # it was handed to us as we died), or release the CPU we
+            # hold mid-sleep.
             sched = self._charge.cpu._sched
             waiter = self._charge_waiter
-            if waiter is not None:
+            if waiter is None:
+                sched.release()
+            else:
                 sched.withdraw(waiter)
                 if waiter.granted:
                     sched.release()
-                self._charge_waiter = None
                 # A dead heap entry (or a stale grant in the ready
                 # deque) may still reference the cached waiter: never
                 # reuse it.
-                self._cw = None
-            elif sched._heap:
-                sched.release()
-            else:
-                sched._locked = False
+                self._charge_waiter = self._cw = None
             self._charge = None
         self.waiting_on = None
         self._sim.current = self
@@ -221,65 +236,12 @@ class Process(Event):
             cls = type(target)
             if cls is Timeout:
                 # Allocation-free fast path: no Event, no callback
-                # closure, and the call_at dispatch inlined.  The first
-                # hop is ready.append itself (see module docstring).
-                # Branch on the computed time, exactly as call_at does:
-                # a positive delay small enough to round away must still
-                # ride the ready deque, never leave a stale now-entry on
-                # the heap.
+                # closure (see module docstring).
                 self.waiting_on = target
-                ready_append = sim._ready.append
-                fire = (self._timeout_fire, (target.value, token))
-                when = sim._now + target.delay
-                if when > sim._now:
-                    heappush(sim._queue,
-                             (when, next(sim._seq), ready_append, (fire,)))
-                else:
-                    ready_append((ready_append, (fire,)))
+                _push_timer(sim, target.delay,
+                            (self._timeout_fire, (target.value, token)))
                 return
             if cls is Charge:
-                # Inline of _start_charge_pair's first iteration for the
-                # overwhelmingly common shape — a single positive-cost
-                # pair — to skip a call per charge.  Must stay an exact
-                # mirror of that method.
-                cost = target.pairs[0][1]
-                if cost > 0:
-                    self._charge = target
-                    self._charge_i = 0
-                    sched = target.cpu._sched
-                    if sched._locked:
-                        # Inline of sched.enqueue_charge (one call per
-                        # CPU contention; must stay an exact mirror).
-                        waiter = self._cw
-                        if waiter is None:
-                            waiter = self._cw = _Waiter(None)
-                            waiter.proc = self
-                        waiter.alive = True
-                        waiter.granted = False
-                        waiter.queued_at = sim._now
-                        heappush(sched._heap,
-                                 (target.priority, next(sched._seq), waiter))
-                        sched._live += 1
-                        sched.contended += 1
-                        gauge = sched.depth_gauge
-                        if gauge is not None:
-                            gauge.record(sched._live)
-                        self._charge_waiter = waiter
-                        self.waiting_on = waiter
-                    else:
-                        sched._locked = True
-                        self._charge_waiter = None
-                        self.waiting_on = target
-                        ready_append = sim._ready.append
-                        fire = (self._charge_fire, (token,))
-                        when = sim._now + cost
-                        if when > sim._now:
-                            heappush(sim._queue,
-                                     (when, next(sim._seq),
-                                      ready_append, (fire,)))
-                        else:
-                            ready_append((ready_append, (fire,)))
-                    return
                 status = self._start_charge_pair(target, 0, token)
                 if status is None:
                     return  # queued for the CPU or sleeping on a pair
@@ -347,48 +309,24 @@ class Process(Event):
             self._charge_i = i
             sched = charge.cpu._sched
             if sched._locked:
-                # Inline of sched.enqueue_charge (see _wait_for).
-                waiter = self._cw
-                if waiter is None:
-                    waiter = self._cw = _Waiter(None)
-                    waiter.proc = self
-                waiter.alive = True
-                waiter.granted = False
-                waiter.queued_at = self._sim._now
-                heappush(sched._heap,
-                         (charge.priority, next(sched._seq), waiter))
-                sched._live += 1
-                sched.contended += 1
-                gauge = sched.depth_gauge
-                if gauge is not None:
-                    gauge.record(sched._live)
-                self._charge_waiter = waiter
-                self.waiting_on = waiter
+                self._charge_waiter = self.waiting_on = sched.enqueue_charge(
+                    self, charge.priority)
             else:
                 sched._locked = True
                 self._charge_waiter = None
                 self.waiting_on = charge
-                sim = self._sim
-                ready_append = sim._ready.append
-                fire = (self._charge_fire, (token,))
-                when = sim._now + cost
-                if when > sim._now:
-                    heappush(sim._queue,
-                             (when, next(sim._seq), ready_append, (fire,)))
-                else:
-                    ready_append((ready_append, (fire,)))
+                _push_timer(self._sim, cost, (self._charge_fire, (token,)))
             return None
         self._charge = None
         return True
 
     def _charge_granted(self, waiter):
-        """The CPU lock was handed to this process's queued waiter.
+        """The CPU was handed to this process's queued waiter.
 
         Scheduled directly onto the ready deque by
         :meth:`~repro.sim.sync.PriorityLock.release` (no per-contention
         Event).  The identity guard keeps a stale grant dead after an
-        interrupt, exactly as the old event callback's ``waiting_on``
-        check did: a renege clears ``_charge_waiter`` and forwards the
+        interrupt: a renege clears ``_charge_waiter`` and forwards the
         hand-off before this entry can run.
         """
         if waiter is not self._charge_waiter or not self._alive:
@@ -401,8 +339,7 @@ class Process(Event):
             # schedule is byte-identical with tracing on or off.
             accounting = charge.accounting
             tracer = accounting.tracer
-            if (tracer is not None and tracer.enabled
-                    and waiter.queued_at is not None):
+            if tracer is not None and tracer.enabled:
                 waited = self._sim._now - waiter.queued_at
                 if waited > 0:
                     tracer.record_wait(
@@ -411,64 +348,29 @@ class Process(Event):
                         waiter.queued_at, waited)
         self._charge_waiter = None
         self.waiting_on = charge
-        sim = self._sim
-        token = self._wait_token
-        ready_append = sim._ready.append
-        fire = (self._charge_fire, (token,))
-        when = sim._now + cost
-        if when > sim._now:
-            heappush(sim._queue,
-                     (when, next(sim._seq), ready_append, (fire,)))
-        else:
-            ready_append((ready_append, (fire,)))
+        _push_timer(self._sim, cost, (self._charge_fire, (self._wait_token,)))
 
     def _charge_fire(self, token):
         """A charge pair's sleep elapsed: release, account, next pair."""
         if token is not self._wait_token or not self._alive:
             return
         sim = self._sim
-        # The whole fire runs as this process, exactly as it did when the
-        # release/accounting code lived inside a resumed subgenerator —
-        # the tracer reads sim.current to attribute spans.
+        # The whole fire runs as this process: the tracer reads
+        # sim.current to attribute spans.
         sim.current = self
         charge = self._charge
         cpu = charge.cpu
-        sched = cpu._sched
-        heap = sched._heap
-        if heap:
-            # Inline of sched.release() — we hold the lock, so hand it
-            # to the highest-priority live waiter (one call per charge
-            # completion under contention; must stay an exact mirror).
-            while heap:
-                _prio, _seq, waiter = heappop(heap)
-                if waiter.alive:
-                    waiter.alive = False
-                    sched._live -= 1
-                    proc = waiter.proc
-                    if proc is not None:  # charge fast waiter
-                        waiter.granted = True
-                        sim._ready.append((proc._charge_granted, (waiter,)))
-                    else:
-                        waiter.event.succeed()
-                    gauge = sched.depth_gauge
-                    if gauge is not None:
-                        gauge.record(sched._live)
-                    break
-            else:
-                sched._locked = False
-        else:
-            sched._locked = False
+        cpu._sched.release()
         i = self._charge_i
         layer, cost = charge.pairs[i]
         cpu.busy_time += cost
         cpu.charge_count += 1
         accounting = charge.accounting
-        if accounting.enabled:
-            accounting.totals[layer] += cost
-            accounting.counts[layer] += 1
-            tracer = accounting.tracer
-            if tracer is not None and tracer.enabled:
-                tracer.record(accounting.owner, layer, cost)
+        accounting.totals[layer] += cost
+        accounting.counts[layer] += 1
+        tracer = accounting.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.record(accounting.owner, layer, cost)
         i += 1
         if i < charge.n:
             status = self._start_charge_pair(charge, i, token)

@@ -1,9 +1,11 @@
 """Synchronization primitives in simulated time.
 
-All blocking operations are generators meant to be driven with
-``yield from`` inside a process.  None of them charge CPU time by
-themselves; cost accounting is the caller's job (see
-:mod:`repro.stack.context`).
+The blocking operations of :class:`Lock`, :class:`Condition` and
+:class:`Channel` are generators meant to be driven with ``yield from``
+inside a process.  None of them charge CPU time by themselves; cost
+accounting is the caller's job (see :mod:`repro.stack.context`).
+:class:`PriorityLock` is the CPU run queue, driven only by the process
+machinery when a process yields a :class:`~repro.sim.process.Charge`.
 
 Every blocking operation *reneges* cleanly: if an exception (an
 :class:`~repro.sim.errors.Interrupt` from another process, or
@@ -14,8 +16,8 @@ leaking.  Without this, interrupting a thread that is queued on a lock
 would leave the lock held by a ghost forever.
 """
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 from itertools import count
 
 from repro.sim.errors import SimulationError
@@ -23,31 +25,36 @@ from repro.sim.events import Event
 
 
 class _Waiter:
-    """A queue entry that can be withdrawn (lazy removal).
+    """A queue entry that can be withdrawn (lazy removal)."""
 
-    ``queued_at`` is stamped by the :class:`PriorityLock` enqueues only
-    — the CPU scheduler's queue is where contention waits are
-    attributed to packet traces (see
-    :meth:`Process._charge_granted`); the other primitives leave it
-    None.  A waiter queued via :meth:`PriorityLock.enqueue_charge`
-    carries its ``proc`` instead of an event and is woken by scheduling
-    the process's grant method directly; ``granted`` then plays the
-    role ``event.triggered`` plays for event waiters.
-    """
-
-    __slots__ = ("event", "alive", "queued_at", "proc", "granted")
+    __slots__ = ("event", "alive")
 
     def __init__(self, event):
         self.event = event
         self.alive = True
-        self.queued_at = None
-        self.proc = None
+
+
+class _CpuWaiter:
+    """A process whose in-flight charge is queued for the CPU.
+
+    :meth:`PriorityLock.release` wakes it by scheduling the process's
+    ``_charge_granted`` method directly (no per-contention Event), and
+    sets ``granted`` so a process interrupted before that entry runs
+    knows to forward the CPU.  ``queued_at`` lets the grant attribute
+    the queued interval to the packet's trace as contention.
+    """
+
+    __slots__ = ("proc", "alive", "granted", "queued_at")
+
+    def __init__(self, proc):
+        self.proc = proc
+        self.alive = True
         self.granted = False
+        self.queued_at = None
 
     def __repr__(self):
-        kind = "charge" if self.proc is not None else "event"
-        return "<lock waiter (%s)%s>" % (
-            kind, "" if self.alive else " done")
+        return "<cpu waiter %s%s>" % (
+            self.proc.name, "" if self.alive else " done")
 
 
 class Lock:
@@ -103,22 +110,27 @@ class Lock:
 
 
 class PriorityLock:
-    """A lock that grants access to the highest-priority waiter first.
+    """The CPU run queue: grants the CPU to the highest-priority charge.
 
     Lower numeric priority wins (priority 0 preempts priority 10 at the
-    next release point).  Equal priorities are FIFO.  This is the
-    scheduling substrate for the simulated CPU.
+    next release point).  Equal priorities are FIFO.  Only the process
+    machinery's charge path drives it (see
+    :mod:`repro.sim.process`): an uncontended charge takes the lock by
+    setting ``_locked``; a contended one queues with
+    :meth:`enqueue_charge`; every charge ends in :meth:`release`.  This
+    class is the only code that knows the queue's layout.
     """
 
     def __init__(self, sim, name=""):
         self._sim = sim
         self._locked = False
+        #: ``(priority, seq, _CpuWaiter)`` entries; withdrawn ones stay
+        #: until popped (lazy removal), so ``_live`` counts the rest.
         self._heap = []
         self._live = 0
         self._seq = count()
         self.name = name
-        self._waiter_name = "plock:%s" % name
-        #: Cumulative count of acquirers that had to wait.
+        #: Cumulative count of charges that had to wait.
         self.contended = 0
         #: Telemetry hook (bound by a MetricsRegistry while enabled;
         #: None costs one test per contended enqueue/release).
@@ -128,73 +140,21 @@ class PriorityLock:
     def locked(self):
         return self._locked
 
-    def acquire(self, priority=0):
-        if not self._locked:
-            self._locked = True
-            return
-        waiter = self.enqueue(priority)
-        try:
-            yield waiter.event
-        except BaseException:
-            self.withdraw(waiter)
-            if waiter.event.triggered:
-                self.release()
-            raise
-
-    def try_acquire(self):
-        """Non-blocking acquire; returns True on success.
-
-        Lets uncontended callers skip creating an :meth:`acquire`
-        generator — the hand-off semantics are unchanged because an
-        uncontended ``acquire`` never yields anyway.
-        """
-        if self._locked:
-            return False
-        self._locked = True
-        return True
-
-    def enqueue(self, priority):
-        """Register a blocked acquirer; returns its :class:`_Waiter`.
-
-        The contended half of :meth:`acquire`, split out so hot callers
-        can wait on ``waiter.event`` in their own generator frame
-        instead of delegating into a fresh one.  Such a caller owns the
-        renege duty: on an exception during the wait it must mark the
-        waiter dead (``withdraw``) and, if the event already triggered,
-        forward the hand-off with :meth:`release`.
-        """
-        waiter = _Waiter(Event(self._sim, name=self._waiter_name))
-        waiter.queued_at = self._sim._now
-        heapq.heappush(self._heap, (priority, next(self._seq), waiter))
-        self._live += 1
-        self.contended += 1
-        gauge = self.depth_gauge
-        if gauge is not None:
-            gauge.record(self._live)
-        return waiter
-
     def enqueue_charge(self, proc, priority):
-        """Queue ``proc``'s in-flight charge for the CPU.
+        """Queue ``proc``'s in-flight charge for the CPU; returns its
+        :class:`_CpuWaiter`.
 
-        The charge-path twin of :meth:`enqueue`: instead of allocating
-        a one-shot :class:`Event` per contention, the waiter carries
-        the process and :meth:`release` schedules its
-        ``_charge_granted`` method directly.  The ready-deque append
-        happens at the exact moment ``event.succeed()`` would have
-        appended the event dispatch, so wake order — and therefore the
-        whole simulated schedule — is unchanged.  The waiter object is
-        cached on the process and reused contention after contention;
-        the cache is dropped whenever a renege leaves a stale reference
-        in the heap (see :meth:`Process._resume`).
+        The waiter is cached on the process and reused contention after
+        contention; the process drops the cache whenever a renege leaves
+        a stale reference in the heap (see :meth:`Process._resume`).
         """
         waiter = proc._cw
         if waiter is None:
-            waiter = proc._cw = _Waiter(None)
-            waiter.proc = proc
+            waiter = proc._cw = _CpuWaiter(proc)
         waiter.alive = True
         waiter.granted = False
         waiter.queued_at = self._sim._now
-        heapq.heappush(self._heap, (priority, next(self._seq), waiter))
+        heappush(self._heap, (priority, next(self._seq), waiter))
         self._live += 1
         self.contended += 1
         gauge = self.depth_gauge
@@ -203,25 +163,24 @@ class PriorityLock:
         return waiter
 
     def withdraw(self, waiter):
-        """Renege a queued ``waiter`` (lazy removal; see :meth:`enqueue`)."""
+        """Renege a queued ``waiter`` (lazy removal)."""
         if waiter.alive:
             waiter.alive = False
             self._live -= 1
 
     def release(self):
+        """Hand the CPU to the best live waiter, or free it."""
         if not self._locked:
             raise SimulationError("release of unlocked %r" % self)
-        while self._heap:
-            _prio, _seq, waiter = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            waiter = heappop(heap)[2]
             if waiter.alive:
                 waiter.alive = False
+                waiter.granted = True
                 self._live -= 1
-                proc = waiter.proc
-                if proc is not None:  # charge fast waiter: direct grant
-                    waiter.granted = True
-                    self._sim._ready.append((proc._charge_granted, (waiter,)))
-                else:
-                    waiter.event.succeed()
+                self._sim._ready.append(
+                    (waiter.proc._charge_granted, (waiter,)))
                 gauge = self.depth_gauge
                 if gauge is not None:
                     gauge.record(self._live)
@@ -229,7 +188,7 @@ class PriorityLock:
         self._locked = False
 
     def waiting(self):
-        """Number of blocked acquirers."""
+        """Number of queued charges."""
         return self._live
 
 

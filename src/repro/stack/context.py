@@ -9,7 +9,6 @@ protocol library; the simulated-spl machinery in the UX server), and which
 
 from repro.hw.cpu import Priority
 from repro.sim.process import Charge
-from repro.sim.sync import Condition, Lock
 from repro.stack.instrument import CrossingCounter, LayerAccounting
 
 
@@ -123,16 +122,6 @@ class ExecutionContext:
         """A user/kernel protection boundary crossing (trap or return)."""
         self.crossings.user_kernel += 1
         return self.charge(layer, self.params.trap)
-
-    # ------------------------------------------------------------------
-    # Synchronization objects in this context
-    # ------------------------------------------------------------------
-
-    def lock(self, name=""):
-        return Lock(self.sim, name="%s.%s" % (self.name, name))
-
-    def condition(self, lock=None, name=""):
-        return Condition(self.sim, lock, name="%s.%s" % (self.name, name))
 
     def __repr__(self):
         return "<ExecutionContext %s prio=%d locks=%s>" % (

@@ -54,22 +54,19 @@ class LayerAccounting:
     kernel paths attribute costs by calling :meth:`add` directly.
     """
 
-    __slots__ = ("totals", "counts", "enabled", "tracer", "owner")
+    __slots__ = ("totals", "counts", "tracer", "owner")
 
     def __init__(self):
         self.totals = defaultdict(float)
         self.counts = defaultdict(int)
-        self.enabled = True
         self.tracer = None
         self.owner = ""
 
     def add(self, layer, cost):
-        if not self.enabled:
-            return
         self.totals[layer] += cost
         self.counts[layer] += 1
         tracer = self.tracer
-        # Check .enabled here too so a disabled recorder costs nothing
+        # Check .enabled here so a disabled recorder costs nothing
         # beyond the attribute test (it would return immediately anyway).
         if tracer is not None and tracer.enabled:
             tracer.record(self.owner, layer, cost)
@@ -90,9 +87,6 @@ class LayerAccounting:
 
     def snapshot(self):
         return dict(self.totals)
-
-    def path_total(self, layers, per=None):
-        return sum(self.mean(layer, per=per) for layer in layers)
 
 
 class CrossingCounter:

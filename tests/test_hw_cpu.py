@@ -1,44 +1,47 @@
-"""The simulated CPU: charging, priorities, accounting."""
+"""The simulated CPU: charging, priorities, utilization."""
 
 import pytest
 
 from repro.hw.cpu import CPU, Priority
 from repro.hw.platforms import DECSTATION_5000_200
 from repro.sim import Timeout
+from repro.stack.context import ExecutionContext
 
 
-def make_cpu(sim):
-    return CPU(sim, DECSTATION_5000_200)
+def make_ctx(sim, priority=Priority.APPLICATION, cpu=None):
+    if cpu is None:
+        cpu = CPU(sim, DECSTATION_5000_200)
+    return ExecutionContext(sim, cpu, priority=priority)
 
 
 def test_charge_advances_clock(sim):
-    cpu = make_cpu(sim)
+    ctx = make_ctx(sim)
 
     def worker():
-        yield from cpu.execute(100.0)
+        yield ctx.charge("w", 100.0)
         return sim.now
 
     assert sim.run_process(worker()) == 100.0
-    assert cpu.busy_time == 100.0
-    assert cpu.charge_count == 1
+    assert ctx.cpu.busy_time == 100.0
+    assert ctx.cpu.charge_count == 1
 
 
 def test_zero_cost_is_free(sim):
-    cpu = make_cpu(sim)
+    ctx = make_ctx(sim)
 
     def worker():
-        yield from cpu.execute(0.0)
+        yield ctx.charge("w", 0.0)
         return sim.now
 
     assert sim.run_process(worker()) == 0.0
-    assert cpu.charge_count == 0
+    assert ctx.cpu.charge_count == 0
 
 
 def test_negative_cost_raises(sim):
-    cpu = make_cpu(sim)
+    ctx = make_ctx(sim)
 
     def worker():
-        yield from cpu.execute(-1.0)
+        yield ctx.charge("w", -1.0)
 
     proc = sim.spawn(worker())
     sim.run()
@@ -47,11 +50,11 @@ def test_negative_cost_raises(sim):
 
 
 def test_charges_serialize(sim):
-    cpu = make_cpu(sim)
+    ctx = make_ctx(sim)
     finishes = []
 
     def worker(name):
-        yield from cpu.execute(50.0)
+        yield ctx.charge("w", 50.0)
         finishes.append((name, sim.now))
 
     sim.spawn(worker("a"))
@@ -61,18 +64,19 @@ def test_charges_serialize(sim):
 
 
 def test_priority_wins_at_release_point(sim):
-    cpu = make_cpu(sim)
+    app_ctx = make_ctx(sim, Priority.APPLICATION)
+    intr_ctx = make_ctx(sim, Priority.INTERRUPT, cpu=app_ctx.cpu)
     order = []
 
     def app():
-        yield from cpu.execute(10.0, Priority.APPLICATION)
+        yield app_ctx.charge("app", 10.0)
         order.append("app1")
-        yield from cpu.execute(10.0, Priority.APPLICATION)
+        yield app_ctx.charge("app", 10.0)
         order.append("app2")
 
     def interrupt_handler():
         yield Timeout(1.0)  # arrives while the app's first charge runs
-        yield from cpu.execute(5.0, Priority.INTERRUPT)
+        yield intr_ctx.charge("intr", 5.0)
         order.append("intr")
 
     sim.spawn(app())
@@ -81,23 +85,12 @@ def test_priority_wins_at_release_point(sim):
     assert order == ["app1", "intr", "app2"]
 
 
-def test_account_callback(sim):
-    cpu = make_cpu(sim)
-    charged = []
-
-    def worker():
-        yield from cpu.execute(30.0, account=charged.append)
-
-    sim.run_process(worker())
-    assert charged == [30.0]
-
-
 def test_utilization(sim):
-    cpu = make_cpu(sim)
+    ctx = make_ctx(sim)
 
     def worker():
-        yield from cpu.execute(25.0)
+        yield ctx.charge("w", 25.0)
         yield Timeout(75.0)
 
     sim.run_process(worker())
-    assert cpu.utilization() == pytest.approx(0.25)
+    assert ctx.cpu.utilization() == pytest.approx(0.25)

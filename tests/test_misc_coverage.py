@@ -4,10 +4,9 @@ import pytest
 
 from repro.hw.cpu import CPU, Priority
 from repro.hw.platforms import DECSTATION_5000_200, GATEWAY_486
-from repro.sim import Simulator, Timeout
 from repro.sim.events import any_of
 from repro.stack.context import ExecutionContext, light_locks, spl_locks
-from repro.stack.instrument import Layer, LayerAccounting
+from repro.stack.instrument import LayerAccounting
 
 
 # ----------------------------------------------------------------------
@@ -31,20 +30,6 @@ def test_charge_attribution_to_layers(sim):
     assert acct.mean("layerA", per=3) == 5.0
     acct.reset()
     assert acct.total("layerA") == 0.0
-
-
-def test_accounting_can_be_disabled(sim):
-    cpu = CPU(sim, DECSTATION_5000_200)
-    acct = LayerAccounting()
-    acct.enabled = False
-    ctx = ExecutionContext(sim, cpu, accounting=acct)
-
-    def prog():
-        yield ctx.charge("x", 10.0)
-
-    sim.run_process(prog())
-    assert acct.total("x") == 0.0
-    assert cpu.busy_time == 10.0  # the CPU time was still spent
 
 
 def test_charge_copy_and_checksum_scale_with_bytes(sim):

@@ -5,19 +5,25 @@ that it executes directly — acquire the CPU's priority lock, sleep the
 cost, release, account — without a charging subgenerator.  These tests
 pin the semantics that path must preserve: serialization and priority,
 zero-cost synchronous continuation, negative-cost errors raised at the
-yield site, renege on interrupt (both queued and mid-sleep), the
-``yield from`` compatibility path, and safe sharing of cached Charge
-objects between processes.
+yield site, renege on interrupt (both queued and mid-sleep), safe
+sharing of cached Charge objects between processes, and, differentially,
+the whole path against its plain subgenerator form
+(``tests/charge_reference.py``).
 """
 
+from functools import partial
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hw.cpu import CPU, Priority
 from repro.hw.platforms import DECSTATION_5000_200
-from repro.sim import Timeout
+from repro.sim import Simulator, Timeout
 from repro.sim.errors import Interrupt
 from repro.sim.process import Charge
 from repro.stack.context import ExecutionContext
+from repro.stack.instrument import LayerAccounting
+from tests.charge_reference import ReferenceCPU
 
 
 def make_ctx(sim, priority=Priority.APPLICATION):
@@ -205,3 +211,95 @@ def test_deadlock_report_includes_charge(sim):
     with pytest.raises(Exception) as err:
         sim.run_process(worker())
     assert "never" in str(err.value)
+
+
+# ----------------------------------------------------------------------
+# Differential test: the charge path against its plain subgenerator form
+# ----------------------------------------------------------------------
+
+# Small integer-ish costs and instants make ties (a grant, a fire and an
+# interrupt landing at one instant) common, which is where a renege can
+# leak the CPU or hand it to a ghost.
+_step = st.tuples(
+    st.integers(0, 4),  # priority
+    st.lists(st.tuples(st.sampled_from("abc"),
+                       st.sampled_from((0, 0.5, 1, 2, 3, 7))),
+             min_size=1, max_size=3),
+    st.one_of(st.none(), st.sampled_from((0, 1, 2, 5))),  # pause first
+)
+_scenario = st.tuples(
+    st.lists(st.lists(_step, min_size=1, max_size=5), min_size=1, max_size=4),
+    # (victim, gap): an interrupter sleeps ``gap`` then interrupts.
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 20)), max_size=3),
+)
+
+
+def _charge_step(sim, cpu, ledger, contexts, priority, pairs):
+    ctx = contexts.get(priority)
+    if ctx is None:
+        ctx = contexts[priority] = ExecutionContext(
+            sim, cpu, priority=priority, accounting=ledger)
+    if len(pairs) == 1:
+        yield ctx.charge(*pairs[0])
+    else:
+        yield ctx.charge_batch(tuple(pairs))
+
+
+def _reference_step(sim, cpu, ledger, contexts, priority, pairs):
+    for layer, cost in pairs:
+        yield from cpu.execute(cost, priority,
+                               account=partial(ledger.add, layer))
+
+
+def _script(sim, cpu, ledger, name, steps, log, run_step):
+    contexts = {}
+    for priority, pairs, pause in steps:
+        try:
+            if pause is not None:
+                yield Timeout(pause)
+            yield from run_step(sim, cpu, ledger, contexts, priority, pairs)
+        except Interrupt:
+            log.append((name, "interrupted", sim.now, cpu.contention()))
+            continue
+        log.append((name, "done", sim.now, cpu.contention()))
+
+
+def _interrupter(procs, interrupts):
+    # Sleeping in a process (not call_at at setup) puts each interrupt's
+    # timer behind the charge timers pushed before it, so an interrupt
+    # can land after a release handed the CPU to its victim.
+    for victim, gap in interrupts:
+        yield Timeout(gap)
+        proc = procs[victim % len(procs)]
+        if proc.alive:
+            proc.interrupt()
+
+
+def _play(scenario, reference):
+    scripts, interrupts = scenario
+    sim = Simulator()
+    if reference:
+        cpu, run_step = ReferenceCPU(sim), _reference_step
+    else:
+        cpu, run_step = CPU(sim, DECSTATION_5000_200), _charge_step
+    log = []
+    ledgers = [LayerAccounting() for _ in scripts]
+    procs = [
+        sim.spawn(_script(sim, cpu, ledger, "p%d" % n, steps, log, run_step),
+                  name="p%d" % n)
+        for n, (ledger, steps) in enumerate(zip(ledgers, scripts))
+    ]
+    sim.spawn(_interrupter(procs, interrupts), name="interrupter")
+    sim.run()
+    return (log, cpu.busy_time, cpu.charge_count,
+            [(dict(ledger.totals), dict(ledger.counts)) for ledger in ledgers],
+            cpu.contention())
+
+
+@settings(max_examples=500, deadline=None)
+@given(_scenario)
+def test_charge_path_matches_reference_subgenerator(scenario):
+    """Charges through ctx.charge/charge_batch finish, get interrupted,
+    and bill exactly as the same scripts through a plain subgenerator
+    that acquires an event-waiter priority lock, sleeps and releases."""
+    assert _play(scenario, reference=False) == _play(scenario, reference=True)

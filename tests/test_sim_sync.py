@@ -1,16 +1,19 @@
-"""Locks, conditions, channels — including renege behavior."""
+"""Locks, conditions, channels, the CPU run queue — including renege
+behavior."""
 
 import pytest
 
+from repro.hw.cpu import CPU
+from repro.hw.platforms import DECSTATION_5000_200
 from repro.sim import (
     Channel,
     Condition,
     Interrupt,
     Lock,
-    PriorityLock,
     Timeout,
 )
 from repro.sim.errors import SimulationError
+from repro.stack.context import ExecutionContext
 
 
 def test_lock_mutual_exclusion_fifo(sim):
@@ -116,15 +119,15 @@ def test_lock_renege_after_handoff_forwards(sim):
 
 
 def test_priority_lock_orders_waiters(sim):
-    plock = PriorityLock(sim)
+    """The CPU run queue grants by priority, not arrival order."""
+    cpu = CPU(sim, DECSTATION_5000_200)
     order = []
 
     def worker(name, priority, start):
+        ctx = ExecutionContext(sim, cpu, priority=priority)
         yield Timeout(start)
-        yield from plock.acquire(priority)
+        yield ctx.charge(name, 50)
         order.append(name)
-        yield Timeout(50)
-        plock.release()
 
     sim.spawn(worker("first", 5, 0))
     sim.spawn(worker("low", 9, 1))
@@ -134,23 +137,23 @@ def test_priority_lock_orders_waiters(sim):
 
 
 def test_priority_lock_waiting_count(sim):
-    plock = PriorityLock(sim)
+    cpu = CPU(sim, DECSTATION_5000_200)
+    holder = ExecutionContext(sim, cpu, priority=0)
+    waiter = ExecutionContext(sim, cpu, priority=1)
 
-    def holder():
-        yield from plock.acquire(0)
-        yield Timeout(100)
-        plock.release()
+    def hold():
+        yield holder.charge("holder", 100)
 
-    def waiter():
-        yield from plock.acquire(1)
-        plock.release()
+    def wait():
+        yield waiter.charge("waiter", 1)
 
-    sim.spawn(holder())
-    sim.spawn(waiter())
+    sim.spawn(hold())
+    sim.spawn(wait())
     sim.run(until=50)
-    assert plock.waiting() == 1
+    assert cpu.contention() == 1
     sim.run()
-    assert plock.waiting() == 0
+    assert cpu.contention() == 0
+    assert not cpu.scheduler.locked
 
 
 def test_condition_wait_notify(sim):
