@@ -1,6 +1,8 @@
-"""Generate EXPERIMENTS.md: paper-vs-measured for every table and figure.
+"""Paper-vs-measured for every table and figure, from live simulations.
 
-Run as a module to regenerate the report from live simulations::
+Run as a module to print the report on stdout, or to write it to a file
+when a path is named (nothing is written otherwise; the hand-kept
+EXPERIMENTS.md is not this report)::
 
     python -m repro.analysis.report [output-path]
 
@@ -255,10 +257,12 @@ def generate(stream):
 
 
 def main(argv):
-    path = argv[1] if len(argv) > 1 else "EXPERIMENTS.md"
-    with open(path, "w") as handle:
+    if len(argv) < 2:
+        generate(sys.stdout)
+        return
+    with open(argv[1], "w") as handle:
         generate(handle)
-    print("wrote", path)
+    print("wrote", argv[1])
 
 
 if __name__ == "__main__":

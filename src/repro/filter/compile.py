@@ -73,10 +73,7 @@ def compile_session_filter(proto, local_ip, local_port,
     for i, insn in enumerate(program):
         if insn.jf is None:
             insn.jf = reject_distance(last - (i + 1))
-    compiled = FilterProgram(program)
-    compiled.demux_key = (
-        "sess", proto, local_ip, local_port, remote_ip, remote_port)
-    return validate(compiled)
+    return validate(FilterProgram(program))
 
 
 def compile_ip_protocol_filter(proto):
@@ -89,9 +86,7 @@ def compile_ip_protocol_filter(proto):
         Insn(Op.RET, k=ACCEPT_ALL),
         Insn(Op.RET, k=0),
     ]
-    compiled = FilterProgram(program)
-    compiled.demux_key = ("ipproto", proto)
-    return validate(compiled)
+    return validate(FilterProgram(program))
 
 
 def compile_arp_filter():
@@ -102,6 +97,4 @@ def compile_arp_filter():
         Insn(Op.RET, k=ACCEPT_ALL),
         Insn(Op.RET, k=0),
     ]
-    compiled = FilterProgram(program)
-    compiled.demux_key = ("arp",)
-    return validate(compiled)
+    return validate(FilterProgram(program))

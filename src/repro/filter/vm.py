@@ -11,20 +11,10 @@ MAX_PROGRAM_LEN = 512
 
 
 class FilterProgram(list):
-    """A filter program that knows what it matches.
-
-    Compiled programs carry a ``demux_key`` describing the exact class
-    of frames they accept — ``("sess", proto, lip, lport, rip, rport)``
-    with None wildcards, ``("ipproto", proto)``, or ``("arp",)`` — so a
-    kernel running a scale-out world can demultiplex by hash lookup
-    instead of running every installed program (see
-    :meth:`repro.kernel.kernel.Kernel._demux_candidates`).  The program
-    is still a plain instruction list and still *runs* to confirm every
-    match; the key only prunes which programs are worth running.  Hand
-    -built programs without a key always fall back to the linear scan.
+    """A compiled filter program: a plain instruction list that can also
+    hold its threaded-code cache (a bare ``list`` takes no attributes).
     """
 
-    demux_key = None
     #: Threaded-code cache: a tuple of (op, k, jt, jf) tuples built on
     #: first run, so the interpreter loop costs one indexed load and a
     #: tuple unpack per instruction instead of three attribute loads.

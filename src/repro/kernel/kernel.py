@@ -18,13 +18,9 @@ with the three delivery interfaces of Section 4.1:
 from repro.filter.vm import FilterMachine
 from repro.hw.cpu import Priority
 from repro.kernel.ipc import Message
-from repro.net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IP
-from repro.sim.scale import ScaleSimulator
 from repro.stack.context import ExecutionContext
 from repro.stack.instrument import Layer
 from repro.trace import frame_trace
-
-_ARP_KEY = ("arp",)
 
 
 class QueueDelivery:
@@ -133,15 +129,10 @@ class Kernel:
         #: the interrupt loop adopts each frame's trace id (or starts a
         #: fresh "recv" trace for untagged arrivals).
         self.tracer = tracer
+        #: Installed filters in scan order: every arriving frame runs them
+        #: one by one until one accepts (the paper's linear demux), so
+        #: exact sessions installed ``front=True`` beat wildcard listeners.
         self._filters = []
-        #: Indexed demux (scale-out worlds): compiled filters hash by
-        #: their ``demux_key`` so an arriving frame runs only the one or
-        #: two programs that could accept it — O(1) in the number of
-        #: sessions — instead of the whole install list.  Selected by
-        #: the simulator's type: scale worlds index, the paper's small
-        #: worlds keep the exact linear scan (None).
-        self._demux_index = {} if isinstance(sim, ScaleSimulator) else None
-        self._unindexed = []
         self._vm = FilterMachine()
         self.ctx = ExecutionContext(
             sim, cpu, priority=Priority.INTERRUPT, name=name
@@ -165,16 +156,6 @@ class Kernel:
             self._filters.insert(0, handle)
         else:
             self._filters.append(handle)
-        if self._demux_index is not None:
-            key = getattr(program, "demux_key", None)
-            if key is None:
-                bucket = self._unindexed
-            else:
-                bucket = self._demux_index.setdefault(key, [])
-            if front:
-                bucket.insert(0, handle)
-            else:
-                bucket.append(handle)
         return handle
 
     def remove_filter(self, handle):
@@ -189,15 +170,6 @@ class Kernel:
             self._filters.remove(handle)
         except ValueError:
             return False
-        if self._demux_index is not None:
-            key = getattr(handle.program, "demux_key", None)
-            if key is None:
-                self._unindexed.remove(handle)
-            else:
-                bucket = self._demux_index[key]
-                bucket.remove(handle)
-                if not bucket:
-                    del self._demux_index[key]
         return True
 
     def filter_count(self):
@@ -266,63 +238,9 @@ class Kernel:
             if not matched:
                 self.frames_dropped_no_match += 1
 
-    def _demux_candidates(self, frame):
-        """The installed filters worth running against ``frame``.
-
-        Classify the frame once (ethertype, IP protocol, addresses,
-        first-fragment ports) and look up the matching key buckets:
-        exact session before wildcard session — preserving the
-        exact-beats-listener precedence the linear scan gets from
-        ``front=True`` installs — then protocol-level filters, then any
-        hand-built programs without a key.  Each candidate's program
-        still runs (and is charged) to confirm the match; the index only
-        decides which programs are worth running, making receive demux
-        O(1) in the number of live sessions.
-        """
-        index = self._demux_index
-        candidates = []
-        if len(frame) >= 14:
-            ethertype = (frame[12] << 8) | frame[13]
-            if ethertype == ETHERTYPE_ARP:
-                bucket = index.get(_ARP_KEY)
-                if bucket:
-                    candidates.extend(bucket)
-            elif ethertype == ETHERTYPE_IP and len(frame) >= 34:
-                proto = frame[23]
-                if ((frame[20] << 8) | frame[21]) & 0x1FFF == 0:
-                    # First fragment: the transport header is readable,
-                    # so session filters are in play.
-                    ihl = 4 * (frame[14] & 0x0F)
-                    off = 14 + ihl
-                    if len(frame) >= off + 4:
-                        src = ((frame[26] << 24) | (frame[27] << 16)
-                               | (frame[28] << 8) | frame[29])
-                        dst = ((frame[30] << 24) | (frame[31] << 16)
-                               | (frame[32] << 8) | frame[33])
-                        sport = (frame[off] << 8) | frame[off + 1]
-                        dport = (frame[off + 2] << 8) | frame[off + 3]
-                        bucket = index.get(
-                            ("sess", proto, dst, dport, src, sport))
-                        if bucket:
-                            candidates.extend(bucket)
-                        bucket = index.get(
-                            ("sess", proto, dst, dport, None, None))
-                        if bucket:
-                            candidates.extend(bucket)
-                bucket = index.get(("ipproto", proto))
-                if bucket:
-                    candidates.extend(bucket)
-        if self._unindexed:
-            candidates.extend(self._unindexed)
-        return candidates
-
     def _demux(self, frame, from_device, pre_cost):
         p = self.params
-        if self._demux_index is None:
-            handles = self._filters
-        else:
-            handles = self._demux_candidates(frame)
-        for handle in handles:
+        for handle in self._filters:
             accepted, insns = self._vm.run(handle.program, frame)
             yield from self._charge_attributed(
                 handle.accounting, Layer.NETISR_FILTER, p.filter_insn * insns

@@ -40,7 +40,7 @@ from repro.hw.platforms import DECSTATION_5000_200, GATEWAY_486
 from repro.hw.wire import US_PER_BYTE_10MBIT, EthernetWire
 from repro.metrics import MetricsRegistry
 from repro.net.addr import ip_ntoa
-from repro.sim.scale import ScaleSimulator
+from repro.sim.engine import Simulator
 from repro.trace import TraceRecorder
 from repro.world.configs import CONFIGS, make_placement
 from repro.world.host import Host
@@ -108,7 +108,7 @@ class World:
             base_platform.scaled(placement_spec.cpu_scale)
             if placement_spec.cpu_scale != 1.0 else base_platform)
         self.router_platform = base_platform.scaled(1.0 / spec.router_speedup)
-        self.sim = sim if sim is not None else ScaleSimulator()
+        self.sim = sim if sim is not None else Simulator()
         self.tracer = TraceRecorder(self.sim)
         self.metrics = MetricsRegistry(self.sim)
         self.tcp_defaults = tcp_defaults

@@ -1,11 +1,19 @@
 """Shared fixtures for the test suite."""
 
 import pytest
+from hypothesis import settings
 
 from repro.hw.platforms import DECSTATION_5000_200
 from repro.sim.engine import Simulator
 from repro.world.configs import build_network
 from repro.world.network import Network
+
+# Tier-1 and CI draw the same examples on every run (no example database
+# carries a failure from one run into the next); the nightly job opts
+# into random search with ``--hypothesis-profile nightly``.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("nightly", derandomize=False, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -133,3 +133,24 @@ def test_run_breakdown_layers_complete():
     assert breakdown["measured rtt_us"] > 0
     # In-kernel: no kernel->user copy before the protocol.
     assert breakdown[Layer.KERNEL_COPYOUT] == 0
+
+
+# ----------------------------------------------------------------------
+# The report module's command line
+# ----------------------------------------------------------------------
+
+def test_report_without_a_path_prints_and_writes_no_file(
+        tmp_path, monkeypatch, capsys):
+    from repro.analysis import report
+
+    # The real generate() re-runs every table (minutes); main() only
+    # decides where its text goes.
+    monkeypatch.setattr(report, "generate",
+                        lambda stream: stream.write("# the report\n"))
+    monkeypatch.chdir(tmp_path)
+    report.main(["report"])
+    assert capsys.readouterr().out == "# the report\n"
+    assert list(tmp_path.iterdir()) == []
+    report.main(["report", "out.md"])
+    assert (tmp_path / "out.md").read_text() == "# the report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.md"]

@@ -185,7 +185,8 @@ def test_filter_remove():
     handle = kern_b.install_filter(
         compile_ip_protocol_filter(ip.PROTO_UDP), QueueDelivery(q)
     )
-    kern_b.remove_filter(handle)
+    assert kern_b.remove_filter(handle)
+    assert not kern_b.remove_filter(handle)  # idempotent
     assert kern_b.filter_count() == 0
     send_frames(sim, kern_a, [frame_for(7)])
     sim.run()

@@ -20,6 +20,28 @@ def test_call_later_ordering(sim):
     assert sim.now == 10
 
 
+def test_timer_ties_break_by_when_the_timer_was_set(sim):
+    def record(log, tag, delays):
+        for delay in delays:
+            yield Timeout(delay)
+            log.append((sim.now, tag))
+
+    log = []
+    # Distinct deadlines and same-instant ties (t = 2.5 twice, four
+    # timers at t = 10 spawned out of tag order, a pair landing on the
+    # far-future t = 1e6).
+    sim.spawn(record(log, "a", [1.0, 1.5, 7.5, 90.0, 999_900.0]))
+    sim.spawn(record(log, "b", [1.5, 1.0, 7.5, 89.0, 2e6]))
+    sim.spawn(record(log, "d", [10.0, 999_990.0]))
+    sim.spawn(record(log, "c", [10.0]))
+    sim.run()
+    assert [when for when, _tag in log] == sorted(when for when, _tag in log)
+    # Ties break by insertion sequence — when the timer was set — not
+    # by tag or spawn order: "d" and "c" set theirs at t = 0.
+    assert [tag for when, tag in log if when == 10.0] == ["d", "c", "a", "b"]
+    assert [tag for when, tag in log if when == 1e6] == ["d", "a"]
+
+
 def test_call_at_past_raises(sim):
     sim.call_later(10, lambda: None)
     sim.run()

@@ -108,26 +108,26 @@ _GOLDEN_WORKLOAD = dict(proto="udp", clients=0, fanout=2,
 
 @pytest.mark.parametrize("topology,workload,placements,golden", [
     (dict(kind="star", hosts=16, seed=7), {}, ["library-shm-ipf"],
-     "81682039feb0b45b5f2464e6b41efbb2d10823bb5021ef03b7d3725a02be9a15"),
+     "b7b79f11470fac459eb88ade92a0bd81c4dbd965fa6c19b6e8bc499aed050b03"),
     (dict(kind="fattree", hosts=16, seed=7, hosts_per_edge=8, spines=2),
      {}, ["mach25"],
-     "1823eb760810d4802b8fec71c6d052f3d32ebaf1957290e697f466149c82f641"),
+     "1db31dd88fafd7e53f0a5e971634bc92e542ab624801b8ecdb058a7377521755"),
     # The cell tests/test_parallel.py::_cells builds.
     (dict(kind="wan", hosts=12, seed=21, hosts_per_edge=8, spines=2,
           sites=2, router_speedup=8.0), {}, ["mach25"],
-     "d31e3e1ef5b7220f21ff1fd1efb35aef82d5e1e321b6b095cbfb1b8fe3c61294"),
+     "1d0730f8127b1d5d87af0e0072b0f9375da628312f92875461fd4c4664295a7f"),
     # Persistent TCP connections in a scale world, under all three
     # placements: what the stacks' TCP timer pass does there.
     (dict(kind="star", hosts=8, seed=7), dict(proto="tcp"),
      ["library-shm-ipf", "mach25", "ux"],
-     "eec39ae72f29ddb53e570000ba64265398ed3e6f9b917fb92d6a7c93599e3956"),
+     "298a67697eafe9afcb90429617f52003b60b6b33e296521c2d195b1b3e179b00"),
     # Long enough for connections to sit idle between requests while
     # others have output on the same timer pass: pins the order of that
-    # pass (the demux table's, as on a plain Simulator).
+    # pass (the demux table's).
     (dict(kind="star", hosts=8, seed=7),
      dict(proto="tcp", window_us=600_000.0, drain_us=300_000.0),
      ["mach25"],
-     "b9a942f0faa9fb314fdc66bb483b35ee645f141b0ce456768a0ec7c25c4e01cd"),
+     "3e8502b32a475ec60a595cdbe557394901175f86d7dc83bd004c5a6ef74415c2"),
 ], ids=["star16", "fattree16", "wan12", "star8_tcp", "star8_tcp_600ms"])
 def test_scale_cell_matches_golden(topology, workload, placements, golden):
     # The other scale tests compare a run with itself or its twin, and
@@ -142,8 +142,10 @@ def test_scale_cell_matches_golden(topology, workload, placements, golden):
     # hop per destination: its clients stopped paying a meta_route RPC
     # for every new peer.  star8_tcp_600ms was captured when the
     # scale-only tick registry went; on that registry's order it read
-    # otherwise.  EXPERIMENTS.md, "Tail at scale" and "One TCP timer
-    # pass".)
+    # otherwise.  All five moved together when the hash-indexed demux
+    # went: every kernel now runs its whole filter list, each program
+    # run charged, as the two-host worlds always did.  EXPERIMENTS.md,
+    # "Tail at scale", "One TCP timer pass" and "One demux model".)
     workload = dict(_GOLDEN_WORKLOAD, seed=topology["seed"], **workload)
     cells = [tailstudy.run_cell(topology, workload, placement, 0.1)
              for placement in placements]
