@@ -270,7 +270,7 @@ class ProxySocketAPI(SocketAPI):
         caller's frame, so a server that restarts before the RPC lands
         must hear of the session from re-registration first."""
         if psock.kind == SOCK_STREAM:
-            yield from self.stack._tcp_drain(psock.session)
+            yield from self.stack._tcp_flush(psock.session)
             state = self.stack.export_tcp_session(psock.session)
         else:
             yield from psock.session.close()

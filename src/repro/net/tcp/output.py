@@ -158,13 +158,14 @@ def tcp_output(conn, force=False):
                 send_data = True  # half the peer's window — worth sending
 
         send_fin = fin_here and (length > 0 or off == buffered)
-        if send_fin and length == 0:
-            # A bare FIN still needs Nagle-free transmission.
+        if send_fin:
+            # BSD: a pending FIN goes out with the final segment, however
+            # short; Nagle holds neither a bare FIN nor the data before it.
             send_data = True
 
         window_update_due = _window_update_due(conn)
 
-        if send_data or (send_fin and length == 0):
+        if send_data:
             _send_data_segment(conn, off, length, send_fin)
             if length == mss and off + length < buffered:
                 sendalot = True

@@ -423,8 +423,8 @@ class UnixServer:
             "op_latency": {
                 op: {"count": hist.count,
                      "mean_us": round(hist.mean(), 3),
-                     "p99_us": hist.percentile(0.99),
-                     "max_us": hist.max}
+                     "p99_us": round(hist.percentile(0.99), 3),
+                     "max_us": round(hist.max, 3)}
                 for op, hist in sorted(self.op_latency.items())
             },
             "slow_ops": [{"t_us": t, "op": op, "us": elapsed}

@@ -99,7 +99,7 @@ class TCPSession:
     __slots__ = ("stack", "conn", "notify", "accept_queue", "backlog",
                  "children", "parent", "selected", "recv_timeout_us",
                  "last_rx_trace", "last_rx_time", "last_tx_trace",
-                 "owns_port", "closed", "tw")
+                 "owns_port", "closed", "tw", "draining")
 
     def __init__(self, stack, conn, owns_port=True):
         self.stack = stack
@@ -133,6 +133,9 @@ class TCPSession:
         #: session ticks the record) or while it is one rebuilt from a
         #: record to take a segment.
         self.tw = None
+        #: A process is in :meth:`TCPStack._tcp_drain` for this session:
+        #: True, or the Event it fires when done if someone waits on it.
+        self.draining = False
 
     @property
     def local(self):
@@ -720,26 +723,52 @@ class NetworkStack:
 
     def _tcp_drain(self, session):
         """Transmit everything the TCP machine queued (charging the
-        tcp_output layer costs)."""
+        tcp_output layer costs).
+
+        One drainer per session: a process that finds another one mid-
+        drain leaves its segments to it, since that drainer loops until
+        the outbox is empty.  Two drainers taking turns between yields
+        would put later segments on the wire ahead of earlier ones.
+        """
         proc = self.ctx.sim.current
         tid = proc.trace_ctx if proc is not None else None
         if tid is not None:
             session.last_tx_trace = tid
+        if session.draining:
+            return
         conn = session.conn
-        while conn._outbox:  # has_output() inlined (hot drain loop)
-            for seg in conn.take_output():
-                p = self.ctx.params
-                yield self.ctx.charge_batch((
-                    (Layer.TCP_UDP_OUTPUT,
-                     p.header_build + p.socket_layer
-                     + self.ctx.locks.lock_cost),
-                    (Layer.TCP_UDP_OUTPUT,
-                     p.checksum_fixed
-                     + p.checksum_per_byte * (len(seg.payload) + 20)),
-                ))
-                packed = seg.pack(self.env.local_ip, conn.remote[0])
-                yield from self.ip_output(ip.PROTO_TCP, conn.remote[0], packed)
+        session.draining = True
+        try:
+            while conn._outbox:  # has_output() inlined (hot drain loop)
+                for seg in conn.take_output():
+                    p = self.ctx.params
+                    yield self.ctx.charge_batch((
+                        (Layer.TCP_UDP_OUTPUT,
+                         p.header_build + p.socket_layer
+                         + self.ctx.locks.lock_cost),
+                        (Layer.TCP_UDP_OUTPUT,
+                         p.checksum_fixed
+                         + p.checksum_per_byte * (len(seg.payload) + 20)),
+                    ))
+                    packed = seg.pack(self.env.local_ip, conn.remote[0])
+                    yield from self.ip_output(ip.PROTO_TCP, conn.remote[0],
+                                              packed)
+        finally:
+            done, session.draining = session.draining, False
+            if done is not True:
+                done.succeed()
         self._maybe_reap(session)
+
+    def _tcp_flush(self, session):
+        """Drain ``session``, returning only once its outbox is empty:
+        another process's drain in progress is waited out."""
+        while True:
+            yield from self._tcp_drain(session)
+            if not session.draining:
+                return
+            if session.draining is True:
+                session.draining = self.ctx.sim.event("tcp.drained")
+            yield session.draining
 
     # ==================================================================
     # Receive path

@@ -245,6 +245,27 @@ def test_nagle_holds_small_segment():
     assert b.receive(100) == b"firstsecond"
 
 
+def test_pending_fin_sends_final_short_segment():
+    # BSD tcp_output: Nagle does not hold the last segment once a FIN
+    # waits behind it, so the close does not wait out the peer's
+    # delayed ACK of the outstanding data.
+    cfg = TCPConfig(nodelay=False, delayed_ack=False)
+    a, b = make_pair(a_cfg=cfg, b_cfg=cfg)
+    a.send(b"first")
+    (seg1,) = a.take_output()
+    a.send(b"last")
+    assert a.take_output() == []  # Nagle holds it while "first" is out
+    a.close()
+    (seg2,) = a.take_output()
+    assert seg2.payload == b"last"
+    assert seg2.flags & FIN
+    for seg in (seg1, seg2):
+        b.segment_arrives(TCPSegment.unpack(A_IP, B_IP, seg.pack(A_IP, B_IP)))
+    pump(a, b)
+    assert b.receive(100) == b"firstlast"
+    assert b.at_eof()
+
+
 def test_nodelay_disables_nagle():
     a, b = make_pair()  # nodelay=True by default here
     a.send(b"one")

@@ -318,10 +318,17 @@ def test_reaped_and_compacted_sessions_are_freed_at_once():
 def _bytes_per_time_wait(placement, connections=100):
     """What the host gets back per connection end when 2MSL ends: the
     memory tracemalloc traces with every connection of an echo churn in
-    TIME_WAIT, less what it traces once they have all expired."""
+    TIME_WAIT, less what it traces once they have all expired.
+
+    Both ends close at the instant the client has the echo back, so
+    their FINs cross and both wait out 2MSL.  (Closing as each side
+    finished left the server's close a race against the client's
+    read: a delayed-ACK tick landing in between let the server's FIN
+    arrive first, and that end closed passively, without TIME_WAIT.)"""
     net, pa, pb = _world(placement)
     server, client = pa.new_app(), pb.new_app()
     stacks = [pa._backend.stack, pb._backend.stack]
+    echoed = [net.sim.event()]
 
     def serve():
         fd = yield from server.socket(SOCK_STREAM)
@@ -331,6 +338,7 @@ def _bytes_per_time_wait(placement, connections=100):
             cfd, _addr = yield from server.accept(fd)
             data = yield from server.recv_exactly(cfd, 16)
             yield from server.send_all(cfd, data)
+            yield echoed[0]
             yield from server.close(cfd)
 
     def connect():
@@ -340,6 +348,8 @@ def _bytes_per_time_wait(placement, connections=100):
             yield from client.connect(fd, (IP1, PORT))
             yield from client.send_all(fd, bytes([i]) * 16)
             yield from client.recv_exactly(fd, 16)
+            event, echoed[0] = echoed[0], net.sim.event()
+            event.succeed()
             yield from client.close(fd)
 
     tracemalloc.start()

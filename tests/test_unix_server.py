@@ -107,6 +107,20 @@ def test_server_rpc_counts_accumulate(ux_world):
     assert net.run_all([prog()], until=BOUND)[0] == 3
 
 
+def test_health_snapshot_reports_op_latency_at_one_precision(ux_world):
+    # One sample: its mean, p99 and max are the same number, so rounding
+    # only the mean could report p99 < mean (23934.683999999997 against
+    # 23934.684).
+    _net, pa, _pb = ux_world
+    server = pa.server
+    hist = server.op_latency["proxy_send"] = server.host.metrics.histogram(
+        "%s.rpc.op.proxy_send" % server.name)
+    hist.observe(23934.683999999997)
+    op = server.health_snapshot()["op_latency"]["proxy_send"]
+    assert op == {"count": 1, "mean_us": 23934.684, "p99_us": 23934.684,
+                  "max_us": 23934.684}
+
+
 def test_replay_cache_evicts_oldest_first(ux_world):
     """The replay cache holds the last REPLAY_CACHE_LIMIT replies: once
     one more request has completed, a duplicate of the oldest runs again
