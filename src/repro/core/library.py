@@ -101,7 +101,8 @@ class ProtocolLibrary:
     # ------------------------------------------------------------------
 
     def _send_frame(self, ctx, frame):
-        return self.host.kernel.netif_send(ctx, frame, wired=False)
+        return self.host.kernel.netif_send(
+            ctx, frame, wired=False, lookup_cost=ctx.params.proc_call)
 
     # ------------------------------------------------------------------
     # Packet-filter endpoints: created on behalf of the OS server when it

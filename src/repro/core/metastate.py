@@ -56,9 +56,10 @@ class MetastateCache:
         """Resolve a next-hop MAC: cache first, the server on a miss.
 
         This is the application's whole interaction with ARP; the actual
-        protocol exchange happens in the server.
+        protocol exchange happens in the server.  The lookup's own cost
+        (a procedure call) is the caller's to bill: the send path bills
+        it in the frame's ``ether_output`` hold (see ``netif_send``).
         """
-        yield ctx.charge(Layer.ETHER_OUTPUT, ctx.params.proc_call)
         mac = self.arp_cache.lookup(next_hop_ip)
         if mac is not None:
             return mac

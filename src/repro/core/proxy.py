@@ -300,6 +300,7 @@ class ProxySocketAPI(SocketAPI):
         the send fast path never talks to the server (Section 3.3)."""
         meta = self.library.metastate
         next_hop = yield from meta.prime_route(self.ctx, dst_ip)
+        yield self.ctx.charge(Layer.ETHER_OUTPUT, self.ctx.params.proc_call)
         yield from meta.resolve(self.ctx, next_hop)
 
     def _adopt_udp(self, psock, receiver):

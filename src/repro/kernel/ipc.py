@@ -95,12 +95,13 @@ class MessagePort:
         #: contract of the metrics/trace subsystems).
         self.faults = None
 
-    def send(self, ctx, layer, message):
-        """Kernel/sender side: fixed message cost; payload copy is charged
-        separately by the caller (it depends on source memory type)."""
+    def send(self, ctx, layer, message, copy_cost):
+        """Kernel/sender side: fixed message cost, plus the payload copy
+        the caller prices (it depends on source memory type), in one
+        hold."""
         if message.trace is None:
             message.trace = current_trace(self._sim)
-        yield ctx.charge(layer, ctx.params.mach_msg)
+        yield ctx.charge(layer, copy_cost + ctx.params.mach_msg)
         if self.faults is not None:
             drop, dup, delay_us = self.faults.on_ipc()
             if drop:
@@ -243,10 +244,10 @@ class RPCPort:
             raise ServerCrashed(self._broken)
         p = ctx.params
         ctx.crossings.server_rpcs += 1
-        yield ctx.charge_boundary_crossing(layer)
-        yield ctx.charge(layer, p.rpc_stub + p.mach_msg)
+        cost = ctx.crossing_cost() + (p.rpc_stub + p.mach_msg)
         if data:
-            yield ctx.charge_copy(layer, len(data))
+            cost += ctx.copy_cost(len(data))
+        yield ctx.charge(layer, cost)
         dropped = False
         duplicate = False
         if self.faults is not None:
@@ -295,9 +296,10 @@ class RPCPort:
             # e.g. a recv RPC: the reply carries the received packet's
             # trace, so the client's copyout charges join that timeline.
             adopt_trace(self._sim, reply_trace)
-        yield ctx.charge(layer, p.mach_msg + p.trap_return)
+        cost = p.mach_msg + p.trap_return
         if reply_len:
-            yield ctx.charge_copy(layer, reply_len)
+            cost += ctx.copy_cost(reply_len)
+        yield ctx.charge(layer, cost)
         if isinstance(result, BaseException):
             raise result
         return result
@@ -313,9 +315,10 @@ class RPCPort:
             self._outstanding.add(message.reply_event)
         adopt_trace(self._sim, message.trace)
         p = ctx.params
-        yield ctx.charge(layer, p.mach_msg + p.rpc_stub)
+        cost = p.mach_msg + p.rpc_stub
         if message.data_len:
-            yield ctx.charge_copy(layer, message.data_len)
+            cost += ctx.copy_cost(message.data_len)
+        yield ctx.charge(layer, cost)
         return message
 
     def reply(self, ctx, message, result=None, reply_len=0, layer="rpc"):
@@ -331,9 +334,10 @@ class RPCPort:
             self.replies_dropped += 1
             return
         p = ctx.params
-        yield ctx.charge(layer, p.mach_msg + p.rpc_stub)
+        cost = p.mach_msg + p.rpc_stub
         if reply_len:
-            yield ctx.charge_copy(layer, reply_len)
+            cost += ctx.copy_cost(reply_len)
+        yield ctx.charge(layer, cost)
         payload = (result, reply_len, current_trace(self._sim))
         if self.faults is not None:
             delay_us = self.faults.on_reply(message.op)

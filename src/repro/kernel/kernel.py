@@ -31,15 +31,18 @@ class QueueDelivery:
     def __init__(self, channel):
         self.channel = channel
 
-    def deliver(self, ctx, frame, from_device):
+    def deliver(self, ctx, frame, from_device, filter_cost):
         if from_device:
+            yield ctx.charge(Layer.NETISR_FILTER, filter_cost)
             # Integrated mode still must move the frame off the device.
             yield ctx.charge(
                 Layer.DEVICE_READ,
                 ctx.params.devmem_read_per_byte * len(frame),
             )
+            filter_cost = 0.0
+        yield ctx.charge(Layer.NETISR_FILTER,
+                         filter_cost + ctx.params.sched_dispatch)
         self.channel.try_put(frame)
-        yield ctx.charge(Layer.NETISR_FILTER, ctx.params.sched_dispatch)
 
 
 class IPCDelivery:
@@ -53,7 +56,7 @@ class IPCDelivery:
         #: None means a real copy at main-memory rates.
         self.remap_per_byte = remap_per_byte
 
-    def deliver(self, ctx, frame, from_device):
+    def deliver(self, ctx, frame, from_device, filter_cost):
         p = ctx.params
         if from_device:
             per_byte = p.devmem_read_per_byte
@@ -61,12 +64,12 @@ class IPCDelivery:
             per_byte = self.remap_per_byte
         else:
             per_byte = p.copy_per_byte
-        yield ctx.charge(
-            Layer.KERNEL_COPYOUT, p.copy_fixed + per_byte * len(frame)
-        )
+        yield ctx.charge(Layer.NETISR_FILTER, filter_cost)
         ctx.crossings.data_copies += 1
         ctx.crossings.user_kernel += 1
-        yield from self.port.send(ctx, Layer.KERNEL_COPYOUT, Message("packet", data=frame))
+        yield from self.port.send(
+            ctx, Layer.KERNEL_COPYOUT, Message("packet", data=frame),
+            p.copy_fixed + per_byte * len(frame))
         yield ctx.charge(Layer.NETISR_FILTER, p.sched_dispatch)
 
 
@@ -87,9 +90,10 @@ class SHMDelivery:
     def __init__(self, ring):
         self.ring = ring
 
-    def deliver(self, ctx, frame, from_device):
+    def deliver(self, ctx, frame, from_device, filter_cost):
         p = ctx.params
         per_byte = p.devmem_read_per_byte if from_device else p.shm_ring_per_byte
+        yield ctx.charge(Layer.NETISR_FILTER, filter_cost)
         yield ctx.charge(
             Layer.KERNEL_COPYOUT, p.copy_fixed + per_byte * len(frame)
         )
@@ -179,22 +183,22 @@ class Kernel:
     # Send path: the low-latency packet send trap
     # ------------------------------------------------------------------
 
-    def netif_send(self, ctx, frame, wired=False):
+    def netif_send(self, ctx, frame, wired=False, lookup_cost=0.0):
         """Transmit ``frame``; charges land on the *caller's* context.
 
         From user space (``wired=False``) this is the trap + copy into a
         wired kernel buffer the paper describes for library/server sends;
         the in-kernel stack passes ``wired=True`` because its mbufs are
-        already wired and go straight to the device.
+        already wired and go straight to the device.  ``lookup_cost`` is
+        the caller's next-hop lookup, the start of the same
+        ``ether_output`` visit: it joins the one hold.
         """
         p = ctx.params
+        cost = (lookup_cost + p.ether_overhead
+                + p.devmem_write_per_byte * len(frame))
         if not wired:
-            yield ctx.charge_boundary_crossing(Layer.ETHER_OUTPUT)
-            yield ctx.charge_copy(Layer.ETHER_OUTPUT, len(frame))
-        yield ctx.charge(
-            Layer.ETHER_OUTPUT,
-            p.ether_overhead + p.devmem_write_per_byte * len(frame),
-        )
+            cost += ctx.crossing_cost() + ctx.copy_cost(len(frame))
+        yield ctx.charge(Layer.ETHER_OUTPUT, cost)
         yield from self.nic.start_transmit(frame)
 
     # ------------------------------------------------------------------
@@ -221,17 +225,13 @@ class Kernel:
                                 tid, self.name, "nic_rx_ring", "queue",
                                 enq_at, waited)
             pre_cost = p.interrupt_entry
-            yield self.ctx.charge(Layer.DEVICE_READ, p.interrupt_entry)
             if not self.integrated_filter:
                 # Copy the whole frame out of device memory first.
-                read_cost = p.devmem_read_per_byte * len(frame)
-                pre_cost += read_cost
-                yield self.ctx.charge(Layer.DEVICE_READ, read_cost)
+                pre_cost += p.devmem_read_per_byte * len(frame)
+            yield self.ctx.charge(Layer.DEVICE_READ, pre_cost)
+            from_device = self.integrated_filter
+            if not from_device:
                 self.nic.rx_release()
-                from_device = False
-            else:
-                from_device = True
-            yield self.ctx.charge(Layer.NETISR_FILTER, p.netisr_dispatch)
             matched = yield from self._demux(frame, from_device, pre_cost)
             if from_device:
                 self.nic.rx_release()
@@ -239,27 +239,44 @@ class Kernel:
                 self.frames_dropped_no_match += 1
 
     def _demux(self, frame, from_device, pre_cost):
+        """Netisr dispatch, then the filter scan: each program run until
+        one accepts, billed to its filter's ledger.
+
+        The filter VM is pure, so the scan runs first and the CPU is
+        held afterwards, once per run of consecutive filters billing the
+        same ledger; the dispatch joins the first run if that is the
+        kernel's own.  The matched filter's run is the delivery's to
+        bill, with its own first ``netisr`` hold.
+        """
         p = self.params
+        holds = []
+        ctx, cost = self.ctx, p.netisr_dispatch
+        matched = None
         for handle in self._filters:
             accepted, insns = self._vm.run(handle.program, frame)
-            yield from self._charge_attributed(
-                handle.accounting, Layer.NETISR_FILTER, p.filter_insn * insns
-            )
+            filter_ctx = self._attributed_ctx(handle.accounting)
+            if filter_ctx is not ctx:
+                holds.append((ctx, cost))
+                ctx, cost = filter_ctx, 0.0
+            cost += p.filter_insn * insns
             if accepted:
-                handle.matched += 1
-                self.frames_demuxed += 1
-                if handle.accounting is not None:
-                    # Attribute the pre-demux interrupt/read work (already
-                    # charged to the CPU) to the matched session's ledger
-                    # so per-placement breakdowns include it.
-                    handle.accounting.add(Layer.DEVICE_READ, pre_cost)
-                    handle.accounting.add(
-                        Layer.NETISR_FILTER, p.netisr_dispatch
-                    )
-                ctx = self._attributed_ctx(handle.accounting)
-                yield from handle.delivery.deliver(ctx, frame, from_device)
-                return True
-        return False
+                matched = handle
+                break
+        for hold_ctx, hold_cost in holds:
+            yield hold_ctx.charge(Layer.NETISR_FILTER, hold_cost)
+        if matched is None:
+            yield ctx.charge(Layer.NETISR_FILTER, cost)
+            return False
+        matched.matched += 1
+        self.frames_demuxed += 1
+        if matched.accounting is not None:
+            # Attribute the pre-demux interrupt/read work (already
+            # charged to the CPU) to the matched session's ledger so
+            # per-placement breakdowns include it.
+            matched.accounting.add(Layer.DEVICE_READ, pre_cost)
+            matched.accounting.add(Layer.NETISR_FILTER, p.netisr_dispatch)
+        yield from matched.delivery.deliver(ctx, frame, from_device, cost)
+        return True
 
     def _attributed_ctx(self, accounting):
         """An interrupt-priority context whose charges are attributed to
@@ -279,7 +296,3 @@ class Kernel:
             )
             self._attr_ctxs[accounting] = ctx
         return ctx
-
-    def _charge_attributed(self, accounting, layer, cost):
-        ctx = self._attributed_ctx(accounting)
-        yield ctx.charge(layer, cost)

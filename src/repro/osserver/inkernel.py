@@ -63,7 +63,8 @@ class InKernelNetwork:
 
     def _send_frame(self, ctx, frame):
         # Kernel mbufs are wired: straight to the device, no trap, no copy.
-        return self.host.kernel.netif_send(ctx, frame, wired=True)
+        return self.host.kernel.netif_send(
+            ctx, frame, wired=True, lookup_cost=ctx.params.proc_call)
 
     def _input_loop(self):
         sim = self.host.sim
@@ -99,8 +100,8 @@ class KernelSocketAPI(SocketAPI):
     # ------------------------------------------------------------------
 
     def _enter(self, layer):
-        yield self.ctx.charge_boundary_crossing(layer)
-        yield self.ctx.charge(layer, self.ctx.params.socket_layer)
+        ctx = self.ctx
+        yield ctx.charge(layer, ctx.crossing_cost() + ctx.params.socket_layer)
 
     def _exit(self, layer):
         yield self.ctx.charge(layer, self.ctx.params.trap_return)

@@ -670,6 +670,7 @@ class NetServer(UnixServer):
     def op_meta_arp(self, message):
         app_id, next_hop_ip = message.args
         self._library(app_id)
+        yield self.ctx.charge(Layer.ETHER_OUTPUT, self.ctx.params.proc_call)
         mac = yield from self.host.arp.resolve(self.ctx, next_hop_ip)
         return mac, 0
 

@@ -163,7 +163,8 @@ class UnixServer:
 
     def _send_frame(self, ctx, frame):
         # The server is a user task: sending traps and copies.
-        return self.host.kernel.netif_send(ctx, frame, wired=False)
+        return self.host.kernel.netif_send(
+            ctx, frame, wired=False, lookup_cost=ctx.params.proc_call)
 
     def _input_loop(self):
         while True:

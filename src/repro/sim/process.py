@@ -6,7 +6,15 @@ A :class:`Process` drives a generator.  The generator suspends by yielding:
 * an :class:`~repro.sim.events.Event` — resume when it fires (the yield
   expression evaluates to the event's value; failed events re-raise their
   exception inside the generator),
+* a :class:`Charge` — hold the CPU for one layer visit: queue for it
+  at a priority, sleep the cost, release it and bill the layer,
 * another :class:`Process` — processes are events, so this joins it.
+
+A hold is the unit of CPU time: the release point after it is the only
+place another process can take the CPU, and the tracer records one span
+per hold.  A layer visit is one hold, however many sub-steps (a trap, a
+copy, the driver's work) its cost sums; visits to different layers stay
+separate holds, so an interrupt waits for at most one layer.
 
 A process is itself an event that fires with the generator's return value,
 so processes can be joined or waited on like any other event.
@@ -61,42 +69,41 @@ class Timeout:
 
 
 class Charge:
-    """Yielded by a process to charge CPU time, pair by pair.
+    """Yielded by a process to hold the CPU for one layer visit.
 
-    A charge request carries ``(layer, cost)`` pairs plus where to bill
-    them (a :class:`~repro.hw.cpu.CPU`, a scheduling priority, and a
+    A charge request is one hold: a ``(layer, cost)`` pair plus where to
+    bill it (a :class:`~repro.hw.cpu.CPU`, a scheduling priority, and a
     :class:`~repro.stack.instrument.LayerAccounting`).  The process
     machinery executes it directly — acquire the CPU at ``priority``,
-    sleep ``cost``, release, account, repeat — without resuming the
-    generator between pairs, which removes one generator frame plus one
-    full coroutine-chain resume per CPU hand-off compared with driving
-    an equivalent charging subgenerator.  The engine-visible schedule
-    (every acquire, sleep, and release point, in sequence order) is
-    identical to that subgenerator's, which ``tests/charge_reference.py``
-    keeps as the differential oracle.  Charges are the only way
-    simulated code spends CPU time.
+    sleep ``cost``, release, account — without a charging subgenerator,
+    which removes one generator frame plus one full coroutine-chain
+    resume per CPU hand-off.  The engine-visible schedule (acquire,
+    sleep and release points, in sequence order) is identical to that
+    subgenerator's, which ``tests/charge_reference.py`` keeps as the
+    differential oracle.  Charges are the only way simulated code spends
+    CPU time, and the release point after each one is the only place
+    where another process can take the CPU, so code sums the sub-steps
+    of one layer visit into one charge.
     """
 
-    __slots__ = ("cpu", "priority", "accounting", "pairs", "n")
+    __slots__ = ("cpu", "priority", "accounting", "layer", "cost")
 
-    def __init__(self, cpu, priority, accounting, pairs):
+    def __init__(self, cpu, priority, accounting, layer, cost):
         self.cpu = cpu
         self.priority = priority
         self.accounting = accounting
-        self.pairs = pairs
-        self.n = len(pairs)
+        self.layer = layer
+        self.cost = cost
 
     def __repr__(self):
-        return "Charge(%s)" % ", ".join(
-            "%s=%r" % (layer, cost) for layer, cost in self.pairs
-        )
+        return "Charge(%s=%r)" % (self.layer, self.cost)
 
 
 class Process(Event):
     """A running coroutine.  Create via :meth:`Simulator.spawn`."""
 
     __slots__ = ("_generator", "_wait_token", "_alive", "_event_cb",
-                 "_charge", "_charge_i", "_charge_waiter", "_cw",
+                 "_charge", "_charge_waiter", "_cw",
                  "waiting_on", "trace_ctx", "request_ctx")
 
     def __init__(self, sim, generator, name=""):
@@ -112,10 +119,9 @@ class Process(Event):
         #: Prebound event callback, created once so waiting on an event
         #: allocates nothing per wait.
         self._event_cb = self._on_event
-        #: The in-flight :class:`Charge`, the index of the pair being
-        #: billed, and the lock waiter if that pair is queued for the CPU.
+        #: The in-flight :class:`Charge`, and the lock waiter while it
+        #: is queued for the CPU.
         self._charge = None
-        self._charge_i = 0
         self._charge_waiter = None
         #: Reusable CPU waiter (see PriorityLock.enqueue_charge): one
         #: contention needs no allocation at all once this exists.
@@ -224,7 +230,7 @@ class Process(Event):
     def _wait_for(self, target):
         """Suspend on whatever the generator yielded.
 
-        Loops because an all-zero-cost :class:`Charge` completes without
+        Loops because a zero-cost :class:`Charge` completes without
         suspending: the generator is resumed synchronously (exactly as
         driving an empty charging subgenerator used to behave) and may
         yield a new target.
@@ -242,9 +248,9 @@ class Process(Event):
                             (self._timeout_fire, (target.value, token)))
                 return
             if cls is Charge:
-                status = self._start_charge_pair(target, 0, token)
+                status = self._start_charge(target, token)
                 if status is None:
-                    return  # queued for the CPU or sleeping on a pair
+                    return  # queued for the CPU or sleeping the cost
             elif cls is Event or cls is Process or isinstance(target, Event):
                 # Exact-class tests first: they are plain bytecode, and
                 # nearly every event wait is a bare Event or a join.
@@ -279,34 +285,24 @@ class Process(Event):
 
     # ------------------------------------------------------------------
     # Charge execution.  One CPU charge = acquire the scheduler lock at
-    # the charge's priority, sleep its cost, release, account — repeated
-    # per (layer, cost) pair without resuming the generator in between.
-    # Every engine interaction (lock waiter enqueue, hand-off dispatch,
-    # timer hop and fire, release hand-off) consumes sequence numbers at
+    # the charge's priority, sleep its cost, release, account.  Every
+    # engine interaction (lock waiter enqueue, hand-off dispatch, timer
+    # hop and fire, release hand-off) consumes sequence numbers at
     # exactly the moments the equivalent charging subgenerator did, so
     # the simulated schedule is bit-identical.
     # ------------------------------------------------------------------
 
-    def _start_charge_pair(self, charge, i, token):
-        """Begin billing ``charge.pairs[i:]``.
+    def _start_charge(self, charge, token):
+        """Begin billing ``charge``.
 
         Returns None if the process suspended (queued for the CPU or
-        sleeping the pair's cost), True if every remaining pair cost
-        zero (the charge is complete), or an exception to raise in the
-        generator (negative cost).
+        sleeping the cost), True if it cost zero (the charge is
+        complete), or an exception to raise in the generator (negative
+        cost).
         """
-        pairs = charge.pairs
-        n = charge.n
-        while i < n:
-            cost = pairs[i][1]
-            if cost == 0:
-                i += 1
-                continue
-            if cost < 0:
-                self._charge = None
-                return ValueError("negative CPU cost: %r" % cost)
+        cost = charge.cost
+        if cost > 0:
             self._charge = charge
-            self._charge_i = i
             sched = charge.cpu._sched
             if sched._locked:
                 self._charge_waiter = self.waiting_on = sched.enqueue_charge(
@@ -317,8 +313,9 @@ class Process(Event):
                 self.waiting_on = charge
                 _push_timer(self._sim, cost, (self._charge_fire, (token,)))
             return None
-        self._charge = None
-        return True
+        if cost == 0:
+            return True
+        return ValueError("negative CPU cost: %r" % cost)
 
     def _charge_granted(self, waiter):
         """The CPU was handed to this process's queued waiter.
@@ -332,7 +329,6 @@ class Process(Event):
         if waiter is not self._charge_waiter or not self._alive:
             return  # reneged (interrupt); release() forwarding handles it
         charge = self._charge
-        cost = charge.pairs[self._charge_i][1]
         if self.trace_ctx is not None:
             # The queued interval is CPU contention on the packet's
             # critical path.  Pure observation (a ring append) — the
@@ -343,15 +339,15 @@ class Process(Event):
                 waited = self._sim._now - waiter.queued_at
                 if waited > 0:
                     tracer.record_wait(
-                        self.trace_ctx, accounting.owner,
-                        charge.pairs[self._charge_i][0], "contention",
-                        waiter.queued_at, waited)
+                        self.trace_ctx, accounting.owner, charge.layer,
+                        "contention", waiter.queued_at, waited)
         self._charge_waiter = None
         self.waiting_on = charge
-        _push_timer(self._sim, cost, (self._charge_fire, (self._wait_token,)))
+        _push_timer(self._sim, charge.cost,
+                    (self._charge_fire, (self._wait_token,)))
 
     def _charge_fire(self, token):
-        """A charge pair's sleep elapsed: release, account, next pair."""
+        """The charge's sleep elapsed: release, account, resume."""
         if token is not self._wait_token or not self._alive:
             return
         sim = self._sim
@@ -359,10 +355,11 @@ class Process(Event):
         # sim.current to attribute spans.
         sim.current = self
         charge = self._charge
+        self._charge = None
         cpu = charge.cpu
         cpu._sched.release()
-        i = self._charge_i
-        layer, cost = charge.pairs[i]
+        layer = charge.layer
+        cost = charge.cost
         cpu.busy_time += cost
         cpu.charge_count += 1
         accounting = charge.accounting
@@ -371,21 +368,9 @@ class Process(Event):
         tracer = accounting.tracer
         if tracer is not None and tracer.enabled:
             tracer.record(accounting.owner, layer, cost)
-        i += 1
-        if i < charge.n:
-            status = self._start_charge_pair(charge, i, token)
-            if status is None:
-                sim.current = None
-                return  # next pair queued or sleeping
-        else:  # last pair done — the single-pair common case
-            self._charge = None
-            status = True
         self.waiting_on = None
         try:
-            if status is True:
-                target = self._generator.send(None)
-            else:
-                target = self._generator.throw(status)
+            target = self._generator.send(None)
         except StopIteration as stop:
             sim.current = None
             self._finish_ok(stop.value)

@@ -53,21 +53,19 @@ class ExecutionContext:
         #: Charges are immutable (the per-execution state lives in the
         #: Process), so identical requests — and protocol costs repeat
         #: constantly — can share one object instead of reallocating.
-        #: Keys are ``(layer, cost)`` for singles and the pairs tuple
-        #: for batches; the shapes cannot collide.
         self._charge_cache = {}
 
     # ------------------------------------------------------------------
-    # Charging helpers.  Each returns a :class:`~repro.sim.process.Charge`
-    # request that the process machinery executes directly:
-    # ``yield ctx.charge(...)``.  Side effects such as crossing counts
-    # happen at call time, which is indistinguishable from the
-    # simulation's point of view because callers always yield the charge
-    # immediately.
+    # Charging.  ``yield ctx.charge(layer, cost)`` holds the CPU once for
+    # one layer visit; a visit made of several sub-steps sums their
+    # costs (the ``*_cost`` helpers below) into that one charge.  Side
+    # effects such as crossing and copy counts happen at call time,
+    # which is indistinguishable from the simulation's point of view
+    # because callers always yield the charge immediately.
     # ------------------------------------------------------------------
 
     def charge(self, layer, cost):
-        """Charge ``cost`` microseconds attributed to ``layer``.
+        """Hold the CPU for ``cost`` microseconds attributed to ``layer``.
 
         Cache hits use ``in`` + subscript rather than ``dict.get``:
         both run as bytecode, not as a method call, and this is the
@@ -78,50 +76,33 @@ class ExecutionContext:
         if key in cache:
             return cache[key]
         charge = cache[key] = Charge(
-            self.cpu, self.priority, self.accounting, ((layer, cost),)
+            self.cpu, self.priority, self.accounting, layer, cost
         )
         return charge
 
-    def charge_batch(self, charges):
-        """Charge several ``(layer, cost)`` pairs back to back.
+    def copy_cost(self, nbytes):
+        """A main-memory copy of ``nbytes`` (counted as a data copy)."""
+        p = self.params
+        self.crossings.data_copies += 1
+        return p.copy_fixed + p.copy_per_byte * nbytes
 
-        Each pair keeps its own CPU acquire/release point, so scheduling
-        (and therefore every simulated metric) is identical to issuing
-        the charges one ``charge()`` at a time — only the Python
-        overhead between the pairs is fused away.
-        """
-        cache = self._charge_cache
-        if charges in cache:
-            return cache[charges]
-        charge = cache[charges] = Charge(
-            self.cpu, self.priority, self.accounting, charges
-        )
-        return charge
+    def checksum_cost(self, nbytes):
+        p = self.params
+        return p.checksum_fixed + p.checksum_per_byte * nbytes
+
+    def crossing_cost(self):
+        """A user/kernel protection boundary crossing, trap or return
+        (counted as a crossing)."""
+        self.crossings.user_kernel += 1
+        return self.params.trap
 
     def charge_copy(self, layer, nbytes):
         """A main-memory copy of ``nbytes``."""
-        p = self.params
-        self.crossings.data_copies += 1
-        return self.charge(layer, p.copy_fixed + p.copy_per_byte * nbytes)
-
-    def charge_checksum(self, layer, nbytes):
-        p = self.params
-        return self.charge(
-            layer, p.checksum_fixed + p.checksum_per_byte * nbytes
-        )
-
-    def charge_lock(self, layer):
-        """One protocol-entry synchronization (package-dependent cost)."""
-        return self.charge(layer, self.locks.lock_cost)
+        return self.charge(layer, self.copy_cost(nbytes))
 
     def charge_wakeup(self, layer):
         """Waking a blocked thread (package-dependent cost)."""
         return self.charge(layer, self.locks.wakeup_cost)
-
-    def charge_boundary_crossing(self, layer):
-        """A user/kernel protection boundary crossing (trap or return)."""
-        self.crossings.user_kernel += 1
-        return self.charge(layer, self.params.trap)
 
     def __repr__(self):
         return "<ExecutionContext %s prio=%d locks=%s>" % (

@@ -73,7 +73,8 @@ class NetEnv:
       on the wire, charging the caller's context (placements route this
       through the kernel's send trap or straight to the device).
     * ``resolve(ctx, next_hop_ip)`` — generator returning the MAC address
-      (in-kernel ARP, server ARP, or the library's cached metastate).
+      (in-kernel ARP, server ARP, or the library's cached metastate);
+      ``send_frame`` bills the lookup itself, in the frame's hold.
     * ``route(dst_ip)`` — plain call returning the next-hop IP, or None
       when the answer has to be fetched first: the library's cached
       route entries were invalidated by the server (Section 3.3).
@@ -195,23 +196,23 @@ class TCPSession:
         data = bytes(data)
         sent = 0
         stack._trace_send_entry(len(data))
-        yield ctx.charge_lock(Layer.ENTRY_COPYIN)
+        # The protocol-entry lock joins the first copyin's hold.
+        entry = ctx.locks.lock_cost
         while sent < len(data):
             taken = conn.send(data[sent:])
             if taken:
-                if stack.shared_buffers:
-                    yield ctx.charge(Layer.ENTRY_COPYIN, p.mbuf_alloc)
-                else:
-                    ctx.crossings.data_copies += 1
-                    yield ctx.charge_batch((
-                        (Layer.ENTRY_COPYIN, p.mbuf_alloc),
-                        (Layer.ENTRY_COPYIN,
-                         p.copy_fixed + p.copy_per_byte * taken),
-                    ))
+                cost = entry + p.mbuf_alloc
+                if not stack.shared_buffers:
+                    cost += ctx.copy_cost(taken)
+                entry = 0.0
+                yield ctx.charge(Layer.ENTRY_COPYIN, cost)
                 stack.mbuf_stats.allocated += 1
                 sent += taken
                 yield from stack._tcp_drain(self)
             else:
+                if entry:
+                    yield ctx.charge(Layer.ENTRY_COPYIN, entry)
+                    entry = 0.0
                 yield self.notify.wait()
                 conn.raise_if_dead()
         return sent
@@ -379,13 +380,9 @@ class UDPSession:
             raise ValueError("unconnected UDP send needs a destination")
         stack._trace_send_entry(len(data))
         if stack.udp_send_copies and not stack.shared_buffers:
-            ctx.crossings.data_copies += 1
-            yield ctx.charge_batch((
-                (Layer.ENTRY_COPYIN, p.socket_layer),
-                (Layer.ENTRY_COPYIN,
-                 p.copy_fixed + p.copy_per_byte * len(data)),
-                (Layer.ENTRY_COPYIN, p.mbuf_alloc),
-            ))
+            yield ctx.charge(
+                Layer.ENTRY_COPYIN,
+                p.socket_layer + ctx.copy_cost(len(data)) + p.mbuf_alloc)
         else:
             # The library references the caller's data in place: entry is
             # a procedure call (Table 4: 6-7 us flat for library UDP).
@@ -394,12 +391,10 @@ class UDPSession:
         datagram = udp.encapsulate(
             stack.env.local_ip, dst[0], self.local[1], dst[1], data
         )
-        yield ctx.charge_batch((
-            (Layer.TCP_UDP_OUTPUT,
-             p.checksum_fixed + p.checksum_per_byte * len(datagram)),
-            (Layer.TCP_UDP_OUTPUT,
-             p.header_build + p.socket_layer + ctx.locks.lock_cost),
-        ))
+        yield ctx.charge(
+            Layer.TCP_UDP_OUTPUT,
+            ctx.checksum_cost(len(datagram))
+            + (p.header_build + p.socket_layer + ctx.locks.lock_cost))
         yield from stack.ip_output(ip.PROTO_UDP, dst[0], datagram)
         return len(data)
 
@@ -742,14 +737,11 @@ class NetworkStack:
             while conn._outbox:  # has_output() inlined (hot drain loop)
                 for seg in conn.take_output():
                     p = self.ctx.params
-                    yield self.ctx.charge_batch((
-                        (Layer.TCP_UDP_OUTPUT,
-                         p.header_build + p.socket_layer
-                         + self.ctx.locks.lock_cost),
-                        (Layer.TCP_UDP_OUTPUT,
-                         p.checksum_fixed
-                         + p.checksum_per_byte * (len(seg.payload) + 20)),
-                    ))
+                    yield self.ctx.charge(
+                        Layer.TCP_UDP_OUTPUT,
+                        (p.header_build + p.socket_layer
+                         + self.ctx.locks.lock_cost)
+                        + self.ctx.checksum_cost(len(seg.payload) + 20))
                     packed = seg.pack(self.env.local_ip, conn.remote[0])
                     yield from self.ip_output(ip.PROTO_TCP, conn.remote[0],
                                               packed)
@@ -824,15 +816,18 @@ class NetworkStack:
 
     def _tcp_input(self, header, payload, frame):
         p = self.ctx.params
-        yield self.ctx.charge_checksum(Layer.TCP_UDP_INPUT, len(payload))
+        cost = self.ctx.checksum_cost(len(payload))
         try:
             seg = TCPSegment.unpack(header.src, header.dst, payload)
         except ValueError:
-            return  # corrupt segment: drop silently, as TCP does
+            # A corrupt segment is dropped silently, as TCP does, once
+            # its checksum is paid for.
+            yield self.ctx.charge(Layer.TCP_UDP_INPUT, cost)
+            return
         yield self.ctx.charge(
             Layer.TCP_UDP_INPUT,
-            p.header_build + self.ctx.locks.lock_cost + p.socket_layer,
-        )
+            cost + (p.header_build + self.ctx.locks.lock_cost
+                    + p.socket_layer))
         key = (seg.dst_port, header.src, seg.src_port)
         if key in self.migrated:
             # A straggler for a migrated session: on to its new owner,
@@ -840,7 +835,7 @@ class NetworkStack:
             target = self.migrated[key]
             if target is not None:
                 self.stragglers_forwarded += 1
-                yield from target.deliver(self.ctx, frame, False)
+                yield from target.deliver(self.ctx, frame, False, 0.0)
             return
         session = self._tcp_demux(header.src, seg)
         if session is None:
@@ -923,15 +918,16 @@ class NetworkStack:
 
     def _udp_input(self, header, payload, packet=None):
         p = self.ctx.params
-        yield self.ctx.charge_checksum(Layer.TCP_UDP_INPUT, len(payload))
+        cost = self.ctx.checksum_cost(len(payload))
         try:
             uh, data = udp.decapsulate(header.src, header.dst, payload)
         except ValueError:
+            yield self.ctx.charge(Layer.TCP_UDP_INPUT, cost)
             return
-        yield self.ctx.charge_batch((
-            (Layer.TCP_UDP_INPUT, p.header_build + self.ctx.locks.lock_cost),
-            (Layer.TCP_UDP_INPUT, p.socket_layer),
-        ))
+        yield self.ctx.charge(
+            Layer.TCP_UDP_INPUT,
+            cost + (p.header_build + self.ctx.locks.lock_cost)
+            + p.socket_layer)
         session = self._udp.get((uh.dst_port, header.src, uh.src_port))
         if session is None:
             session = self._udp.get((uh.dst_port, None, None))
@@ -957,13 +953,14 @@ class NetworkStack:
         yield from self.ip_output(ip.PROTO_ICMP, header.src, message.pack())
 
     def _icmp_input(self, header, payload):
-        p = self.ctx.params
-        yield self.ctx.charge_checksum(Layer.TCP_UDP_INPUT, len(payload))
+        cost = self.ctx.checksum_cost(len(payload))
         try:
             message = icmp.ICMPMessage.unpack(payload)
         except ValueError:
+            yield self.ctx.charge(Layer.TCP_UDP_INPUT, cost)
             return
-        yield self.ctx.charge(Layer.TCP_UDP_INPUT, p.header_build)
+        yield self.ctx.charge(Layer.TCP_UDP_INPUT,
+                              cost + self.ctx.params.header_build)
         if message.type == icmp.TYPE_ECHO_REQUEST:
             self.icmp_echoes_answered += 1
             reply = message.echo_reply()

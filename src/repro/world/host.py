@@ -143,8 +143,9 @@ class ArpService:
 
     def resolve(self, ctx, next_hop_ip):
         """Resolve ``next_hop_ip`` to a MAC, performing the ARP exchange
-        on a miss.  Charges a small lookup cost to the caller."""
-        yield ctx.charge(Layer.ETHER_OUTPUT, ctx.params.proc_call)
+        on a miss.  The lookup's own cost (a procedure call) is the
+        caller's to bill: the send path bills it in the frame's
+        ``ether_output`` hold (see ``Kernel.netif_send``)."""
         mac = self.cache.lookup(next_hop_ip)
         if mac is not None:
             return mac

@@ -97,8 +97,8 @@ def test_message_port_fifo():
     port = MessagePort(sim)
 
     def sender():
-        yield from port.send(ctx, "layer", Message("m", data=b"1"))
-        yield from port.send(ctx, "layer", Message("m", data=b"2"))
+        yield from port.send(ctx, "layer", Message("m", data=b"1"), 0.0)
+        yield from port.send(ctx, "layer", Message("m", data=b"2"), 0.0)
 
     def receiver():
         first = yield from port.receive(ctx, "layer")

@@ -39,7 +39,7 @@ def test_charge_copy_and_checksum_scale_with_bytes(sim):
 
     def prog():
         yield ctx.charge_copy("c", 1000)
-        yield ctx.charge_checksum("k", 1000)
+        yield ctx.charge("k", ctx.checksum_cost(1000))
 
     sim.run_process(prog())
     p = DECSTATION_5000_200

@@ -45,24 +45,12 @@ def test_charge_advances_clock_and_accounts(sim):
     assert ctx.accounting.counts["layer-a"] == 1
 
 
-def test_charge_batch_bills_each_pair(sim):
-    ctx = make_ctx(sim)
-
-    def worker():
-        yield ctx.charge_batch((("a", 10.0), ("b", 20.0), ("c", 30.0)))
-        return sim.now
-
-    assert sim.run_process(worker()) == 60.0
-    assert ctx.cpu.charge_count == 3
-    assert ctx.accounting.totals["b"] == 20.0
-
-
 def test_zero_cost_continues_synchronously(sim):
     ctx = make_ctx(sim)
 
     def worker():
         yield ctx.charge("free", 0.0)
-        yield ctx.charge_batch((("x", 0.0), ("y", 0.0)))
+        yield ctx.charge("free", 0.0)
         return sim.now
 
     assert sim.run_process(worker()) == 0.0
@@ -97,7 +85,7 @@ def test_charges_serialize_and_priority_wins(sim):
     def interrupt_handler():
         yield Timeout(1.0)  # arrives while the app's first charge runs
         yield Charge(ctx.cpu, Priority.INTERRUPT, ctx.accounting,
-                     (("intr", 5.0),))
+                     "intr", 5.0)
         order.append("intr")
 
     sim.spawn(app())
@@ -222,42 +210,38 @@ def test_deadlock_report_includes_charge(sim):
 # leak the CPU or hand it to a ghost.
 _step = st.tuples(
     st.integers(0, 4),  # priority
-    st.lists(st.tuples(st.sampled_from("abc"),
-                       st.sampled_from((0, 0.5, 1, 2, 3, 7))),
-             min_size=1, max_size=3),
+    st.sampled_from("abc"),  # layer
+    st.sampled_from((0, 0.5, 1, 2, 3, 7)),  # cost
     st.one_of(st.none(), st.sampled_from((0, 1, 2, 5))),  # pause first
 )
 _scenario = st.tuples(
-    st.lists(st.lists(_step, min_size=1, max_size=5), min_size=1, max_size=4),
+    st.lists(st.lists(_step, min_size=1, max_size=8), min_size=1, max_size=4),
     # (victim, gap): an interrupter sleeps ``gap`` then interrupts.
     st.lists(st.tuples(st.integers(0, 3), st.integers(0, 20)), max_size=3),
 )
 
 
-def _charge_step(sim, cpu, ledger, contexts, priority, pairs):
+def _charge_step(sim, cpu, ledger, contexts, priority, layer, cost):
     ctx = contexts.get(priority)
     if ctx is None:
         ctx = contexts[priority] = ExecutionContext(
             sim, cpu, priority=priority, accounting=ledger)
-    if len(pairs) == 1:
-        yield ctx.charge(*pairs[0])
-    else:
-        yield ctx.charge_batch(tuple(pairs))
+    yield ctx.charge(layer, cost)
 
 
-def _reference_step(sim, cpu, ledger, contexts, priority, pairs):
-    for layer, cost in pairs:
-        yield from cpu.execute(cost, priority,
-                               account=partial(ledger.add, layer))
+def _reference_step(sim, cpu, ledger, contexts, priority, layer, cost):
+    yield from cpu.execute(cost, priority,
+                           account=partial(ledger.add, layer))
 
 
 def _script(sim, cpu, ledger, name, steps, log, run_step):
     contexts = {}
-    for priority, pairs, pause in steps:
+    for priority, layer, cost, pause in steps:
         try:
             if pause is not None:
                 yield Timeout(pause)
-            yield from run_step(sim, cpu, ledger, contexts, priority, pairs)
+            yield from run_step(sim, cpu, ledger, contexts, priority,
+                                layer, cost)
         except Interrupt:
             log.append((name, "interrupted", sim.now, cpu.contention()))
             continue
@@ -299,7 +283,7 @@ def _play(scenario, reference):
 @settings(max_examples=500, deadline=None)
 @given(_scenario)
 def test_charge_path_matches_reference_subgenerator(scenario):
-    """Charges through ctx.charge/charge_batch finish, get interrupted,
+    """Charges through ctx.charge finish, get interrupted,
     and bill exactly as the same scripts through a plain subgenerator
     that acquires an event-waiter priority lock, sleeps and releases."""
     assert _play(scenario, reference=False) == _play(scenario, reference=True)

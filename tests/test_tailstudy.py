@@ -108,26 +108,26 @@ _GOLDEN_WORKLOAD = dict(proto="udp", clients=0, fanout=2,
 
 @pytest.mark.parametrize("topology,workload,placements,golden", [
     (dict(kind="star", hosts=16, seed=7), {}, ["library-shm-ipf"],
-     "b7b79f11470fac459eb88ade92a0bd81c4dbd965fa6c19b6e8bc499aed050b03"),
+     "837571ac013f077e6b8420f0afc8fd78647a9e6c07a0d8e8e09220a6ad9f643a"),
     (dict(kind="fattree", hosts=16, seed=7, hosts_per_edge=8, spines=2),
      {}, ["mach25"],
-     "1db31dd88fafd7e53f0a5e971634bc92e542ab624801b8ecdb058a7377521755"),
+     "fefebc592297f9e3fe0771fc0980cfd5ca4ef5dfa9ffa11acd6610bab22b0523"),
     # The cell tests/test_parallel.py::_cells builds.
     (dict(kind="wan", hosts=12, seed=21, hosts_per_edge=8, spines=2,
           sites=2, router_speedup=8.0), {}, ["mach25"],
-     "1d0730f8127b1d5d87af0e0072b0f9375da628312f92875461fd4c4664295a7f"),
+     "b8bc0989195f6e3628fce98e6194d4b181ad4dbdcd502ab705878cdfa3a63461"),
     # Persistent TCP connections in a scale world, under all three
     # placements: what the stacks' TCP timer pass does there.
     (dict(kind="star", hosts=8, seed=7), dict(proto="tcp"),
      ["library-shm-ipf", "mach25", "ux"],
-     "260d9bd1511148c98eb4a17c8b71b28cf659b3ae521d5c4320057e67896b9237"),
+     "ce12d8159db3d2859ec2637f6b81c9d05b14de46e24487d42ee9b366ebc702a9"),
     # Long enough for connections to sit idle between requests while
     # others have output on the same timer pass: pins the order of that
     # pass (the demux table's).
     (dict(kind="star", hosts=8, seed=7),
      dict(proto="tcp", window_us=600_000.0, drain_us=300_000.0),
      ["mach25"],
-     "3e8502b32a475ec60a595cdbe557394901175f86d7dc83bd004c5a6ef74415c2"),
+     "42dd597cff8322e0dd93b37844828de862d9ce4e34a4b4c532f01771a7688234"),
 ], ids=["star16", "fattree16", "wan12", "star8_tcp", "star8_tcp_600ms"])
 def test_scale_cell_matches_golden(topology, workload, placements, golden):
     # The other scale tests compare a run with itself or its twin, and
@@ -146,9 +146,11 @@ def test_scale_cell_matches_golden(topology, workload, placements, golden):
     # went: every kernel now runs its whole filter list, each program
     # run charged, as the two-host worlds always did.  star8_tcp moved
     # alone when a connection got one drainer at a time: its mach25 and
-    # ux cells had sent segments out of sequence order.  EXPERIMENTS.md,
-    # "Tail at scale", "One TCP timer pass", "One demux model" and "One
-    # hold per layer visit".)
+    # ux cells had sent segments out of sequence order.  All five moved
+    # again when each layer visit became one CPU hold: fewer release
+    # points, so a frame arriving mid-visit waits for the whole visit.
+    # EXPERIMENTS.md, "Tail at scale", "One TCP timer pass", "One demux
+    # model" and "One hold per layer visit".)
     workload = dict(_GOLDEN_WORKLOAD, seed=topology["seed"], **workload)
     cells = [tailstudy.run_cell(topology, workload, placement, 0.1)
              for placement in placements]
