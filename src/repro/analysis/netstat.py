@@ -191,7 +191,7 @@ def format_send_path(totals):
 
 def control_report(placement):
     """The control-plane block: RPC health of the placement's server and
-    per-app resilience counters (retries, breaker state, deferred work).
+    per-app resilience counters (retries, re-registrations).
 
     Returns None for in-kernel placements (no control RPCs exist).  Rows
     are sorted by app name so the output is stable run to run.
@@ -251,17 +251,8 @@ def format_control_report(report):
             "  slow op %-15s at %14.1fus took %10.1fus"
             % (entry["op"], entry["t_us"], entry["us"]))
     for row in report["apps"]:
-        breaker = row.get("breaker")
-        state = breaker["state"] if breaker else "off"
-        extra = ""
-        if breaker:
-            extra = " (%d trips, %d fast-fails)" % (breaker["trips"],
-                                                    breaker["fast_fails"])
-        lines.append(
-            "  app %-20s %3d retries, %d rereg, %d deferred closes, "
-            "breaker %s%s" % (row["app"], row["retries"],
-                              row["reregistrations"], row["closes_deferred"],
-                              state, extra))
+        lines.append("  app %-20s %3d retries, %d rereg"
+                     % (row["app"], row["retries"], row["reregistrations"]))
     if "fault_stages" in report:
         for name, counters in report["fault_stages"].items():
             shown = ", ".join("%s=%s" % kv for kv in sorted(counters.items()))

@@ -10,9 +10,9 @@ into a single report:
   world: per-host netstat reports (sessions, filters, CPU, NIC,
   tracer/metrics health, each library app's cached-metastate
   counters) and the control-plane block (server health with the per-op
-  latency histograms and slow-op log, per-app resilience/breaker
-  counters), then one "send path → server" line totalling the
-  metastate RPCs.
+  latency histograms and slow-op log, per-app retry and
+  re-registration counters), then one "send path → server" line
+  totalling the metastate RPCs.
 * **flight** — the exchange engine's always-on flight-recorder ring:
   how much was recorded, how much fell off, and the most recent events.
 * **telemetry** — one seeded tail-study cell with forensics + metrics

@@ -45,8 +45,7 @@ class MetastateCache:
         #: (set by the proxy layer) holds retries until the app has
         #: re-registered with a restarted server.  No context is bound:
         #: each fetch is charged to the context that asked.
-        self.caller = ResilientCaller(
-            rpc, None, rng=random.Random(2000 + app_id), name=name)
+        self.caller = ResilientCaller(rpc, None, random.Random(2000 + app_id))
 
     # ------------------------------------------------------------------
     # ARP

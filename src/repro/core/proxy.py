@@ -26,11 +26,7 @@ import random
 from repro.hw.cpu import Priority
 from repro.stack.context import ExecutionContext
 from repro.stack.instrument import Layer
-from repro.core.resilience import (
-    ResiliencePolicy,
-    ResilientCaller,
-    ServerUnavailable,
-)
+from repro.core.resilience import ResilientCaller
 from repro.core.sockets import (
     SOCK_DGRAM,
     SOCK_STREAM,
@@ -80,7 +76,7 @@ class ProxySocket:
 class ProxySocketAPI(SocketAPI):
     """The BSD socket interface over the decomposed protocol service."""
 
-    def __init__(self, library, server, fork_factory=None, policy=None):
+    def __init__(self, library, server, fork_factory=None):
         super().__init__()
         self.library = library
         self.server = server
@@ -117,22 +113,11 @@ class ProxySocketAPI(SocketAPI):
         #: so a crash in this window must rebuild the server record before
         #: the retried ``proxy_return`` replays the state.
         self._migrating = {}
-        #: Resilience policy (None: legacy behavior — patient retries, no
-        #: deadlines, breaker off).  All proxy RPCs go through one
-        #: :class:`ResilientCaller`; request ids are (app_id, sid, seq).
-        self.policy = policy if policy is not None else ResiliencePolicy()
+        #: All proxy RPCs go through one :class:`ResilientCaller`;
+        #: request ids are (app_id, sid, seq).
         self.resilient = ResilientCaller(
-            self.rpc, self.ctx, rng=self._retry_rng, gate=self._gate,
-            policy=self.policy, name="%s.proxy" % library.name,
-        )
-        #: Patient fallback caller for background drains (deferred closes):
-        #: default policy, so it waits out an outage the breaker gave up on.
-        self._patient = ResilientCaller(
-            self.rpc, self.ctx, rng=self._retry_rng, gate=self._gate,
-            name="%s.drain" % library.name,
-        )
+            self.rpc, self.ctx, self._retry_rng, gate=self._gate)
         self._req_seq = 0
-        self.closes_deferred = 0
         library.metastate.caller.gate = self._gate
         library.proxy_api = self
         self._reregister_watcher = host.sim.spawn(
@@ -175,10 +160,6 @@ class ProxySocketAPI(SocketAPI):
             yield from self._reregister()
             gate, self._rereg_ready = self._rereg_ready, None
             gate.succeed()
-            # Re-registration doubles as the breaker's recovery probe:
-            # the server answered a real RPC, so fast-failing is over.
-            if self.resilient.breaker is not None:
-                self.resilient.breaker.reset()
 
     def _reregister(self):
         """Report this app and its live sessions to a freshly restarted
@@ -232,11 +213,9 @@ class ProxySocketAPI(SocketAPI):
                     "backlog": psock.backlog or 5,
                     "opts": dict(psock.opts),
                 })
-        # Deliberately ungated (this RPC is what opens the gate), and
-        # patient whatever the app's policy says.
+        # Deliberately ungated: this RPC is what opens the gate.
         _restored, handles = yield from ResilientCaller(
-            self.rpc, self.ctx, rng=self._retry_rng,
-            name="%s.rereg" % self.library.name,
+            self.rpc, self.ctx, self._retry_rng
         ).call("proxy_reregister", args=(self.library, sessions),
                layer=Layer.ENTRY_COPYIN)
         # Server-side descriptors from the dead incarnation are gone.
@@ -474,51 +453,14 @@ class ProxySocketAPI(SocketAPI):
         yield from self._proxy_entry()
         if psock.mode == "app":
             state = yield from self._withdraw(psock, self._closing)
-            try:
-                yield from self._rpc("proxy_close", psock.sid, state,
-                                     sid=psock.sid)
-            except ServerUnavailable:
-                # Graceful degradation: the local teardown (drain, export,
-                # filter detach) is already done; the server-side half
-                # replays in the background once the server is reachable.
-                # The _closing snapshot stays until the drain lands so a
-                # restarted server learns about the session first.
-                self._defer_close(psock.sid, state)
-            else:
-                self._closing.pop(psock.sid, None)
+            yield from self._rpc("proxy_close", psock.sid, state,
+                                 sid=psock.sid)
+            self._closing.pop(psock.sid, None)
             self._detach(psock)
         elif psock.mode in ("server", "embryonic"):
-            try:
-                yield from self._rpc("proxy_close", psock.sid, None,
-                                     sid=psock.sid)
-            except ServerUnavailable:
-                # Server-managed state either survives in the live server
-                # (slow, breaker open) or died with it (crash) — in both
-                # cases the deferred close is sufficient: proxy_close of
-                # an unknown sid is a clean no-op after a restart.
-                self._defer_close(psock.sid, None)
+            yield from self._rpc("proxy_close", psock.sid, None,
+                                 sid=psock.sid)
         psock.mode = "closed"
-
-    def _defer_close(self, sid, state):
-        """Finish a shed close in the background with the patient caller
-        (no breaker, no budget): it parks politely through the outage and
-        lands the server-side teardown on recovery."""
-        self.closes_deferred += 1
-
-        def drain():
-            self._req_seq += 1
-            req_id = (self.app_id, sid, self._req_seq)
-            try:
-                yield from self._patient.call(
-                    "proxy_close", args=(sid, state),
-                    layer=Layer.ENTRY_COPYIN, req_id=req_id,
-                )
-            finally:
-                self._closing.pop(sid, None)
-
-        self.ctx.sim.spawn(
-            drain(), name="%s.close-drain.%d" % (self.library.name, sid)
-        )
 
     def migrate_to_server(self, fd):
         """Return one session to the server (the fork preparation step).
@@ -613,13 +555,6 @@ class ProxySocketAPI(SocketAPI):
                         [h for _fd, h in srv_r], [h for _fd, h in srv_w],
                         remaining,
                     )
-                except ServerUnavailable:
-                    # Graceful degradation: instead of wedging in a select
-                    # on an unreachable server, report its fds as ready —
-                    # the caller's next operation on them surfaces the
-                    # real error.
-                    return ([fd for fd, _h in srv_r],
-                            [fd for fd, _h in srv_w])
                 finally:
                     self._select_outstanding = False
                 handle_map = {h: fd for fd, h in srv_r + srv_w}
@@ -682,14 +617,8 @@ class ProxySocketAPI(SocketAPI):
 
     def control_stats(self):
         """Client-side control-plane counters for netstat/chaos reports."""
-        stats = {
+        return {
             "app": self.library.name,
             "retries": self.resilient.retries,
             "reregistrations": self.reregistrations,
-            "closes_deferred": self.closes_deferred,
-            "budget_exhaustions": (self.resilient.budget_exhaustions
-                                   + self._patient.budget_exhaustions),
         }
-        if self.resilient.breaker is not None:
-            stats["breaker"] = self.resilient.breaker.snapshot()
-        return stats

@@ -223,8 +223,7 @@ class RPCPort:
     # Client side
     # ------------------------------------------------------------------
 
-    def call(self, ctx, op, args=(), data=b"", layer="rpc", req_id=None,
-             deadline_us=None):
+    def call(self, ctx, op, args=(), data=b"", layer="rpc", req_id=None):
         """Synchronous RPC: send a request, block for the reply.
 
         Charges the client side's costs: trap in, stub, message, and two
@@ -233,12 +232,11 @@ class RPCPort:
         errors cross the RPC boundary like any BSD errno would.
 
         ``req_id`` travels with the request for the server's replay cache
-        (idempotent at-least-once delivery).  ``deadline_us`` bounds the
-        reply wait: past it the call is abandoned with
-        :class:`DeadlineExpired` and a late reply is counted in
-        ``replies_dropped``.  When a control-fault plan is attached and no
-        explicit deadline was given, the plan's per-op default applies —
-        otherwise no timer is armed (the bit-passive happy path).
+        (idempotent at-least-once delivery).  An attached control-fault
+        plan bounds the reply wait with its per-op deadline: past it the
+        call is abandoned with :class:`DeadlineExpired` and a late reply
+        is counted in ``replies_dropped``.  Without a plan no timer is
+        armed (the bit-passive happy path).
         """
         if self.broken:
             raise ServerCrashed(self._broken)
@@ -250,13 +248,13 @@ class RPCPort:
         yield ctx.charge(layer, cost)
         dropped = False
         duplicate = False
+        deadline_us = None
         if self.faults is not None:
             drop, dup, delay_us = self.faults.on_request(op)
             dropped, duplicate = drop, dup
             if delay_us:
                 yield self._sim.timeout(delay_us)
-            if deadline_us is None:
-                deadline_us = self.faults.deadline_for(op)
+            deadline_us = self.faults.deadline_for(op)
             if dropped and deadline_us is None:
                 # Never let a fault-dropped request hang its caller.
                 deadline_us = self.faults.default_deadline_us

@@ -435,24 +435,23 @@ class UnixServer:
 
     # ------------------------------------------------------------------
 
-    def sockets(self, policy=None):
+    def sockets(self):
         """A socket API instance for one application process."""
-        return ServerSocketAPI(self, policy=policy)
+        return ServerSocketAPI(self)
 
 
 class ServerSocketAPI(SocketAPI):
     """BSD sockets where every call is an RPC to the UNIX server.
 
-    Calls now go through a :class:`ResilientCaller` with sequence-stamped
-    request ids.  On the default policy the happy path is charge-for-
-    charge identical to the historical raw ``rpc.call`` (no retry loop
-    overhead in simulated time), but deadlines/breaker/budget knobs can
-    be enabled per client via ``policy``.
+    Calls go through a :class:`ResilientCaller` with sequence-stamped
+    request ids, so a client rides out a server restart the way the
+    proxy does.  The happy path is charge-for-charge identical to a raw
+    ``rpc.call`` (the retry loop costs nothing in simulated time).
     """
 
     _next_client_id = count(1)
 
-    def __init__(self, server, policy=None):
+    def __init__(self, server):
         super().__init__()
         from repro.core.resilience import ResilientCaller
 
@@ -468,10 +467,7 @@ class ServerSocketAPI(SocketAPI):
         )
         self.client_id = next(ServerSocketAPI._next_client_id)
         self.resilient = ResilientCaller(
-            server.rpc, self.ctx,
-            rng=random.Random(3000 + self.client_id),
-            policy=policy, name="%s.app%d" % (host.name, self.client_id),
-        )
+            server.rpc, self.ctx, random.Random(3000 + self.client_id))
         self._req_seq = 0
 
     def _call(self, op, *args, data=b"", layer=Layer.ENTRY_COPYIN):
@@ -574,7 +570,7 @@ class ServerSocketAPI(SocketAPI):
         yield self.ctx.charge(
             Layer.ENTRY_COPYIN, self.ctx.params.proc_call
         )
-        child = ServerSocketAPI(self.server, policy=self.resilient.policy)
+        child = ServerSocketAPI(self.server)
         for desc in self.fds.descriptors():
             child.fds.adopt(desc)
         return child

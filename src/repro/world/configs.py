@@ -198,18 +198,10 @@ class Placement:
         """The OS server backend (library placements only)."""
         return self._backend
 
-    def new_app(self, name=None, policy=None):
-        """A socket API for one application process on this host.
-
-        ``policy`` is an optional :class:`repro.core.resilience.
-        ResiliencePolicy` controlling the app's control-plane behavior
-        (deadlines, retry budget, circuit breaker); None keeps the
-        legacy patient-retry defaults.
-        """
-        if self.spec.style == STYLE_KERNEL:
+    def new_app(self, name=None):
+        """A socket API for one application process on this host."""
+        if self.spec.style in (STYLE_KERNEL, STYLE_SERVER):
             return self._backend.sockets()
-        if self.spec.style == STYLE_SERVER:
-            return self._backend.sockets(policy=policy)
         library = ProtocolLibrary(
             self.host,
             self._backend.rpc,
@@ -221,11 +213,8 @@ class Placement:
         )
         self._backend.register_app(library)
 
-        def fork_factory():
-            return self.new_app(policy=policy)
-
         return ProxySocketAPI(library, self._backend,
-                              fork_factory=fork_factory, policy=policy)
+                              fork_factory=self.new_app)
 
 
 def make_placement(spec_or_key, host, tcp_defaults=None):

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.analysis.netstat import (
+    control_report,
+    format_control_report,
     format_report,
     host_report,
     tcp_sessions,
@@ -169,6 +171,47 @@ def test_host_report_carries_resource_and_telemetry_blocks():
     assert row["invalidations"] == api_b.library.metastate.invalidations
     assert ("route 1 rpcs / 1 hits, arp 1 rpcs / 1 hits"
             in format_report(host_report(pb)))
+
+
+def test_control_report_has_one_row_per_app_after_a_restart():
+    """One crash and restart: every registered app re-registers once, and
+    the one whose accept was in flight shows its retries."""
+    net, pa, pb = build_network("library-shm-ipf")
+    busy = pa.new_app(name="busy")
+    idle = pa.new_app(name="idle")
+    api_b = pb.new_app()
+    restarted = net.sim.event()
+
+    def server():
+        fd = yield from busy.socket(SOCK_STREAM)
+        yield from busy.bind(fd, 7475)
+        yield from busy.listen(fd)
+        cfd, _ = yield from busy.accept(fd)  # in flight at the crash
+        yield from busy.close(cfd)
+        yield from busy.close(fd)
+
+    def controller():
+        yield net.sim.timeout(50_000)
+        pa.server.crash()
+        yield net.sim.timeout(300_000)
+        pa.server.restart()
+        restarted.succeed()
+
+    def client():
+        yield restarted
+        yield net.sim.timeout(100_000)
+        fd = yield from api_b.socket(SOCK_STREAM)
+        yield from api_b.connect(fd, (IP1, 7475))
+        yield from api_b.close(fd)
+
+    net.run_all([server(), controller(), client()], until=60_000_000)
+    assert busy.resilient.retries > 0
+    lines = format_control_report(control_report(pa)).splitlines()
+    assert [line for line in lines if line.startswith("  app ")] == [
+        "  app %-20s %3d retries, 1 rereg"
+        % (api.library.name, api.resilient.retries)
+        for api in (busy, idle)
+    ]
 
 
 def _churn_world(placement, connections=3, port=7490):

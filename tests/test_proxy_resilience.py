@@ -4,23 +4,23 @@ The contract under test (the PR's headline): a NetServer crash during
 any proxied operation — connect, accept, send, select, close, migrate,
 fork — either completes after restart via idempotent replay and
 re-registration, or fails with a clean ``SocketError``-family error.
-It never hangs.  On top of that: circuit breaking fails fast and
-recovers, ``select`` degrades instead of wedging when the server is
-gone, closes are deferred and drained, admission control sheds load as
-``ServerBusy`` (which the retry layer absorbs), and ``proxy_health``
-exposes it all.
+It never hangs.  On top of that: an op whose every attempt fails ends in
+a clean error once the retry limit is spent, admission control sheds
+load as ``ServerBusy`` (which the retry layer absorbs), and
+``proxy_health`` exposes it all.
 """
 
 import pytest
 
-from repro.core.resilience import (
-    CircuitBreaker,
-    ResiliencePolicy,
-    ServerUnavailable,
-)
+from repro.core.resilience import RETRY_LIMIT
 from repro.core.sockets import SOCK_STREAM, SocketError
-from repro.faults import ControlFaultPlan, ServerCrashOnOp, ServerSlowOp
-from repro.kernel.ipc import ServerBusy, ServerCrashed
+from repro.faults import (
+    ControlFaultPlan,
+    RpcDrop,
+    ServerCrashOnOp,
+    ServerSlowOp,
+)
+from repro.kernel.ipc import DeadlineExpired, ServerBusy, ServerCrashed
 from repro.net.addr import ip_aton
 from repro.net.tcp.tcb import TCPError
 from repro.stack.engine import SocketTimeout
@@ -350,76 +350,6 @@ def test_tight_crash_restart_race_with_inflight_accept():
     assert not pa.server.rpc.broken
 
 
-def test_breaker_fast_fails_select_degrades_close_defers():
-    """With a circuit breaker configured and the server dead: a failed
-    op trips the breaker; select then reports the server-managed fds as
-    ready immediately (server-down degradation) instead of wedging;
-    close defers its server half.  After restart, the watcher resets the
-    breaker and the deferred close drains."""
-    policy = ResiliencePolicy(retry_limit=2, backoff_base_us=5_000.0,
-                              breaker_threshold=2,
-                              breaker_cooldown_us=500_000.0)
-    net, pa, pb = build_network("library-shm-ipf")
-    api_a = pa.new_app(name="srv-app", policy=policy)
-    api_b = pb.new_app(name="cli-app")
-    ready = net.sim.event()
-    results = {}
-
-    def server():
-        lfd = yield from api_a.socket(SOCK_STREAM)
-        yield from api_a.bind(lfd, 7472)
-        yield from api_a.listen(lfd)
-        ready.succeed()
-        cfd, _peer = yield from api_a.accept(lfd)
-        yield from api_a.migrate_to_server(cfd)  # server-managed now
-
-        pa.server.crash()
-        # 1. A mutation against the dead server exhausts its retries and
-        #    raises ServerCrashed cleanly; its failures trip the breaker.
-        try:
-            yield from api_a.setsockopt(cfd, "rcvbuf", 32768)
-        except ServerCrashed:
-            results["setsockopt"] = "failed-clean"
-        assert api_a.resilient.breaker.state == "open"
-
-        # 2. select on a server-managed fd fast-fails through the open
-        #    breaker and degrades: the fd is reported ready so the app
-        #    goes and discovers the error itself — no wedge.
-        before = net.sim.now
-        r, _w = yield from api_a.select([cfd], timeout=10_000_000)
-        results["select"] = (r, net.sim.now - before)
-
-        # 3. close defers its server half instead of blocking the app.
-        yield from api_a.close(cfd)
-        results["deferred"] = api_a.closes_deferred
-
-        yield net.sim.timeout(400_000)
-        pa.server.restart()
-        yield net.sim.timeout(3_000_000)  # rereg + deferred drain
-        results["breaker_after"] = api_a.resilient.breaker.state
-        results["closing_after"] = dict(api_a._closing)
-        yield from api_a.close(lfd)
-
-    def client():
-        yield ready
-        fd = yield from api_b.socket(SOCK_STREAM)
-        yield from api_b.connect(fd, (IP1, 7472))
-        yield from api_b.send_all(fd, b"x" * 64)
-        yield from api_b.close(fd)
-
-    net.run_all([server(), client()], until=BOUND)
-    assert results["setsockopt"] == "failed-clean"
-    ready_fds, select_elapsed = results["select"]
-    assert ready_fds  # degraded: reported ready, not blocked
-    assert select_elapsed < 1_000_000  # fast, not the 10s timeout
-    assert results["deferred"] == 1
-    assert results["breaker_after"] == "closed"  # watcher reset it
-    assert results["closing_after"] == {}  # the deferred close drained
-    stats = api_a.control_stats()
-    assert stats["breaker"]["trips"] >= 1
-    assert stats["breaker"]["fast_fails"] >= 1
-
-
 # ----------------------------------------------------------------------
 # Admission control and health
 # ----------------------------------------------------------------------
@@ -483,77 +413,25 @@ def test_proxy_health_op_reports_counters():
     assert report["apps"] >= 1
 
 
-def test_budget_exhaustion_raises_server_unavailable():
-    policy = ResiliencePolicy(retry_limit=64, backoff_base_us=5_000.0,
-                              op_budget_us=80_000.0)
-    net, pa, _pb = build_network("library-shm-ipf")
-    api = pa.new_app(name="app", policy=policy)
-    pa.server.crash()
+# ----------------------------------------------------------------------
+# The retry limit
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("config", ["library-shm-ipf", "ux"])
+def test_doomed_op_ends_in_a_clean_error_at_the_retry_limit(config):
+    """Every request is dropped: each attempt expires on the plan's
+    deadline and is retried, and the last one's ``DeadlineExpired``
+    reaches the app instead of a hang."""
+    net, pa, _pb = build_network(config)
+    api = pa.new_app(name="app")
+    libraries = [api.library] if hasattr(api, "library") else []
+    ControlFaultPlan([RpcDrop(rate=1.0)], seed=1).attach(
+        pa.server, libraries=libraries)
 
     def attempt():
-        before = net.sim.now
-        try:
-            yield from api.socket(SOCK_STREAM)
-        except ServerUnavailable:
-            return net.sim.now - before
-        return None
+        yield from api.socket(SOCK_STREAM)
 
-    elapsed = net.sim.run_process(attempt())
-    assert elapsed is not None
-    assert elapsed <= 200_000.0  # gave up near the budget, not 64 retries
-    assert api.resilient.budget_exhaustions == 1
-
-
-# ----------------------------------------------------------------------
-# The breaker state machine, unit-level
-# ----------------------------------------------------------------------
-
-def test_circuit_breaker_lifecycle():
-    b = CircuitBreaker(threshold=2, cooldown_us=1_000.0)
-    assert b.admit(0.0)
-    b.record_failure(0.0)
-    assert b.state == "closed"
-    b.record_failure(1.0)
-    assert b.state == "open" and b.trips == 1
-
-    assert not b.admit(2.0)  # still cooling down: fast-fail
-    assert b.fast_fails == 1
-
-    assert b.admit(1_001.0)  # cooldown over: the single probe
-    assert b.state == "half-open" and b.probes == 1
-    assert not b.admit(1_001.0)  # second caller is not admitted
-    b.record_failure(1_001.0)  # probe failed: back to open
-    assert b.state == "open"
-
-    assert b.admit(2_002.0)  # next probe
-    b.record_success()
-    assert b.state == "closed"
-    assert b.admit(2_003.0)
-    snap = b.snapshot()
-    assert snap["trips"] == 1 and snap["probes"] == 2
-    assert snap["fast_fails"] >= 2
-
-
-@pytest.mark.parametrize("config", ["ux", "library-shm-ipf"])
-def test_fork_child_inherits_the_resilience_policy(config):
-    """A forked child fails as fast as its parent was configured to: it
-    used to come up on the default policy and park on the dead port for
-    64 patient retries."""
-    policy = ResiliencePolicy(retry_limit=4, backoff_base_us=5_000.0,
-                              breaker_threshold=2,
-                              breaker_cooldown_us=500_000.0)
-    net, pa, _pb = build_network(config)
-    api = pa.new_app(name="forker", policy=policy)
-
-    def prog():
-        child = yield from api.fork()
-        assert child.resilient.policy is policy
-        assert child.resilient.breaker is not api.resilient.breaker
-        pa.server.rpc.down("server crashed")
-        before = net.sim.now
-        with pytest.raises(ServerUnavailable):
-            yield from child.socket(SOCK_STREAM)
-        return net.sim.now - before
-
-    elapsed = net.run_all([prog()], until=BOUND)[0]
-    assert elapsed < 100_000  # two backoff slices, not an outage's worth
+    with pytest.raises(DeadlineExpired):
+        net.sim.run_process(attempt())
+    assert api.resilient.retries == RETRY_LIMIT - 1
+    assert pa.server.rpc.deadline_expiries == RETRY_LIMIT
