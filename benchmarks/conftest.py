@@ -1,9 +1,10 @@
 """Benchmark harness helpers.
 
-Every benchmark regenerates one of the paper's tables or figures and
-prints it (alongside the published numbers) while pytest-benchmark times
-the run.  Simulated workloads are scaled down from the paper's 16 MB /
-50000-round originals; they measure the same steady state.
+Every benchmark is an ablation of one mechanism the paper discusses: it
+prints its table while pytest-benchmark times the run.  Simulated
+workloads are scaled down from the paper's 16 MB / 50000-round
+originals, and a 1-2 MB transfer is not the paper's steady state: a
+start-up delayed-ACK stall that 16 MB amortises costs it 10-20 %.
 
 Because pytest captures per-test output, every regenerated table is also
 appended to ``benchmarks/tables_output.txt`` so a plain

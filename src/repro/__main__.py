@@ -24,13 +24,16 @@ consumes a JSON document produced by ``python -m repro.analysis.tailstudy
 its slowest exemplar's critical path as a text timeline, and can export
 the exemplar as a chrome://tracing document (``--chrome``).
 
-For the full evaluation, run ``pytest benchmarks/ --benchmark-only`` or
-``python -m repro.analysis.report``.
+For the full evaluation, run ``python -m repro.analysis.bench_json -o
+BENCH.json`` and render it against the paper with ``python -m
+repro.analysis.report BENCH.json`` (with no argument, the report renders
+the pinned ``benchmarks/baseline.json``).
 """
 
 import argparse
 import sys
 
+from repro.analysis import paper
 from repro.analysis.netstat import format_report, host_report
 from repro.apps.ttcp import ttcp
 from repro.core.sockets import SOCK_STREAM
@@ -84,9 +87,9 @@ def demo_throughput():
                       rcvbuf_kb=CONFIGS[key].best_rcvbuf_kb)
         print("%-34s %5.0f KB/s   (paper: %d)"
               % (CONFIGS[key].label, result.throughput_kbs,
-                 CONFIGS[key].paper["tput"]))
+                 paper.DECSTATION[key][0]))
     print()
-    print("Full evaluation: pytest benchmarks/ --benchmark-only")
+    print("Paper vs measured, every table: python -m repro.analysis.report")
 
 
 def cmd_demo(_args):

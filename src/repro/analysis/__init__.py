@@ -1,9 +1,7 @@
 """Experiment orchestration and paper-style table rendering."""
 
-from repro.analysis.tables import format_table, render_latency_table
+from repro.analysis.tables import format_table
 from repro.analysis.experiments import (
-    LATENCY_SIZES_TCP,
-    LATENCY_SIZES_UDP,
     run_breakdown,
     run_latency_row,
     run_table2,
@@ -13,12 +11,9 @@ from repro.analysis.experiments import (
 
 __all__ = [
     "format_table",
-    "render_latency_table",
     "run_throughput",
     "run_latency_row",
     "run_table2",
     "run_breakdown",
     "search_best_rcvbuf",
-    "LATENCY_SIZES_TCP",
-    "LATENCY_SIZES_UDP",
 ]

@@ -47,7 +47,7 @@ VOLATILE_KEYS = ("wall_clock_seconds", "wallclock", "metrics")
 #: Default relative drift tolerance for the CI gate.
 DEFAULT_TOLERANCE = 0.01
 
-NEWAPI_KEYS = ("library-ipc", "library-shm", "library-shm-ipf",
+TABLE3_ROWS = ("library-ipc", "library-shm", "library-shm-ipf",
                "library-newapi-ipc", "library-newapi-shm",
                "library-newapi-shm-ipf")
 
@@ -94,7 +94,7 @@ def _h_table2_gateway():
 
 
 def _h_table3_newapi():
-    rows = run_table2(NEWAPI_KEYS, platform="decstation",
+    rows = run_table2(TABLE3_ROWS, platform="decstation",
                       total_bytes=1024 * 1024, rounds=20,
                       tcp_sizes=(1460,), udp_sizes=(1472,))
     return {"table3_newapi": {r.key: _table2_entry(r) for r in rows}}

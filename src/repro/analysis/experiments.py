@@ -1,8 +1,8 @@
 """Orchestrate full paper experiments.
 
 Each function builds fresh testbeds (simulations are single-use), runs the
-paper's workload, and returns structured results that the benchmark
-harnesses print as the paper's tables.
+paper's workload, and returns structured results that
+:mod:`repro.analysis.bench_json` records as the paper's tables.
 """
 
 from dataclasses import dataclass, field
@@ -13,12 +13,11 @@ from repro.core.sockets import SOCK_DGRAM, SOCK_STREAM
 from repro.stack.instrument import Layer
 from repro.world.configs import CONFIGS, build_network
 
-#: The paper's latency message sizes (Table 2).
-LATENCY_SIZES_TCP = (1, 100, 512, 1024, 1460)
-LATENCY_SIZES_UDP = (1, 100, 512, 1024, 1472)
-
-#: A scaled-down default transfer so full table sweeps stay fast; the
-#: paper's 16 MB measures the same steady state.
+#: A scaled-down default transfer so full table sweeps stay fast.  It is
+#: not the paper's steady state: the receiver's delayed ACK stalls the
+#: first segment for up to one 200 ms tick, which the paper's 16 MB
+#: amortises to ~1 % and a few MB do not (``mach25`` moves 903 KB/s at
+#: 1 MB and 1084 KB/s at 16 MB).
 DEFAULT_TTCP_BYTES = 2 * 1024 * 1024
 
 
@@ -69,24 +68,17 @@ class Table2Row:
     """One measured system row of Table 2."""
 
     key: str
-    label: str
     throughput_kbs: float
-    rcvbuf_kb: int
-    tcp_latency_ms: dict = field(default_factory=dict)
-    udp_latency_ms: dict = field(default_factory=dict)
     #: Full LatencyResults (with per-round samples) per message size.
     tcp_latency: dict = field(default_factory=dict)
     udp_latency: dict = field(default_factory=dict)
-    paper: dict = field(default_factory=dict)
 
 
-def run_table2(config_keys, platform="decstation", total_bytes=None,
-               rounds=50, tcp_sizes=LATENCY_SIZES_TCP,
-               udp_sizes=LATENCY_SIZES_UDP):
+def run_table2(config_keys, platform, total_bytes, rounds, tcp_sizes,
+               udp_sizes):
     """Regenerate Table 2 for a set of configurations."""
     rows = []
     for key in config_keys:
-        spec = CONFIGS[key]
         tput = run_throughput(key, platform=platform, total_bytes=total_bytes)
         tcp_lat = run_latency_detail(key, "tcp", tcp_sizes, platform=platform,
                                      rounds=rounds)
@@ -95,14 +87,9 @@ def run_table2(config_keys, platform="decstation", total_bytes=None,
         rows.append(
             Table2Row(
                 key=key,
-                label=spec.label,
                 throughput_kbs=tput.throughput_kbs,
-                rcvbuf_kb=spec.best_rcvbuf_kb,
-                tcp_latency_ms={s: r.mean_rtt_ms for s, r in tcp_lat.items()},
-                udp_latency_ms={s: r.mean_rtt_ms for s, r in udp_lat.items()},
                 tcp_latency=tcp_lat,
                 udp_latency=udp_lat,
-                paper=dict(spec.paper),
             )
         )
     return rows

@@ -32,12 +32,3 @@ def _fmt(cell):
     if isinstance(cell, float):
         return "%.2f" % cell
     return str(cell)
-
-
-def render_latency_table(results, sizes, title):
-    """Render {config_label: {size: rtt_ms}} as a Table 2 style block."""
-    headers = ["System"] + ["%dB" % s for s in sizes]
-    rows = []
-    for label, by_size in results.items():
-        rows.append([label] + [by_size.get(size) for size in sizes])
-    return format_table(headers, rows, title=title)

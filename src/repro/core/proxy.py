@@ -39,8 +39,8 @@ from repro.core.sockets import (
 from repro.sim.events import any_of
 from repro.trace import begin_send_trace
 
-#: The Table 1 mapping, introspectable (bench_table1 regenerates the
-#: table from this and from live call traces).
+#: The Table 1 mapping: each socket call and the server export that
+#: handles it (None: the library handles it alone).
 PROXY_CALL_MAP = {
     "socket": "proxy_socket",
     "bind": "proxy_bind",

@@ -7,7 +7,7 @@ differ in code quality), and the best receive-buffer size the paper found
 for it.  :func:`build_network` assembles a two-host testbed for a spec.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.hw.nic import ETHERLINK_3C503, LANCE
 from repro.hw.platforms import DECSTATION_5000_200, GATEWAY_486
@@ -37,19 +37,16 @@ class PlacementSpec:
     cpu_scale: float = 1.0  # code-quality factor vs the reference system
     integrated_filter: bool = False  # kernel built with the IPF
     best_rcvbuf_kb: int = 24  # the paper's per-system best buffer size
-    paper: dict = field(default_factory=dict)  # published reference numbers
 
 
-#: Table 2 and Table 3 rows.  ``paper`` carries the DECstation reference
-#: numbers (throughput KB/s; TCP and UDP round-trip latency in ms at 1 and
-#: max unfragmented bytes) for EXPERIMENTS.md comparisons.
+#: Table 2 and Table 3 rows.  The paper's numbers for them are in
+#: :mod:`repro.analysis.paper`, keyed by platform.
 CONFIGS = {
     "mach25": PlacementSpec(
         key="mach25",
         label="Mach 2.5 In-Kernel",
         style=STYLE_KERNEL,
         best_rcvbuf_kb=24,
-        paper={"tput": 1070, "tcp_lat": (1.40, 6.04), "udp_lat": (1.45, 5.88)},
     ),
     "ultrix": PlacementSpec(
         key="ultrix",
@@ -57,7 +54,6 @@ CONFIGS = {
         style=STYLE_KERNEL,
         cpu_scale=1.07,
         best_rcvbuf_kb=16,
-        paper={"tput": 996, "tcp_lat": (1.52, 6.13), "udp_lat": (1.52, 6.05)},
     ),
     "386bsd": PlacementSpec(
         key="386bsd",
@@ -67,7 +63,6 @@ CONFIGS = {
         # latencies worse than Mach 2.5 on the same hardware.
         cpu_scale=1.30,
         best_rcvbuf_kb=8,
-        paper={"tput": 320, "tcp_lat": (2.71, None), "udp_lat": (2.63, None)},
     ),
     "ux": PlacementSpec(
         key="ux",
@@ -75,7 +70,6 @@ CONFIGS = {
         style=STYLE_SERVER,
         heavyweight_sync=True,
         best_rcvbuf_kb=24,
-        paper={"tput": 740, "tcp_lat": (3.64, 9.73), "udp_lat": (3.61, 9.41)},
     ),
     "bnr2ss": PlacementSpec(
         key="bnr2ss",
@@ -84,7 +78,6 @@ CONFIGS = {
         heavyweight_sync=True,
         cpu_scale=1.06,
         best_rcvbuf_kb=112,
-        paper={"tput": 382, "tcp_lat": (3.99, None), "udp_lat": (4.61, None)},
     ),
     "library-ipc": PlacementSpec(
         key="library-ipc",
@@ -92,7 +85,6 @@ CONFIGS = {
         style=STYLE_LIBRARY,
         pf_variant=PF_IPC,
         best_rcvbuf_kb=24,
-        paper={"tput": 910, "tcp_lat": (1.69, 6.63), "udp_lat": (1.40, 6.16)},
     ),
     "library-shm": PlacementSpec(
         key="library-shm",
@@ -100,7 +92,6 @@ CONFIGS = {
         style=STYLE_LIBRARY,
         pf_variant=PF_SHM,
         best_rcvbuf_kb=120,
-        paper={"tput": 1076, "tcp_lat": (1.82, 6.73), "udp_lat": (1.34, 5.95)},
     ),
     "library-shm-ipf": PlacementSpec(
         key="library-shm-ipf",
@@ -109,7 +100,6 @@ CONFIGS = {
         pf_variant=PF_SHM_IPF,
         integrated_filter=True,
         best_rcvbuf_kb=120,
-        paper={"tput": 1088, "tcp_lat": (1.72, 6.56), "udp_lat": (1.23, 5.74)},
     ),
     # Table 3: the NEWAPI shared-buffer socket interface.
     "library-newapi-ipc": PlacementSpec(
@@ -119,7 +109,6 @@ CONFIGS = {
         pf_variant=PF_IPC,
         shared_buffers=True,
         best_rcvbuf_kb=24,
-        paper={"tput": 959, "tcp_lat": (1.67, 6.45), "udp_lat": (1.42, 6.09)},
     ),
     "library-newapi-shm": PlacementSpec(
         key="library-newapi-shm",
@@ -128,7 +117,6 @@ CONFIGS = {
         pf_variant=PF_SHM,
         shared_buffers=True,
         best_rcvbuf_kb=120,
-        paper={"tput": 1083, "tcp_lat": (1.70, 6.38), "udp_lat": (1.34, 5.95)},
     ),
     "library-newapi-shm-ipf": PlacementSpec(
         key="library-newapi-shm-ipf",
@@ -138,7 +126,6 @@ CONFIGS = {
         shared_buffers=True,
         integrated_filter=True,
         best_rcvbuf_kb=120,
-        paper={"tput": 1099, "tcp_lat": (1.63, 6.26), "udp_lat": (1.25, 5.76)},
     ),
 }
 

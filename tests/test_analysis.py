@@ -1,14 +1,21 @@
-"""The analysis toolkit: tables, netstat, experiment orchestration."""
+"""The analysis toolkit: tables, netstat, experiment orchestration, and
+the paper-vs-measured report."""
+
+import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+from repro.analysis import paper, report
 from repro.analysis.netstat import format_report, host_report
-from repro.analysis.tables import format_table, render_latency_table
+from repro.analysis.tables import format_table
 from repro.core.sockets import SOCK_DGRAM, SOCK_STREAM
 from repro.net.addr import ip_aton
-from repro.world.configs import build_network
+from repro.world.configs import DECSTATION_ROWS, GATEWAY_ROWS, build_network
 
 IP1 = ip_aton("10.0.0.1")
+BASELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "baseline.json"
 
 
 # ----------------------------------------------------------------------
@@ -36,16 +43,6 @@ def test_format_table_title_and_none():
 def test_format_table_rejects_ragged_rows():
     with pytest.raises(ValueError):
         format_table(["a", "b"], [["only one"]])
-
-
-def test_render_latency_table():
-    text = render_latency_table(
-        {"sys1": {1: 1.5, 100: 2.0}, "sys2": {1: 3.0, 100: 4.0}},
-        sizes=(1, 100),
-        title="Latency",
-    )
-    assert "1B" in text and "100B" in text
-    assert "sys1" in text and "3.00" in text
 
 
 # ----------------------------------------------------------------------
@@ -136,21 +133,111 @@ def test_run_breakdown_layers_complete():
 
 
 # ----------------------------------------------------------------------
+# The paper's numbers and the report
+# ----------------------------------------------------------------------
+
+def test_paper_tables_are_keyed_by_platform():
+    # Table 2's right-hand columns: KB/s, TCP and UDP 1-byte RTT (ms).
+    # 386BSD and BNR2SS ran on the Gateway only.
+    assert paper.GATEWAY == {
+        "mach25": (457, 2.08, 1.83),
+        "386bsd": (320, 2.71, 2.63),
+        "ux": (415, 4.09, 3.96),
+        "bnr2ss": (382, 3.99, 4.61),
+        "library-ipc": (469, 2.49, 2.42),
+        "library-shm": (503, 2.39, 2.02),
+    }
+    assert tuple(paper.GATEWAY) == GATEWAY_ROWS
+    assert set(paper.DECSTATION) == set(DECSTATION_ROWS) | set(
+        paper.NEWAPI_KEYS)
+    assert len(paper.DECSTATION) == len(DECSTATION_ROWS) + 3
+    for table, columns in ((paper.DECSTATION, paper.DECSTATION_COLUMNS),
+                           (paper.GATEWAY, paper.GATEWAY_COLUMNS)):
+        assert all(len(row) == len(columns) for row in table.values())
+    assert all(len(row) == len(paper.TABLE4_COLUMNS)
+               for row in paper.TABLE4_UDP.values())
+
+
+def test_report_scores_the_baseline_without_simulating(monkeypatch):
+    from repro.sim.engine import Simulator
+
+    def no_simulation(*_args, **_kwargs):
+        raise AssertionError("the report must not run a simulation")
+
+    monkeypatch.setattr(Simulator, "__init__", no_simulation)
+    doc = report.load(BASELINE)
+    pinned = {
+        "table2_decstation": (30, 0.085),
+        "table2_gateway": (18, 0.103),
+        "table3_newapi": (9, 0.059),
+        "table4_udp_us": (68, 0.200),
+    }
+    scorecard = report.scorecard(doc)
+    assert list(scorecard) == list(pinned)
+    for table, (count, median) in pinned.items():
+        cells, med, worst = report.summary(scorecard[table])
+        assert (cells, round(med, 3)) == (count, median), table
+        assert len(worst) == min(count, 10)
+        assert [abs(c.log_ratio) for c in worst] == sorted(
+            (abs(c.log_ratio) for c in worst), reverse=True)
+    verdicts = report.verdicts(doc)
+    assert len(verdicts) == 51
+    assert [v for v in verdicts if not v.ok] == []
+    per_table = {}
+    for v in verdicts:
+        per_table[v.table] = per_table.get(v.table, 0) + 1
+    assert per_table == {"table1_proxy_rpcs": 8, "table2_decstation": 14,
+                         "table2_gateway": 7, "table3_newapi": 9,
+                         "table4_udp_us": 7, "figure1": 6}
+    text, failed = report.render(doc, "baseline.json")
+    assert failed == 0
+    assert text.count("\n- PASS") == 51
+
+
+def test_report_fails_a_verdict_and_exits_one(tmp_path, capsys):
+    doc = json.loads(BASELINE.read_text())
+    doc["figure1"]["mach25"]["server_rpcs"] = 1.0
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(doc))
+    assert report.main([str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "- FAIL — Figure 1: mach25 makes no server RPC (1 == 0)" in out
+    assert "51 verdicts, 50 PASS, 1 FAIL." in out
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: doc.update(schema="repro-bench/0"),
+     "schema is 'repro-bench/0', not 'repro-bench/1'"),
+    (lambda doc: doc.pop("table2_gateway"),
+     "lacks the table(s) table2_gateway"),
+])
+def test_report_names_a_malformed_document(tmp_path, capsys, change,
+                                           message):
+    doc = json.loads(BASELINE.read_text())
+    change(doc)
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(doc))
+    assert report.main([str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "DocumentError" in captured.err and message in captured.err
+
+
+# ----------------------------------------------------------------------
 # The report module's command line
 # ----------------------------------------------------------------------
 
 def test_report_without_a_path_prints_and_writes_no_file(
         tmp_path, monkeypatch, capsys):
-    from repro.analysis import report
-
-    # The real generate() re-runs every table (minutes); main() only
-    # decides where its text goes.
-    monkeypatch.setattr(report, "generate",
-                        lambda stream: stream.write("# the report\n"))
+    # With no argument the report renders benchmarks/baseline.json,
+    # relative to the working directory, to stdout.
+    (tmp_path / "benchmarks").mkdir()
+    shutil.copy(BASELINE, tmp_path / "benchmarks" / "baseline.json")
     monkeypatch.chdir(tmp_path)
-    report.main(["report"])
-    assert capsys.readouterr().out == "# the report\n"
-    assert list(tmp_path.iterdir()) == []
-    report.main(["report", "out.md"])
-    assert (tmp_path / "out.md").read_text() == "# the report\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["out.md"]
+    assert report.main([]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("# Paper vs measured\n")
+    assert "51 verdicts, 51 PASS, 0 FAIL." in out
+    assert sorted(str(p.relative_to(tmp_path))
+                  for p in tmp_path.rglob("*")) == [
+        "benchmarks", "benchmarks/baseline.json"]

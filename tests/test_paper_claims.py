@@ -2,13 +2,23 @@
 
 These are the acceptance tests of the reproduction: not the absolute 1993
 numbers, but who wins, by roughly what factor, and where the crossovers
-fall (Tables 2 and 3, Section 4).  Transfers are scaled down (steady-state
-throughput is what matters); marked slow tests use bigger runs.
+fall (Tables 2 and 3, Section 4).  Transfers are scaled down to 1-2 MB,
+which is not the paper's steady state: a start-up delayed-ACK stall of up
+to 200 ms, which 16 MB amortises, costs the 1 MB runs 11-17 % of their
+throughput (``mach25``: 903 KB/s at 1 MB, 1084 KB/s at 16 MB).  The
+tests therefore assert orderings and factor bands, not the paper's
+throughputs.  The same claims, computed from the pinned
+``benchmarks/baseline.json``, are ``python -m repro.analysis.report``'s
+verdicts.
 """
 
 import pytest
 
-from repro.analysis.experiments import run_latency_row, run_throughput
+from repro.analysis.experiments import (
+    run_breakdown,
+    run_latency_row,
+    run_throughput,
+)
 from repro.apps.protolat import protolat
 from repro.world.configs import build_network
 
@@ -62,8 +72,9 @@ def test_ipc_filter_is_the_slow_library_variant(tput):
 def test_newapi_improves_throughput_slightly():
     """Section 4.2: the shared-buffer interface helps a little (~1%),
     since the eliminated copy is off the critical path for throughput.
-    Measured at steady state (2 MB): short transfers are dominated by
-    slow-start ramp, where ack-clocking noise swamps the effect."""
+    Measured at 2 MB, where the start-up stall and ack-clocking noise
+    swamp the effect less than at 1 MB (neither is the paper's 16 MB
+    steady state)."""
     plain = run_throughput("library-shm-ipf", total_bytes=2 * MB)
     newapi = run_throughput("library-newapi-shm-ipf", total_bytes=2 * MB)
     gain = newapi.throughput_kbs / plain.throughput_kbs
@@ -133,3 +144,14 @@ def test_tcp_and_udp_latency_similar_when_small():
     tcp = run_latency_row("mach25", "tcp", (1,), rounds=30)[1]
     udp = run_latency_row("mach25", "udp", (1,), rounds=30)[1]
     assert abs(tcp - udp) / udp < 0.25
+
+
+def test_tcp_breakdown_grows_with_message_size():
+    """Table 4's TCP columns: on every placement, the 1460-byte send and
+    receive paths cost more than the 1-byte ones (per-byte copies and
+    checksums).  The bench document holds only UDP breakdowns."""
+    for key in ("library-shm-ipf", "mach25", "ux"):
+        small = run_breakdown(key, "tcp", 1, rounds=20)
+        large = run_breakdown(key, "tcp", 1460, rounds=20)
+        assert large["send path total"] > small["send path total"], key
+        assert large["receive path total"] > small["receive path total"], key
