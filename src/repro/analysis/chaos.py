@@ -37,7 +37,6 @@ import sys
 
 from repro.core.sockets import SOCK_STREAM, SocketError
 from repro.faults import (
-    ControlFaultPlan,
     Corrupt,
     DelayJitter,
     Duplicate,
@@ -56,7 +55,7 @@ from repro.faults import (
 )
 from repro.net.addr import ip_aton
 from repro.sim.engine import Deadlock
-from repro.world.configs import CONFIGS, STYLE_KERNEL, STYLE_LIBRARY, build_network
+from repro.world.configs import CONFIGS, STYLE_LIBRARY, build_network
 
 IP1 = ip_aton("10.0.0.1")
 PORT = 7600
@@ -145,8 +144,8 @@ def control_plan(family, seed):
     else:
         return None
     # A short implicit deadline keeps dropped-request recovery cheap.
-    return ControlFaultPlan(stages, seed=seed * 13 + 1,
-                            default_deadline_us=150_000.0)
+    return FaultPlan(stages, seed=seed * 13 + 1,
+                     default_deadline_us=150_000.0)
 
 
 # --- workloads ---------------------------------------------------------
@@ -313,8 +312,9 @@ def run_scenario(scenario_id, seed, verbose=False, post_mortem=None):
     api_b = pb.new_app(name="chaos-cli")
     backend_a = pa._backend
     if cplan is not None:
-        cplan.attach(backend_a,
-                     libraries=list(getattr(backend_a, "_apps", {}).values()))
+        cplan.attach_server(
+            backend_a,
+            libraries=list(getattr(backend_a, "_apps", {}).values()))
         if family == "stress":
             backend_a.rpc.max_pending = 6
 

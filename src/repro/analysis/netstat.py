@@ -253,11 +253,18 @@ def format_control_report(report):
     for row in report["apps"]:
         lines.append("  app %-20s %3d retries, %d rereg"
                      % (row["app"], row["retries"], row["reregistrations"]))
-    if "fault_stages" in report:
-        for name, counters in report["fault_stages"].items():
-            shown = ", ".join("%s=%s" % kv for kv in sorted(counters.items()))
-            lines.append("  fault %-22s %s" % (name, shown or "-"))
+    lines.extend(format_fault_stages(report.get("fault_stages", {})))
     return "\n".join(lines)
+
+
+def format_fault_stages(stages):
+    """One line per stage of a fault plan's ``counters()``: the one
+    renderer of stage counters, wire and control plane alike."""
+    lines = []
+    for name, counters in stages.items():
+        shown = ", ".join("%s=%s" % kv for kv in sorted(counters.items()))
+        lines.append("  fault %-22s %s" % (name, shown or "-"))
+    return lines
 
 
 def fault_report(wire):
@@ -271,8 +278,6 @@ def fault_report(wire):
     report = {
         "wire": wire.name,
         "frames_carried": wire.frames_carried,
-        "frames_lost": wire.frames_lost,
-        "frames_corrupted": wire.frames_corrupted,
         "frames_filtered": wire.frames_filtered,
         "stages": {},
     }
@@ -286,17 +291,18 @@ def fault_report(wire):
 
 def format_fault_report(report):
     """Render a fault report as text."""
+    stages = report["stages"].values()
     lines = ["Fault injection on %s" % report["wire"]]
     lines.append("  %d frames carried, %d lost, %d corrupted, "
                  "%d filtered by NICs (other station)"
-                 % (report["frames_carried"], report["frames_lost"],
-                    report["frames_corrupted"], report["frames_filtered"]))
+                 % (report["frames_carried"],
+                    sum(c.get("dropped", 0) for c in stages),
+                    sum(c.get("corrupted", 0) for c in stages),
+                    report["frames_filtered"]))
     if "frames_in" in report:
         lines.append("  pipeline: %d frames in, %d delivered"
                      % (report["frames_in"], report["frames_delivered"]))
-    for name, counters in report["stages"].items():
-        shown = ", ".join("%s=%s" % (k, v) for k, v in sorted(counters.items()))
-        lines.append("  %-24s %s" % (name, shown or "-"))
+    lines.extend(format_fault_stages(report["stages"]))
     return "\n".join(lines)
 
 

@@ -17,34 +17,6 @@ import io
 import json
 
 
-def resample(samples, step, t0=None, t1=None):
-    """Resample an event-driven ``(t, value)`` series onto a fixed grid.
-
-    Last-observation-carried-forward: the value at grid point ``g`` is
-    the most recent sample at or before ``g`` (None before the first
-    sample).  Returns a list of ``(t, value)`` pairs at ``t0``, ``t0 +
-    step``, ... up to and including the last grid point <= ``t1``.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    samples = list(samples)
-    if t0 is None:
-        t0 = samples[0][0] if samples else 0.0
-    if t1 is None:
-        t1 = samples[-1][0] if samples else t0
-    out = []
-    index = 0
-    value = None
-    t = t0
-    while t <= t1:
-        while index < len(samples) and samples[index][0] <= t:
-            value = samples[index][1]
-            index += 1
-        out.append((t, value))
-        t += step
-    return out
-
-
 def percentiles(values, ps=(0.5, 0.9, 0.99)):
     """Exact percentiles (nearest-rank) of a value list."""
     ordered = sorted(values)
@@ -74,28 +46,6 @@ def summarize(samples):
     }
 
 
-def utilization_over_window(samples, window, t1):
-    """Utilization over the trailing ``window`` of a *cumulative*
-    busy-time series (e.g. ``cpu.busy_us`` / ``wire.busy_us`` gauges).
-
-    The series carries cumulative microseconds; the difference across
-    the window divided by the window length is the utilization in it.
-    """
-    if window <= 0:
-        raise ValueError("window must be positive")
-    t0 = t1 - window
-    before = 0.0
-    end = None
-    for t, v in samples:
-        if t <= t0:
-            before = v
-        if t <= t1:
-            end = v
-    if end is None:
-        return 0.0
-    return max(0.0, (end - before) / window)
-
-
 # ----------------------------------------------------------------------
 # Exporters
 # ----------------------------------------------------------------------
@@ -114,18 +64,6 @@ def export_jsonl(registry, fileobj):
             fileobj.write(json.dumps(row, sort_keys=True) + "\n")
             lines += 1
     return lines
-
-
-def load_jsonl(fileobj):
-    """Parse :func:`export_jsonl` output back into ``{name: [row, ...]}``."""
-    out = {}
-    for line in fileobj:
-        line = line.strip()
-        if not line:
-            continue
-        row = json.loads(line)
-        out.setdefault(row["series"], []).append(row)
-    return out
 
 
 def export_csv(registry, fileobj):

@@ -90,7 +90,7 @@ class ProtocolLibrary:
         #: can keep managing them.
         self.session_filters = {}
         #: Control-plane fault plan for per-packet IPC delivery ports
-        #: (Library-IPC only); attached by ControlFaultPlan.attach().
+        #: (Library-IPC only); attached by FaultPlan.attach_server().
         self.control_faults = None
         #: Back-pointer to the ProxySocketAPI built over this library,
         #: set by the proxy itself; netstat's control-plane block uses it.

@@ -5,26 +5,26 @@ transfer lives in each application's library while the heavyweight
 machinery lives in a restartable OS server.  Exercising that claim needs
 richer faults than independent Bernoulli frame drops — bursty loss,
 reordering, duplication, delay jitter, partitions, receive-queue
-overflow, and server crashes.  This package provides the wire-level half:
-a :class:`FaultPlan` is an ordered pipeline of :class:`FaultStage` objects
-hooked between frame serialization and NIC delivery on an
-:class:`~repro.hw.wire.EthernetWire`.  Every stage draws from the plan's
-single seeded RNG, so a whole chaotic run is reproducible from one seed.
+overflow, and server crashes.  One :class:`FaultPlan` — an ordered list
+of :class:`FaultStage` objects and one seeded RNG — drives both planes:
 
-The server-crash half lives in :mod:`repro.osserver.netserver`
-(``crash()``/``restart()``) and :mod:`repro.kernel.ipc`
-(:class:`~repro.kernel.ipc.ServerCrashed`, RPC retry with backoff).
+* attached to an :class:`~repro.hw.wire.EthernetWire` (``fault_plan=``),
+  its stages sit between frame serialization and NIC delivery
+  (:mod:`repro.faults.stages`);
+* attached to an OS server with :meth:`FaultPlan.attach_server`, its
+  stages see every proxy RPC request and reply, every IPC packet
+  delivery (``on_message(port, op, rng)``) and the server's own request
+  handling (``on_serve(op, rng)``): drops, duplicates, delays, stalls,
+  transient failures, crash-during-op (:mod:`repro.faults.control`).
 
-The *control-plane* half lives in :mod:`repro.faults.control`: a
-:class:`ControlFaultPlan` aims the same seeded-stage machinery at proxy
-RPCs, IPC delivery ports, and the server's own request handling (drops,
-duplicates, delays, stalls, transient failures, crash-during-op), all
-composable with a wire plan in the same run.
+Every stage draws from its plan's single seeded RNG, so a whole chaotic
+run is reproducible from one seed; a wire plan and a server plan compose
+in the same run.  Scheduled crashes live in
+:mod:`repro.osserver.netserver` (``crash()``/``restart()``) and
+:mod:`repro.kernel.ipc` (:class:`~repro.kernel.ipc.ServerCrashed`).
 """
 
 from repro.faults.control import (
-    ControlFaultPlan,
-    ControlFaultStage,
     IpcDelay,
     IpcDuplicate,
     IpcLoss,
@@ -60,8 +60,6 @@ __all__ = [
     "Reorder",
     "Blackhole",
     "RxOverflow",
-    "ControlFaultPlan",
-    "ControlFaultStage",
     "RpcDrop",
     "RpcDelay",
     "RpcDuplicate",

@@ -92,19 +92,6 @@ class EthernetWire:
             plan.attach(self, self._sim)
 
     @property
-    def frames_lost(self):
-        """Frames the fault pipeline dropped (all loss-like stages)."""
-        if self.fault_plan is None:
-            return 0
-        return self.fault_plan.total("dropped")
-
-    @property
-    def frames_corrupted(self):
-        if self.fault_plan is None:
-            return 0
-        return self.fault_plan.total("corrupted")
-
-    @property
     def frames_filtered(self):
         """Deliveries the attached NICs' station filters discarded: one
         per bystander per unicast frame on a shared segment, and every

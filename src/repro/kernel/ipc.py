@@ -90,9 +90,9 @@ class MessagePort:
         self._queue = Channel(sim, name=name)
         self.name = name
         self.messages = 0
-        #: Control-plane fault plan hook (None while disabled: the hot
-        #: path pays one None test and nothing else — the bit-passivity
-        #: contract of the metrics/trace subsystems).
+        #: Fault plan hook (None while disabled: the hot path pays one
+        #: None test and nothing else — the bit-passivity contract of the
+        #: metrics/trace subsystems).
         self.faults = None
 
     def send(self, ctx, layer, message, copy_cost):
@@ -103,7 +103,7 @@ class MessagePort:
             message.trace = current_trace(self._sim)
         yield ctx.charge(layer, copy_cost + ctx.params.mach_msg)
         if self.faults is not None:
-            drop, dup, delay_us = self.faults.on_ipc()
+            drop, dup, delay_us = self.faults.on_message("ipc", message.op)
             if drop:
                 return  # the kernel lost the message; sender already paid
             if delay_us:
@@ -153,7 +153,7 @@ class RPCPort:
         self._down_waiters = []
         self.retried_calls = 0
         self.replies_dropped = 0
-        #: Control-plane fault plan (None while disabled — bit-passive).
+        #: Fault plan (None while disabled — bit-passive).
         self.faults = None
         #: Admission control: maximum queued+in-flight requests before
         #: the server sheds new arrivals with :class:`ServerBusy`.
@@ -232,7 +232,7 @@ class RPCPort:
         errors cross the RPC boundary like any BSD errno would.
 
         ``req_id`` travels with the request for the server's replay cache
-        (idempotent at-least-once delivery).  An attached control-fault
+        (idempotent at-least-once delivery).  An attached fault
         plan bounds the reply wait with its per-op deadline: past it the
         call is abandoned with :class:`DeadlineExpired` and a late reply
         is counted in ``replies_dropped``.  Without a plan no timer is
@@ -246,12 +246,10 @@ class RPCPort:
         if data:
             cost += ctx.copy_cost(len(data))
         yield ctx.charge(layer, cost)
-        dropped = False
-        duplicate = False
+        dropped = duplicate = False
         deadline_us = None
         if self.faults is not None:
-            drop, dup, delay_us = self.faults.on_request(op)
-            dropped, duplicate = drop, dup
+            dropped, duplicate, delay_us = self.faults.on_message("rpc", op)
             if delay_us:
                 yield self._sim.timeout(delay_us)
             deadline_us = self.faults.deadline_for(op)
@@ -338,7 +336,8 @@ class RPCPort:
         yield ctx.charge(layer, cost)
         payload = (result, reply_len, current_trace(self._sim))
         if self.faults is not None:
-            delay_us = self.faults.on_reply(message.op)
+            _drop, _dup, delay_us = self.faults.on_message("reply",
+                                                           message.op)
             if delay_us:
                 # The reply message lingers in transit: it may arrive
                 # reordered behind replies sent after it, or find its

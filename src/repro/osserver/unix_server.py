@@ -128,7 +128,7 @@ class UnixServer:
         old_port = getattr(self, "_input_port", None)
         self._input_port = MessagePort(sim, name="%s.pktin" % self.name)
         if old_port is not None:
-            # An attached control-fault plan survives the incarnation.
+            # An attached fault plan survives the incarnation.
             self._input_port.faults = old_port.faults
         #: req_id -> (result, reply_len) for completed requests, oldest
         #: first (the dict's insertion order is the FIFO eviction order);

@@ -10,10 +10,12 @@ Three standing guarantees:
 * **Seeded plans are deterministic** — the same scenario under the same
   seed produces identical counters, identical byte streams, and an
   identical simulation clock, twice.
-* **Disabled is free** — a world with no control-fault plan attached is
+* **Disabled is free** — a world with no fault plan on its server is
   bit-identical (CPU charges, frame counts, clock) to a world carrying
   an attached-but-empty plan: the hot paths pay one ``None`` test.
 """
+
+import random
 
 import pytest
 
@@ -25,7 +27,7 @@ from repro.analysis.chaos import (
 )
 from repro.apps.ttcp import ttcp
 from repro.faults import (
-    ControlFaultPlan,
+    FaultPlan,
     IpcDelay,
     IpcDuplicate,
     IpcLoss,
@@ -37,7 +39,7 @@ from repro.faults import (
     ServerFlakyOp,
     ServerSlowOp,
 )
-from repro.faults.control import LONG_OPS
+from repro.faults.plan import LONG_OPS
 from repro.kernel.ipc import DeadlineExpired
 from repro.world.configs import build_network
 
@@ -52,35 +54,34 @@ def test_default_targeting_skips_long_ops():
     """Drop/duplicate/delay must never target blocking ops by default:
     dropping an ``accept`` request is indistinguishable from a quiet
     network and would turn every fault run into a hang."""
-    plan = ControlFaultPlan([RpcDrop(rate=1.0)], seed=1)
+    plan = FaultPlan([RpcDrop(rate=1.0)], seed=1)
     for op in LONG_OPS:
-        assert plan.on_request(op) == (False, False, 0.0)
-    drop, _dup, _delay = plan.on_request("proxy_close")
+        assert plan.on_message("rpc", op) == (False, False, 0.0)
+    drop, _dup, _delay = plan.on_message("rpc", "proxy_close")
     assert drop
 
 
 def test_explicit_ops_override_the_long_op_guard():
-    plan = ControlFaultPlan([RpcDrop(rate=1.0, ops=("proxy_accept",))],
-                            seed=1)
-    drop, _dup, _delay = plan.on_request("proxy_accept")
+    plan = FaultPlan([RpcDrop(rate=1.0, ops=("proxy_accept",))], seed=1)
+    drop, _dup, _delay = plan.on_message("rpc", "proxy_accept")
     assert drop
-    assert plan.on_request("proxy_close") == (False, False, 0.0)
+    assert plan.on_message("rpc", "proxy_close") == (False, False, 0.0)
 
 
 def test_plan_deadlines_skip_long_ops():
-    plan = ControlFaultPlan([RpcDelay(rate=0.5, delay_us=100.0)], seed=1)
+    plan = FaultPlan([RpcDelay(rate=0.5, delay_us=100.0)], seed=1)
     assert plan.deadline_for("proxy_close") == plan.default_deadline_us
     for op in LONG_OPS:
         assert plan.deadline_for(op) is None
 
 
 def test_empty_plan_arms_no_deadlines():
-    plan = ControlFaultPlan([], seed=1)
+    plan = FaultPlan([], seed=1)
     assert plan.deadline_for("proxy_close") is None
 
 
 def test_serve_stage_tuple_shapes():
-    plan = ControlFaultPlan(
+    plan = FaultPlan(
         [ServerSlowOp(rate=1.0, stall_us=500.0), ServerFlakyOp(rate=1.0)],
         seed=1)
     stall, fail, crash = plan.on_serve("proxy_close")
@@ -90,7 +91,7 @@ def test_serve_stage_tuple_shapes():
 
 
 def test_crash_stage_fires_exactly_once():
-    plan = ControlFaultPlan([ServerCrashOnOp("proxy_close", nth=2)], seed=1)
+    plan = FaultPlan([ServerCrashOnOp("proxy_close", nth=2)], seed=1)
     assert plan.on_serve("proxy_close")[2] is None  # call 1: not yet
     assert plan.on_serve("proxy_close")[2] == "before"  # call 2: fires
     assert plan.on_serve("proxy_close")[2] is None  # never again
@@ -98,19 +99,57 @@ def test_crash_stage_fires_exactly_once():
 
 
 def test_ipc_stage_tuples():
-    plan = ControlFaultPlan(
+    plan = FaultPlan(
         [IpcLoss(rate=1.0), IpcDuplicate(rate=1.0), IpcDelay(rate=1.0,
                                                              delay_us=50.0)],
         seed=1)
-    drop, dup, delay = plan.on_ipc()
+    drop, dup, delay = plan.on_message("ipc", "packet")
     assert drop and dup and delay == 50.0
     counters = plan.counters()
     assert counters["ipc-loss"]["dropped"] == 1
     assert counters["ipc-duplicate"]["duplicated"] == 1
 
 
+class _CountingRandom(random.Random):
+    """A seeded RNG that counts its draws."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+def test_each_stage_draws_only_for_its_own_port():
+    """The draw order every seeded schedule rests on: a plan holding one
+    stage per port advances its RNG once per targeted message, in stage
+    order, and never for another port's stages (nor for a long op)."""
+    rng = _CountingRandom(1)
+    plan = FaultPlan([RpcDrop(rate=0.0),
+                      RpcReplyDelay(rate=0.0, delay_us=10.0),
+                      IpcLoss(rate=0.0),
+                      ServerSlowOp(rate=0.0, stall_us=10.0)], rng=rng)
+    expected = 0
+    for port, op in (("rpc", "proxy_close"), ("reply", "proxy_close"),
+                     ("ipc", "packet"), ("rpc", "proxy_accept"),
+                     ("reply", "accept"), ("other", "proxy_close")):
+        plan.on_message(port, op)
+        if port != "other" and op not in LONG_OPS:
+            expected += 1
+        assert rng.draws == expected, (port, op)
+    plan.on_serve("proxy_close")
+    assert rng.draws == expected + 1
+    plan.on_serve("proxy_select")
+    assert rng.draws == expected + 1
+    # The stages consumed exactly those draws of the seeded stream.
+    reference = random.Random(1)
+    for _ in range(expected + 1):
+        reference.random()
+    assert rng.getstate() == reference.getstate()
+
+
 def test_duplicate_stage_names_dedup_in_counters():
-    plan = ControlFaultPlan([RpcDrop(rate=1.0), RpcDrop(rate=1.0)], seed=1)
+    plan = FaultPlan([RpcDrop(rate=1.0), RpcDrop(rate=1.0)], seed=1)
     names = set(plan.counters())
     assert len(names) == 2  # "rpc-drop" and "rpc-drop#2", not one bucket
 
@@ -122,9 +161,9 @@ def test_duplicate_stage_names_dedup_in_counters():
 def test_dropped_request_expires_instead_of_hanging():
     net, pa, _pb = build_network("library-shm-ipf")
     api = pa.new_app(name="app")
-    plan = ControlFaultPlan([RpcDrop(rate=1.0, ops=("proxy_status",))],
-                            seed=3, default_deadline_us=20_000.0)
-    plan.attach(pa.server, libraries=[api.library])
+    plan = FaultPlan([RpcDrop(rate=1.0, ops=("proxy_status",))],
+                     seed=3, default_deadline_us=20_000.0)
+    plan.attach_server(pa.server, libraries=[api.library])
 
     def attempt():
         # The raw, non-retrying call path: the drop must surface as a
@@ -145,10 +184,10 @@ def test_retry_layer_recovers_from_a_drop():
     request id) and the operation completes."""
     net, pa, _pb = build_network("library-shm-ipf")
     api = pa.new_app(name="app")
-    plan = ControlFaultPlan(
+    plan = FaultPlan(
         [RpcDrop(rate=0.5, ops=("proxy_socket",))],
         seed=7, default_deadline_us=20_000.0)
-    plan.attach(pa.server, libraries=[api.library])
+    plan.attach_server(pa.server, libraries=[api.library])
 
     def worker():
         fds = []
@@ -173,9 +212,9 @@ def test_duplicated_request_executes_once():
     operation's side effects happen exactly once."""
     net, pa, _pb = build_network("library-shm-ipf")
     api = pa.new_app(name="app")
-    plan = ControlFaultPlan([RpcDuplicate(rate=1.0, ops=("proxy_socket",))],
-                            seed=5)
-    plan.attach(pa.server, libraries=[api.library])
+    plan = FaultPlan([RpcDuplicate(rate=1.0, ops=("proxy_socket",))],
+                     seed=5)
+    plan.attach_server(pa.server, libraries=[api.library])
 
     def worker():
         fd = yield from api.socket(1)
@@ -234,8 +273,8 @@ def test_absent_and_empty_plans_are_bitwise_identical():
 
     net2, a2, b2 = build_network("library-shm-ipf")
     api_probe = a2.new_app(name="probe")
-    plan = ControlFaultPlan([], seed=9)
-    plan.attach(a2.server, libraries=[api_probe.library])
+    plan = FaultPlan([], seed=9)
+    plan.attach_server(a2.server, libraries=[api_probe.library])
     r2 = ttcp(net2, a2, b2, total_bytes=TRANSFER)
 
     assert _world_fingerprint(net1, r1) == _world_fingerprint(net2, r2)
@@ -243,14 +282,14 @@ def test_absent_and_empty_plans_are_bitwise_identical():
 
 
 def test_stages_with_zero_rate_never_fire():
-    plan = ControlFaultPlan(
+    plan = FaultPlan(
         [RpcDrop(rate=0.0), RpcDuplicate(rate=0.0), RpcDelay(rate=0.0,
                                                              delay_us=10.0),
          RpcReplyDelay(rate=0.0, delay_us=10.0)],
         seed=11)
     for _ in range(200):
-        assert plan.on_request("proxy_close") == (False, False, 0.0)
-        assert plan.on_reply("proxy_close") == 0.0
+        assert plan.on_message("rpc", "proxy_close") == (False, False, 0.0)
+        assert plan.on_message("reply", "proxy_close") == (False, False, 0.0)
     assert plan.total("dropped") == 0
     assert plan.total("duplicated") == 0
     assert plan.total("delayed") == 0

@@ -50,7 +50,7 @@ def test_tcp_survives_packet_loss(config):
         config, fault_plan=FaultPlan([BernoulliLoss(0.05)],
                                      rng=random.Random(17)))
     assert run_transfer(net, pa, pb)
-    assert net.wire.frames_lost > 0  # faults actually happened
+    assert net.wire.fault_plan.total("dropped") > 0  # faults actually happened
 
 
 def test_tcp_survives_corruption():
@@ -60,7 +60,7 @@ def test_tcp_survives_corruption():
         "library-shm-ipf", fault_plan=FaultPlan([Corrupt(0.05)],
                                                 rng=random.Random(23)))
     assert run_transfer(net, pa, pb)
-    assert net.wire.frames_corrupted > 0
+    assert net.wire.fault_plan.total("corrupted") > 0
 
 
 def test_tcp_survives_heavy_loss_small_transfer():

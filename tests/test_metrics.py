@@ -18,12 +18,9 @@ import pytest
 from repro.analysis.timeseries import (
     export_csv,
     export_jsonl,
-    load_jsonl,
     percentiles,
     probe_summary,
-    resample,
     summarize,
-    utilization_over_window,
 )
 from repro.apps.ttcp import ttcp
 from repro.metrics import MetricsRegistry, TimeSeries
@@ -140,16 +137,6 @@ def test_sample_dedupes_by_instant_and_reads_pull_sources():
 # Time-series functions
 # ----------------------------------------------------------------------
 
-def test_resample_carries_last_observation_forward():
-    samples = [(0.0, 1), (2.5, 2), (7.0, 3)]
-    grid = resample(samples, step=2.0, t0=0.0, t1=8.0)
-    assert grid == [(0.0, 1), (2.0, 1), (4.0, 2), (6.0, 2), (8.0, 3)]
-    assert resample([(5.0, 9)], step=1.0, t0=3.0, t1=4.0) == [
-        (3.0, None), (4.0, None)]
-    with pytest.raises(ValueError):
-        resample(samples, step=0)
-
-
 def test_percentiles_and_summarize():
     pcts = percentiles(list(range(1, 101)), ps=(0.5, 0.99))
     assert pcts[0.5] == 50
@@ -157,14 +144,6 @@ def test_percentiles_and_summarize():
     stats = summarize([(0, 1), (1, 3), (2, "established"), (3, 2)])
     assert stats == {"count": 3, "min": 1, "median": 2, "max": 3, "mean": 2.0}
     assert summarize([])["count"] == 0
-
-
-def test_utilization_over_window():
-    # Cumulative busy time: 100us busy in [0, 1000], 900us in [1000, 2000].
-    samples = [(0.0, 0.0), (1000.0, 100.0), (2000.0, 1000.0)]
-    assert utilization_over_window(samples, 1000.0, 2000.0) == pytest.approx(0.9)
-    assert utilization_over_window(samples, 2000.0, 2000.0) == pytest.approx(0.5)
-    assert utilization_over_window([], 100.0, 50.0) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -227,8 +206,10 @@ def test_probe_final_sample_matches_connection_state():
 
     buffer = io.StringIO()
     export_jsonl(net.metrics, buffer)
-    buffer.seek(0)
-    by_series = load_jsonl(buffer)
+    by_series = {}
+    for line in buffer.getvalue().splitlines():
+        row = json.loads(line)
+        by_series.setdefault(row["series"], []).append(row)
 
     checked = 0
     for probe in net.metrics.tcp_probes:
@@ -283,11 +264,12 @@ def test_jsonl_roundtrip():
     registry = _small_registry()
     buffer = io.StringIO()
     assert export_jsonl(registry, buffer) == 3
-    buffer.seek(0)
-    loaded = load_jsonl(buffer)
-    assert loaded["probe"][1]["cwnd"] == 2920
-    assert loaded["probe"][1]["event"] == "ack"
-    assert loaded["depth"][0]["value"] == 5
+    rows = [json.loads(line) for line in buffer.getvalue().splitlines()]
+    probe = [row for row in rows if row["series"] == "probe"]
+    depth = [row for row in rows if row["series"] == "depth"]
+    assert probe[1]["cwnd"] == 2920
+    assert probe[1]["event"] == "ack"
+    assert depth[0]["value"] == 5
 
 
 def test_csv_export_long_format():

@@ -15,7 +15,7 @@ import pytest
 from repro.core.resilience import RETRY_LIMIT
 from repro.core.sockets import SOCK_STREAM, SocketError
 from repro.faults import (
-    ControlFaultPlan,
+    FaultPlan,
     RpcDrop,
     ServerCrashOnOp,
     ServerSlowOp,
@@ -92,8 +92,8 @@ def test_crash_during_op_completes_or_fails_cleanly(op, when):
     net, pa, pb = build_network("library-shm-ipf")
     api_a = pa.new_app(name="srv-app")
     api_b = pb.new_app(name="cli-app")
-    plan = ControlFaultPlan([ServerCrashOnOp(op, when=when)], seed=1)
-    plan.attach(pa.server, libraries=[api_a.library])
+    plan = FaultPlan([ServerCrashOnOp(op, when=when)], seed=1)
+    plan.attach_server(pa.server, libraries=[api_a.library])
 
     ready_a = net.sim.event()
     ready_b = net.sim.event()
@@ -262,9 +262,8 @@ def test_fork_survives_crash_mid_migration(when):
     net, pa, pb = build_network("library-shm-ipf")
     api_a = pa.new_app(name="srv-app")
     api_b = pb.new_app(name="cli-app")
-    plan = ControlFaultPlan([ServerCrashOnOp("proxy_return", when=when)],
-                            seed=2)
-    plan.attach(pa.server, libraries=[api_a.library])
+    plan = FaultPlan([ServerCrashOnOp("proxy_return", when=when)], seed=2)
+    plan.attach_server(pa.server, libraries=[api_a.library])
     ready = net.sim.event()
     done = net.sim.event()
     half = len(IN_PAYLOAD) // 2
@@ -357,10 +356,10 @@ def test_tight_crash_restart_race_with_inflight_accept():
 def test_admission_control_sheds_and_retry_absorbs():
     net, pa, _pb = build_network("library-shm-ipf")
     api = pa.new_app(name="app")
-    plan = ControlFaultPlan(
+    plan = FaultPlan(
         [ServerSlowOp(rate=1.0, stall_us=300_000.0, ops=("proxy_status",))],
         seed=4)
-    plan.attach(pa.server, libraries=[api.library])
+    plan.attach_server(pa.server, libraries=[api.library])
     pa.server.rpc.max_pending = 1
 
     def slow():
@@ -425,7 +424,7 @@ def test_doomed_op_ends_in_a_clean_error_at_the_retry_limit(config):
     net, pa, _pb = build_network(config)
     api = pa.new_app(name="app")
     libraries = [api.library] if hasattr(api, "library") else []
-    ControlFaultPlan([RpcDrop(rate=1.0)], seed=1).attach(
+    FaultPlan([RpcDrop(rate=1.0)], seed=1).attach_server(
         pa.server, libraries=libraries)
 
     def attempt():
