@@ -17,10 +17,11 @@ handling.  Attach the plan with
   the crash deterministically *before* or *after* a named handler's side
   effects.
 
-Safety rule: message and serve stages skip
+Safety rule: RPC and serve stages skip
 :data:`~repro.faults.plan.LONG_OPS` — calls that legitimately block for
 unbounded time (accept, recv, select) — unless a stage is given an
-explicit ``ops`` filter.
+explicit ``ops`` filter.  IPC stages take no ``ops``: they target every
+packet delivery.
 """
 
 from repro.faults.plan import LONG_OPS, FaultStage
@@ -131,15 +132,24 @@ class IpcLoss(_Drop):
     name = "ipc-loss"
     port = "ipc"
 
+    def __init__(self, rate):
+        super().__init__(rate)
+
 
 class IpcDuplicate(_Duplicate):
     name = "ipc-duplicate"
     port = "ipc"
 
+    def __init__(self, rate):
+        super().__init__(rate)
+
 
 class IpcDelay(_Delay):
     name = "ipc-delay"
     port = "ipc"
+
+    def __init__(self, rate, delay_us, jitter_us=0.0):
+        super().__init__(rate, delay_us, jitter_us)
 
 
 # ----------------------------------------------------------------------

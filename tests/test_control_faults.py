@@ -110,6 +110,16 @@ def test_ipc_stage_tuples():
     assert counters["ipc-duplicate"]["duplicated"] == 1
 
 
+def test_ipc_stages_take_no_op_filter():
+    """IPC stages target every packet delivery; only the RPC and serve
+    stages accept an ``ops`` filter."""
+    for make in (lambda: IpcLoss(rate=1.0, ops=("packet",)),
+                 lambda: IpcDuplicate(rate=1.0, ops=("packet",)),
+                 lambda: IpcDelay(rate=1.0, delay_us=5.0, ops=("packet",))):
+        with pytest.raises(TypeError):
+            make()
+
+
 class _CountingRandom(random.Random):
     """A seeded RNG that counts its draws."""
 
