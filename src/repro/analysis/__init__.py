@@ -2,7 +2,6 @@
 
 from repro.analysis.tables import format_table
 from repro.analysis.experiments import (
-    run_breakdown,
     run_latency_row,
     run_table2,
     run_throughput,
@@ -14,6 +13,5 @@ __all__ = [
     "run_throughput",
     "run_latency_row",
     "run_table2",
-    "run_breakdown",
     "search_best_rcvbuf",
 ]

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from repro.apps.protolat import protolat
 from repro.apps.ttcp import ttcp
 from repro.core.sockets import SOCK_DGRAM, SOCK_STREAM
-from repro.stack.instrument import Layer
 from repro.world.configs import CONFIGS, build_network
 
 #: A scaled-down default transfer so full table sweeps stay fast.  It is
@@ -93,45 +92,6 @@ def run_table2(config_keys, platform, total_bytes, rounds, tcp_sizes,
             )
         )
     return rows
-
-
-def run_breakdown(config_key, proto, message_size, platform="decstation",
-                  rounds=200):
-    """Table 4: per-layer mean latency (microseconds per round trip).
-
-    Runs protolat with the layer accounting enabled and divides each
-    layer's accumulated time by the number of round trips.  Each round
-    trip crosses every layer twice on the measured host (once sending the
-    request, once receiving the reply), so the per-crossing figure is the
-    per-round mean divided by two on the client ledger; we report
-    per-one-way-crossing values like the paper.
-    """
-    network, pa, pb = build_network(config_key, platform=platform)
-
-    def reset_ledgers():
-        # Drop connection-establishment and ARP costs so the table shows
-        # steady-state means, as the paper's 50000-round averages do.
-        pa.accounting.reset()
-        pb.accounting.reset()
-
-    result = protolat(
-        network, pb, pa, proto=proto, message_size=message_size,
-        rounds=rounds, on_warm=reset_ledgers,
-    )
-    breakdown = {}
-    # The client host (pb) both sends requests and receives replies:
-    # every layer is crossed once per direction per round trip.
-    acct = pb.accounting
-    for layer in Layer.SEND_PATH + Layer.RECEIVE_PATH:
-        breakdown[layer] = acct.total(layer) / result.rounds
-    breakdown["send path total"] = sum(
-        breakdown[l] for l in Layer.SEND_PATH
-    )
-    breakdown["receive path total"] = sum(
-        breakdown[l] for l in Layer.RECEIVE_PATH
-    )
-    breakdown["measured rtt_us"] = result.mean_rtt_us
-    return breakdown
 
 
 def run_crossings(config_key, platform="decstation", rounds=20,

@@ -85,13 +85,10 @@ def collect_request_spans(tracer, request_tracer):
 
     Returns ``{req_id: (cpu_spans, wait_spans)}`` with each request's
     lists in *canonical content order* — sorted by ``(start, cost,
-    owner, layer, kind, trace_id)`` rather than raw ring order.  Ring
-    order is backend-dependent: a run merged from island processes
-    interleaves per-island rings, and same-tick spans from different
-    islands have no meaningful relative order.  Sorting by content in
-    every mode makes downstream tie-breaks (the candidate ``seq`` in
-    :func:`critical_path`) and exemplar span listings identical between
-    single-process and ``--parallel`` runs.
+    owner, layer, kind, trace_id)`` rather than raw ring order, so
+    downstream tie-breaks (the candidate ``seq`` in
+    :func:`critical_path`) and exemplar span listings depend on the
+    spans alone, not on the order same-tick spans were recorded in.
     """
     tid_to_req = request_tracer.tid_to_req
     grouped = {}

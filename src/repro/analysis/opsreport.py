@@ -16,9 +16,9 @@ into a single report:
 * **flight** — the exchange engine's always-on flight-recorder ring:
   how much was recorded, how much fell off, and the most recent events.
 * **telemetry** — one seeded tail-study cell with forensics + metrics
-  on (optionally on the multi-process island backend): latency
-  percentiles, tracer health (sampling coverage, eviction counters,
-  LOSSY flag), and the merged metrics registry.
+  on, run in one process: latency percentiles, tracer health
+  (sampling coverage, eviction counters, LOSSY flag), and the metrics
+  registry.
 * **islands** — the partition the parallel backend uses for that
   topology: islands, the cut wires, and the lookahead they guarantee.
 
@@ -104,7 +104,6 @@ def telemetry_health(cell):
     """The operator-facing slice of a forensic tail-study cell."""
     block = cell["forensics"]
     return {
-        "backend": cell["backend"],
         "issued": cell["issued"],
         "completed": cell["completed"],
         "censored": cell["censored"],
@@ -126,7 +125,7 @@ def telemetry_health(cell):
 
 def gather_ops(config="library-shm-ipf", total_bytes=256 * 1024,
                topology_args=None, workload_args=None, placement="mach25",
-               load=DEFAULT_LOAD, parallel=0, forensics=None):
+               load=DEFAULT_LOAD, forensics=None):
     """Build the full ops document (a JSON-ready dict)."""
     from repro.analysis.tailstudy import run_cell
 
@@ -135,7 +134,7 @@ def gather_ops(config="library-shm-ipf", total_bytes=256 * 1024,
     forensics = dict(DEFAULT_FORENSICS, **(forensics or {}))
     exchange = gather_exchange(config, total_bytes)
     cell = run_cell(topology_args, workload_args, placement, load,
-                    forensics=forensics, parallel=parallel, metrics=True)
+                    forensics=forensics, metrics=True)
     return {
         "exchange": exchange,
         "islands": gather_islands(topology_args, placement),
@@ -190,14 +189,8 @@ def ops_markdown(report):
                  % (", ".join(islands["cut_wires"]) or "(none)"))
 
     tele = report["telemetry"]
-    backend = tele["backend"]
-    mode = backend["mode"]
-    if backend["workers"]:
-        mode += " (%d workers)" % backend["workers"]
-    if backend["fallback"]:
-        mode += " — fell back: %s" % backend["fallback"]
     lines.append("")
-    lines.append("## Telemetry cell — backend %s" % mode)
+    lines.append("## Telemetry cell")
     lines.append("")
     lines.append("- requests: %d issued, %d completed, %d censored"
                  % (tele["issued"], tele["completed"], tele["censored"]))
@@ -233,8 +226,6 @@ def main(argv=None):
                         help="exchange world (default %(default)s)")
     parser.add_argument("--bytes", type=int, default=256 * 1024,
                         help="exchange transfer size (default %(default)s)")
-    parser.add_argument("--parallel", type=int, default=0, metavar="N",
-                        help="run the telemetry cell on N island workers")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the telemetry cell's seed")
     parser.add_argument("--json", metavar="PATH", default=None,
@@ -248,8 +239,7 @@ def main(argv=None):
         workload_args["seed"] = args.seed
     report = gather_ops(config=args.config, total_bytes=args.bytes,
                         topology_args=topology_args,
-                        workload_args=workload_args,
-                        parallel=args.parallel)
+                        workload_args=workload_args)
     print(ops_markdown(report))
     if args.json:
         with open(args.json, "w") as fh:

@@ -91,12 +91,13 @@ def run_cell(topology_args, workload_args, placement, load,
 
     ``parallel`` >= 2 asks for the multi-process island backend
     (:mod:`repro.sim.parallel`): the world is cut at router-to-router
-    links and each group of islands runs in its own worker process.
-    Results — including forensics attribution and merged metrics — are
-    bit-identical to the single-process run; worlds with no extractable
-    islands (e.g. a star) and TCP workloads fall back to
-    single-process, with the reason both noted on stderr and recorded
-    in the cell's ``backend`` block.  Every mode — including plain
+    links and each group of islands runs in its own worker process,
+    with results bit-identical to the single-process run.  A cell
+    falls back to single-process — the reason noted on stderr and
+    recorded in its ``backend`` block — when it runs TCP, when it
+    records telemetry (``forensics`` or ``metrics``: trace rings and
+    the registry live in one process), or when its world has no
+    extractable islands (e.g. a star).  Every mode — including plain
     single-process — runs the plan's cut wires full duplex, so the two
     backends stay schedule-equivalent.
     """
@@ -114,16 +115,7 @@ def run_cell(topology_args, workload_args, placement, load,
                            seed=topology_args["seed"])
     if metrics:
         world.metrics.enable()
-    telemetry = None
-    if forensics is not None or metrics:
-        telemetry = {
-            "forensics": (None if forensics is None else {
-                "sample_every": forensics["sample_every"],
-                "capacity": forensics["capacity"],
-                "seed": topology_args["seed"],
-            }),
-            "metrics": bool(metrics),
-        }
+    telemetry = forensics is not None or metrics
     rate = rate_for_load(load, dict(workload_args,
                                     us_per_byte=tspec.us_per_byte))
     wspec = WorkloadSpec(rate_per_client=float(rate), **workload_args)
@@ -133,6 +125,8 @@ def run_cell(topology_args, workload_args, placement, load,
     if parallel and parallel >= 2:
         if wspec.proto != "udp":
             backend["fallback"] = "TCP start-up synchronizes in process"
+        elif telemetry:
+            backend["fallback"] = "telemetry is recorded in one process"
         elif not plan.parallelizable:
             backend["fallback"] = ("no islands to cut in this %s world"
                                    % tspec.kind)
@@ -140,23 +134,21 @@ def run_cell(topology_args, workload_args, placement, load,
             outcome = run_parallel_workload(
                 topology_args, placement, wspec, plan, parallel,
                 log=lambda m: print("tailstudy: %s" % m,
-                                    file=sys.stderr),
-                telemetry=telemetry)
+                                    file=sys.stderr))
             if outcome is None:
                 backend["fallback"] = "plan packs into a single worker"
         if backend["fallback"] is not None:
             parallel_note(backend["fallback"])
-    merged = None
     if outcome is not None:
-        result, fingerprint, nworkers, merged = outcome
+        result, fingerprint, nworkers = outcome
         backend["mode"] = "parallel"
         backend["workers"] = nworkers
     else:
         t0 = world.sim.now
         result = run_workload(world, wspec, request_tracer=rt)
         fingerprint = world.fingerprint()
-        if telemetry is not None:
-            # Same canonical snapshot instant the island workers use.
+        if telemetry:
+            # The canonical snapshot instant (see settle_telemetry).
             settle_telemetry(
                 world.sim,
                 t0 + 1000.0 + wspec.window_us + wspec.drain_us)
@@ -183,22 +175,16 @@ def run_cell(topology_args, workload_args, placement, load,
         "wallclock_seconds": round(time.monotonic() - cell_start, 3),
     }
     if forensics is not None:
-        tracer_view, requests_view = world.tracer, rt
-        if merged is not None:
-            tracer_view = merged["trace"]
-            requests_view = merged["requests"]
         analysis_start = time.monotonic()
         cell["forensics"] = cell_forensics(
-            tracer_view, requests_view, p99_us=pcts[0.99],
+            world.tracer, rt, p99_us=pcts[0.99],
             exemplar_cap=forensics["exemplars"])
         # wallclock_seconds above is what recording cost (build + run);
         # this is what turning the rings into blame cost on top of it.
         cell["analysis_seconds"] = round(
             time.monotonic() - analysis_start, 3)
     if metrics:
-        state = (merged["metrics"] if merged is not None
-                 else world.metrics.export_state(island=0))
-        cell["metrics"] = state_cell_block(state)
+        cell["metrics"] = state_cell_block(world.metrics.export_state())
     cell["backend"] = backend
     # How often the library send paths of this cell asked the server
     # (Section 3.3).  Stripped with the backend block: the counters live
@@ -323,20 +309,22 @@ def main(argv=None):
     parser.add_argument("--parallel", type=int, default=0, metavar="N",
                         help="run each cell on the multi-process island "
                              "backend with up to N workers (results are "
-                             "bit-identical to single-process; worlds "
-                             "with no cuttable links fall back)")
+                             "bit-identical to single-process; TCP, "
+                             "telemetry cells and worlds with no "
+                             "cuttable links fall back)")
     parser.add_argument("-o", "--output", metavar="PATH", default=None,
                         help="write the JSON document here")
     parser.add_argument("--markdown", action="store_true",
                         help="print a p99-vs-load markdown table")
     parser.add_argument("--forensics", action="store_true",
                         help="trace sampled requests; adds a per-cell "
-                             "latency-attribution block")
+                             "latency-attribution block (recorded in one "
+                             "process: --parallel falls back)")
     parser.add_argument("--metrics", action="store_true",
                         help="export the world's metrics registry "
                              "(counters/gauges/histograms/series) as a "
-                             "per-cell block; island-merged under "
-                             "--parallel")
+                             "per-cell block (recorded in one process: "
+                             "--parallel falls back)")
     parser.add_argument("--sample-every", type=int, default=16,
                         help="trace 1-in-N request ids (default 16)")
     parser.add_argument("--trace-capacity", type=int, default=1 << 18,

@@ -86,8 +86,7 @@ class TraceBreakdown:
     proto: str
     message_size: int
     rounds: int
-    #: layer -> mean us per round trip on the client ledger (the same
-    #: shape ``experiments.run_breakdown`` produces), plus the
+    #: layer -> mean us per round trip on the client ledger, plus the
     #: ``send/receive path total`` and ``measured rtt_us`` keys.
     breakdown: dict = field(default_factory=dict)
     #: owner -> {layer: total us} — the full fold, all ledgers.
@@ -102,9 +101,13 @@ class TraceBreakdown:
 
 def run_traced_breakdown(config_key, proto, message_size,
                          platform="decstation", rounds=200):
-    """Table 4 from traces: like ``experiments.run_breakdown``, but the
-    per-layer means come from folding the recorded packet spans, and the
-    fold is crosschecked tick-for-tick against the accounting ledgers.
+    """Table 4: per-layer mean latency (microseconds per round trip).
+
+    Runs protolat with tracing on and folds the recorded packet spans
+    of the client host (pb), which both sends requests and receives
+    replies, so every layer is crossed once per direction per round
+    trip.  The fold is crosschecked tick-for-tick against the
+    accounting ledgers.
 
     Raises :class:`TraceMismatch` if any ledger cell disagrees with the
     folded span stream, or if the span ring overflowed (which would make
@@ -117,7 +120,8 @@ def run_traced_breakdown(config_key, proto, message_size,
 
     def reset_ledgers():
         # Steady state only: drop connection-establishment and ARP costs
-        # from both the ledgers and the span stream, as run_breakdown does.
+        # from both the ledgers and the span stream, as the paper's
+        # 50000-round averages do.
         for acct in placement_ledgers(pa, pb).values():
             acct.reset()
         tracer.clear()

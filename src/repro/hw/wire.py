@@ -79,7 +79,7 @@ class EthernetWire:
         self.bytes_carried = 0
         #: Bytes serialized, padding and CRC included: times
         #: ``us_per_byte`` it is how long the medium was occupied.  An
-        #: integer, so a cut wire's two island halves add up exactly.
+        #: integer, so snapshots of it sum exactly in a metrics merge.
         self.wire_bytes = 0
         self.fault_plan = None
         if fault_plan is not None:

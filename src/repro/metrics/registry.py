@@ -574,15 +574,8 @@ class MetricsRegistry:
             elif isinstance(metric, Gauge) and metric.samples:
                 yield name, ("value",), list(metric.samples)
 
-    def export_state(self, island=0, owns=None):
+    def export_state(self, island=0):
         """Mergeable state of the whole registry for island ``island``.
-
-        ``owns`` is an optional predicate on metric names: a parallel
-        worker passes one that keeps only the metrics its island is
-        authoritative for (its hosts' and internal wires' gauges) or
-        contributes to additively (cut-wire counters, global
-        histograms), so that :func:`merge_states` over all islands
-        reproduces the single-process registry exactly.
 
         Takes a final pull sample first (deduplicated by instant); call
         it only once the simulation has settled at a canonical instant,
@@ -590,12 +583,9 @@ class MetricsRegistry:
         to be.
         """
         self.sample()
-        metrics = {}
-        for name in sorted(self._metrics):
-            if owns is not None and not owns(name):
-                continue
-            metrics[name] = self._metrics[name].snapshot(island)
-        return {"islands": [island], "metrics": metrics}
+        return {"islands": [island],
+                "metrics": {name: self._metrics[name].snapshot(island)
+                            for name in sorted(self._metrics)}}
 
     def __repr__(self):
         return "<MetricsRegistry %s, %d metrics>" % (

@@ -41,20 +41,13 @@ run of the same spec, because
   latency percentiles sort their samples, and the mean uses
   ``math.fsum`` (correctly rounded regardless of summation order).
 
-**Telemetry.**  The same boundary carries the observability plane:
-captured frames travel with their packet trace ids (re-tagged on
-injection, so request-scoped tracing spans the cut), and at the end of
-the run every worker settles its clock to one canonical instant and
-ships picklable per-island snapshots of its metrics registry slice and
-trace rings home, where the parent folds them with the commutative
-merge operators in :mod:`repro.metrics.registry` and :mod:`repro.trace`.
-Merged metrics and forensics attribution are bit-identical to the
-single-process run of the same spec.
-
 **Scope.**  The backend runs UDP open-loop workloads (the tail study's
-default).  TCP workloads synchronize client start-up on in-process
-listen events, so they fall back to single-process, as does any world
-from which no islands can be extracted — a star (every leaf wire has a
+default), and its workers exchange frames and partial workload results
+only.  TCP workloads synchronize client start-up on in-process listen
+events, and a cell that records telemetry (request forensics or the
+metrics registry) keeps its trace rings and registry in one process,
+so both fall back to single-process, as does any world from which no
+islands can be extracted — a star (every leaf wire has a
 host on it, so nothing qualifies as a cut) or any topology whose only
 routers share segments with hosts.  Wires carrying a fault plan are
 never cut: fault state is process-local.
@@ -242,56 +235,34 @@ def _build_world_and_plan(topology_args, placement):
 
 
 def _island_worker(conn, group_index, groups, topology_args, placement,
-                   wspec_args, telemetry=None):
+                   wspec_args):
     """One worker: build the full world, drive one group of islands.
 
-    ``telemetry`` (None: legacy frame-only exchange) is a dict with
-    optional keys ``"forensics"`` (``{"sample_every", "capacity",
-    "seed"}`` — enable the trace recorder in selective mode) and
-    ``"metrics"`` (truthy — export this group's slice of the world's
-    metrics registry).  With telemetry on, captured frames carry their
-    trace ids across the boundary, the worker settles its clock to the
-    canonical snapshot instant, and the final result message carries
-    picklable ``trace_state`` / ``request_state`` / ``metrics_state``
-    blocks (plus the engine's ``flight_state`` ring) for the parent to
-    merge.
+    Each window it reports the frames its group put on cut wires and
+    whether its clients are done; the parent answers with the other
+    groups' frames or ``("stop",)``.  The final message carries the
+    group's partial workload result and the world fingerprint.
     """
     try:
-        from repro.trace.recorder import TaggedFrame, frame_trace
         from repro.world.workload import (
             SETTLE_GRACE_US,
             WorkloadSpec,
             WorkloadResult,
             build_schedules,
-            settle_telemetry,
-            spawn_udp_partition,
+            spawn_udp,
         )
 
         world, plan = _build_world_and_plan(topology_args, placement)
         sim = world.sim
         wspec = WorkloadSpec(**wspec_args)
 
-        rt = None
-        fconf = telemetry.get("forensics") if telemetry else None
-        if fconf is not None:
-            from repro.trace.request import RequestTracer
-
-            world.tracer.enable(capacity=fconf["capacity"])
-            rt = RequestTracer(world.tracer,
-                               sample_every=fconf["sample_every"],
-                               seed=fconf["seed"])
-        if telemetry and telemetry.get("metrics"):
-            world.metrics.enable()
-
         island_group = {}
         for g, island_indices in enumerate(groups):
             for i in island_indices:
                 island_group[i] = g
         local_hosts = set()
-        local_routers = set()
         for i in groups[group_index]:
             local_hosts.update(plan.islands[i].hosts)
-            local_routers.update(plan.islands[i].routers)
 
         # Install capture hooks on cut wires that cross *group*
         # boundaries and touch this group (cut wires internal to one
@@ -320,20 +291,17 @@ def _island_worker(conn, group_index, groups, topology_args, placement,
                 if iface.nic._wire is wire)
 
             def capture(frame, sender, arrival, _name=name):
-                # bytes() strips the TaggedFrame subclass for pickling;
-                # the trace id rides alongside and is re-tagged by the
-                # receiving worker at injection.
                 captures.append((_name, arrival, bytes(frame),
-                                 frame_trace(frame), len(captures)))
+                                 len(captures)))
 
             wire.capture = capture
             boundary[name] = foreign_nics
 
         result = WorkloadResult(window_us=wspec.window_us)
         schedules = build_schedules(wspec, len(world.hosts))
-        clients, start, end = spawn_udp_partition(
-            world, wspec, schedules, result, local_hosts,
-            request_tracer=rt)
+        generators, _start, end = spawn_udp(
+            world, wspec, schedules, result, hosts=local_hosts)
+        clients = [sim.spawn(gen, name="wl-client") for gen in generators]
 
         window = plan.lookahead_us
         window_end = 0.0
@@ -352,13 +320,10 @@ def _island_worker(conn, group_index, groups, topology_args, placement,
             command = conn.recv()
             if command[0] == "stop":
                 break
-            for name, arrival, frame, tid, _origin, _seq in command[1]:
+            for name, arrival, frame, _origin, _seq in command[1]:
                 foreign_nics = boundary.get(name)
                 if foreign_nics is None:
                     continue
-                if tid is not None and rt is not None:
-                    frame = TaggedFrame.tag(frame, tid)
-                    rt.register_foreign(tid)
                 sim.call_at(arrival, by_name[name]._deliver, frame, None,
                             foreign_nics)
             if not done and window_end > end + SETTLE_GRACE_US:
@@ -368,48 +333,13 @@ def _island_worker(conn, group_index, groups, topology_args, placement,
         for proc in clients:
             if not proc.ok:
                 raise proc.value
-        payload = {
+        conn.send(("result", {
             "issued": result.issued,
             "completed": result.completed,
             "censored": result.censored,
             "latencies_us": result.latencies_us,
             "fingerprint": world.fingerprint(),
-        }
-        if telemetry:
-            # Settle to the canonical instant (identical in the
-            # single-process run) so time-derived gauges agree exactly.
-            settle_telemetry(sim, end)
-            if rt is not None:
-                payload["trace_state"] = world.tracer.export_state(
-                    island=group_index)
-                payload["request_state"] = rt.export_state(
-                    island=group_index)
-            if telemetry.get("metrics"):
-                # Export only metrics this group owns (its hosts,
-                # routers, and every wire touching them) plus
-                # unprefixed globals; cut wires export from both sides
-                # and sum correctly because only the transmitting side
-                # bumps counters.
-                local_names = {world.hosts[h].name for h in local_hosts}
-                local_names.update(
-                    world.routers[r].name for r in local_routers)
-                known = {host.name for host in world.hosts}
-                known.update(router.name for router in world.routers)
-                for wire, (whosts, wrouters) in stations.items():
-                    known.add(wire.name)
-                    if (any(h in local_hosts for h in whosts)
-                            or any(r in local_routers for r in wrouters)):
-                        local_names.add(wire.name)
-
-                def owns(metric):
-                    prefix = metric.split(".", 1)[0]
-                    return prefix in local_names or prefix not in known
-
-                payload["metrics_state"] = world.metrics.export_state(
-                    island=group_index, owns=owns)
-            payload["flight_state"] = sim.flight.export_state(
-                island=group_index)
-        conn.send(("result", payload))
+        }))
     except BaseException as exc:  # report, then die loudly
         import traceback
 
@@ -431,23 +361,14 @@ class ParallelRunError(RuntimeError):
 
 
 def run_parallel_workload(topology_args, placement, wspec, plan,
-                          nprocs, log=None, telemetry=None):
+                          nprocs, log=None):
     """Run a UDP workload across island worker processes.
 
-    Returns ``(result, fingerprint, nworkers, telemetry_out)`` where
-    ``result`` is a merged :class:`~repro.world.workload.WorkloadResult`,
-    or ``None`` when the plan cannot use at least two workers (caller
-    falls back to the single-process path).
-
-    ``telemetry`` (see :func:`_island_worker`) asks the workers to ship
-    their per-island metrics/trace snapshots home; ``telemetry_out`` is
-    then a dict with ``"metrics"`` (a merged registry state, see
-    :func:`repro.metrics.registry.merge_states`), ``"trace"`` (a
-    :class:`~repro.trace.recorder.MergedTraceState`) and ``"requests"``
-    (a :class:`~repro.trace.request.MergedRequestState`) as requested,
-    plus ``"flight"`` (a :class:`~repro.trace.flight.MergedFlightState`
-    interleaving every worker's flight-recorder ring, eviction counters
-    intact) — otherwise None.
+    Returns ``(result, fingerprint, nworkers)`` where ``result`` is a
+    merged :class:`~repro.world.workload.WorkloadResult`, or ``None``
+    when the plan cannot use at least two workers (caller falls back to
+    the single-process path).  A worker that fails or dies raises
+    :class:`ParallelRunError` as soon as the parent next talks to it.
     """
     import multiprocessing as mp
 
@@ -473,7 +394,7 @@ def run_parallel_workload(topology_args, placement, wspec, plan,
         proc = ctx.Process(
             target=_island_worker,
             args=(child_conn, g, groups, topology_args, placement,
-                  wspec_args, telemetry),
+                  wspec_args),
             name="island-%d" % g,
         )
         proc.daemon = True
@@ -487,18 +408,24 @@ def run_parallel_workload(topology_args, placement, wspec, plan,
             proc.terminate()
         raise ParallelRunError(detail)
 
+    def send(g, message):
+        try:
+            conns[g].send(message)
+        except OSError:
+            fail("island worker %d died mid-window" % g)
+
+    def recv(g, when):
+        try:
+            message = conns[g].recv()
+        except (EOFError, OSError):
+            fail("island worker %d died %s" % (g, when))
+        if message[0] == "error":
+            fail("island worker failed: %s\n%s" % (message[1], message[2]))
+        return message
+
     try:
         while True:
-            messages = []
-            for g, conn in enumerate(conns):
-                try:
-                    messages.append(conn.recv())
-                except EOFError:
-                    fail("island worker %d died mid-window" % g)
-            for message in messages:
-                if message[0] == "error":
-                    fail("island worker failed: %s\n%s"
-                         % (message[1], message[2]))
+            messages = [recv(g, "mid-window") for g in range(len(conns))]
             # Terminate only at quiescence: every client done AND no
             # frames captured this window.  Frames from the final
             # window must still be relayed (a straggler crossing a cut
@@ -507,27 +434,19 @@ def run_parallel_workload(topology_args, placement, wspec, plan,
             if (all(done for _kind, _frames, done in messages)
                     and not any(frames
                                 for _kind, frames, _done in messages)):
-                for conn in conns:
-                    conn.send(("stop",))
+                for g in range(len(conns)):
+                    send(g, ("stop",))
                 break
             merged = []
             for g, (_kind, frames, _done) in enumerate(messages):
-                for name, arrival, frame, tid, seq in frames:
-                    merged.append((name, arrival, frame, tid, g, seq))
-            merged.sort(key=lambda entry: (entry[1], entry[4], entry[5]))
-            for g, conn in enumerate(conns):
-                conn.send(("frames",
-                           [entry for entry in merged if entry[4] != g]))
-        partials = []
-        for g, conn in enumerate(conns):
-            try:
-                message = conn.recv()
-            except EOFError:
-                fail("island worker %d died before reporting" % g)
-            if message[0] == "error":
-                fail("island worker failed: %s\n%s"
-                     % (message[1], message[2]))
-            partials.append(message[1])
+                for name, arrival, frame, seq in frames:
+                    merged.append((name, arrival, frame, g, seq))
+            merged.sort(key=lambda entry: (entry[1], entry[3], entry[4]))
+            for g in range(len(conns)):
+                send(g, ("frames",
+                         [entry for entry in merged if entry[3] != g]))
+        partials = [recv(g, "before reporting")[1]
+                    for g in range(len(conns))]
     finally:
         for conn in conns:
             conn.close()
@@ -547,27 +466,7 @@ def run_parallel_workload(topology_args, placement, wspec, plan,
         result.completed += partial["completed"]
         result.censored += partial["censored"]
         result.latencies_us.extend(partial["latencies_us"])
-    telemetry_out = None
-    if telemetry:
-        telemetry_out = {}
-        if telemetry.get("forensics") is not None:
-            from repro.trace.recorder import merge_trace_states
-            from repro.trace.request import merge_request_states
-
-            telemetry_out["trace"] = merge_trace_states(
-                [partial["trace_state"] for partial in partials])
-            telemetry_out["requests"] = merge_request_states(
-                [partial["request_state"] for partial in partials])
-        if telemetry.get("metrics"):
-            from repro.metrics.registry import merge_states
-
-            telemetry_out["metrics"] = merge_states(
-                [partial["metrics_state"] for partial in partials])
-        from repro.trace.flight import merge_flight_states
-
-        telemetry_out["flight"] = merge_flight_states(
-            [partial["flight_state"] for partial in partials])
-    return result, fingerprints.pop(), len(groups), telemetry_out
+    return result, fingerprints.pop(), len(groups)
 
 
 def parallel_note(reason):

@@ -17,9 +17,8 @@ Design constraints, in order:
   timeline, a chrome trace) happens only at dump time.
 * **Bounded and honest.**  The ring holds :data:`DEFAULT_CAPACITY`
   events; older ones fall off, but the lifetime ``recorded`` counter
-  keeps the ``evicted`` count exact — including across the island
-  process boundary (see :func:`merge_flight_states`), so a wrap inside
-  a worker is never silently reported as "no loss".
+  keeps the ``evicted`` count exact, so a wrap is never silently
+  reported as "no loss".
 * **Engine-agnostic.**  Events are plain ``(t_us, kind, detail)``
   tuples; the recorder never touches the event queue, charges no CPU,
   and draws no randomness, so attaching it is bit-passive — benchmark
@@ -69,62 +68,9 @@ class FlightRecorder:
         """An immutable copy of the ring, oldest first."""
         return tuple(self.events)
 
-    def export_state(self, island=0):
-        """Picklable state for cross-process merging."""
-        return {
-            "island": island,
-            "capacity": self.capacity,
-            "events": [list(event) for event in self.events],
-            "recorded": self.recorded,
-        }
-
     def __repr__(self):
         return "<FlightRecorder %d/%d events (%d evicted)>" % (
             len(self.events), self.capacity, self.evicted)
-
-
-class MergedFlightState:
-    """Flight rings from several islands, interleaved chronologically.
-
-    Events become ``(t_us, island, kind, detail)``; the lifetime
-    ``recorded`` counters sum, so :attr:`evicted` counts every wrap
-    that happened inside any worker process.
-    """
-
-    def __init__(self):
-        self.islands = []
-        self.capacity = 0
-        self.events = []
-        self.recorded = 0
-        self._retained = 0
-
-    def absorb(self, state):
-        self.islands.append(state["island"])
-        self.capacity += state["capacity"]
-        island = state["island"]
-        for seq, (t, kind, detail) in enumerate(state["events"]):
-            self.events.append((t, island, seq, kind, detail))
-        self.recorded += state["recorded"]
-        self._retained += len(state["events"])
-        self.events.sort(key=lambda e: (e[0], e[1], e[2]))
-        return self
-
-    @property
-    def evicted(self):
-        return self.recorded - self._retained
-
-    def __repr__(self):
-        return "<MergedFlightState islands=%r events=%d (%d evicted)>" % (
-            self.islands, len(self.events), self.evicted)
-
-
-def merge_flight_states(states):
-    """Fold per-island :meth:`FlightRecorder.export_state` dicts, in
-    island order, into one :class:`MergedFlightState`."""
-    merged = MergedFlightState()
-    for state in sorted(states, key=lambda s: s["island"]):
-        merged.absorb(state)
-    return merged
 
 
 # ----------------------------------------------------------------------
@@ -137,8 +83,7 @@ def timeline(recorder, blocked=(), title="flight recorder"):
     lines = ["=== %s: last %d of %d event(s), %d evicted ==="
              % (title, len(recorder.events), recorder.recorded,
                 recorder.evicted)]
-    for event in recorder.events:
-        t, kind, detail = event[0], event[-2], event[-1]
+    for t, kind, detail in recorder.events:
         lines.append("%16.3f us  %-12s %s" % (t, kind, detail))
     if not recorder.events:
         lines.append("(empty ring: nothing was recorded)")
@@ -152,8 +97,7 @@ def timeline(recorder, blocked=(), title="flight recorder"):
 def chrome_trace(recorder):
     """The ring as chrome://tracing / Perfetto instant events."""
     trace_events = []
-    for event in recorder.events:
-        t, kind, detail = event[0], event[-2], event[-1]
+    for t, kind, detail in recorder.events:
         trace_events.append({
             "name": "%s %s" % (kind, detail) if detail else kind,
             "ph": "i",          # instant event

@@ -219,9 +219,8 @@ class TraceRecorder:
                 return None
             # Selective traces get *deterministic* ids — a pure function
             # of (request, birth role, within-role index) rather than a
-            # process-global counter — so island processes that each see
-            # only part of a request's life assign the same ids the
-            # single-process run would.
+            # process-global counter — so a request's ids do not depend
+            # on how much other traffic began traces before it.
             trace_id = rt.assign_tid(req_id, self._sim.current, host)
         else:
             trace_id = self._next_id
@@ -319,68 +318,7 @@ class TraceRecorder:
             acc[span.layer] = acc.get(span.layer, 0.0) + span.cost
         return totals
 
-    # ------------------------------------------------------------------
-    # Island export / merge
-    # ------------------------------------------------------------------
-
-    def export_state(self, island=0):
-        """Picklable state of this recorder for cross-process merging.
-
-        Carries the island id, the retained ring and — critically — the
-        *lifetime* counters, so ring wraps that happened inside an island
-        process survive the merge (the merged view's ``spans_evicted`` /
-        ``lossy`` stay honest instead of silently resetting at the
-        process boundary).
-        """
-        return {
-            "island": island,
-            "spans": [(s.trace_id, s.owner, s.layer, s.start, s.cost,
-                       s.kind) for s in self.spans],
-            "spans_recorded": self.spans_recorded,
-            "spans_cleared": self.spans_cleared,
-        }
-
     def __repr__(self):
         return "<TraceRecorder %s spans=%d/%d traces=%d>" % (
             "on" if self.enabled else "off", len(self.spans),
             self.capacity, self.traces_started)
-
-
-class MergedTraceState:
-    """A read-only, recorder-shaped view over merged island states.
-
-    Exposes exactly the surface :mod:`repro.analysis.forensics` reads —
-    ``spans``, the lifetime counters and the derived ``spans_evicted`` /
-    ``lossy`` — computed from the *sums* of the per-island lifetime
-    counters, so a ring that wrapped inside one island still marks the
-    merged view LOSSY.
-    """
-
-    def __init__(self):
-        self.islands = []
-        self.spans = []
-        self.spans_recorded = 0
-        self.spans_cleared = 0
-
-    def absorb(self, state):
-        self.islands.append(state["island"])
-        self.spans.extend(Span(*row) for row in state["spans"])
-        self.spans_recorded += state["spans_recorded"]
-        self.spans_cleared += state["spans_cleared"]
-        return self
-
-    spans_evicted = TraceRecorder.spans_evicted
-    lossy = TraceRecorder.lossy
-
-    def __repr__(self):
-        return "<MergedTraceState islands=%r spans=%d>" % (
-            self.islands, len(self.spans))
-
-
-def merge_trace_states(states):
-    """Fold per-island :meth:`TraceRecorder.export_state` dicts, in
-    island order, into one :class:`MergedTraceState`."""
-    merged = MergedTraceState()
-    for state in sorted(states, key=lambda s: s["island"]):
-        merged.absorb(state)
-    return merged

@@ -204,11 +204,9 @@ class RequestTracer:
         The id is a pure function of ``(req_id, role, idx)``: role 0 is
         a client send (``proc`` carries ``request_ctx``; idx counts the
         request's send burst), role 1 a server reply (the proc routed
-        through ``trace_ctx``; idx identifies the replying host).  An
-        island process that only sees the server half of a request
-        therefore assigns the very same ids the single-process run
-        does, which is what lets forensics JSON survive the merge
-        bit-identically.
+        through ``trace_ctx``; idx identifies the replying host).  A
+        request's ids therefore do not depend on what other traffic
+        began traces before it.
         """
         if proc is not None and getattr(proc, "request_ctx", None) is not None:
             role = 0
@@ -218,17 +216,6 @@ class RequestTracer:
             role = 1
             idx = _host_index(host)
         return (((req_id << 1) | role) << TID_IDX_BITS) | (idx & TID_IDX_MASK)
-
-    @staticmethod
-    def tid_request(tid):
-        """Decode the request id a deterministic trace id encodes."""
-        return tid >> (TID_IDX_BITS + 1)
-
-    def register_foreign(self, tid):
-        """A tagged frame crossed an island boundary into this process:
-        restore the local tid -> request mapping (the id itself encodes
-        the request) so downstream births route and bind correctly."""
-        self.tid_to_req.setdefault(tid, self.tid_request(tid))
 
     def bind(self, trace_id, req_id):
         """A new packet trace was born on behalf of ``req_id``."""
@@ -254,83 +241,7 @@ class RequestTracer:
     def sampled_censored(self):
         return sum(1 for r in self.records.values() if not r.completed)
 
-    def export_state(self, island=0):
-        """Picklable state for cross-process merging: sampled request
-        records, the tid -> request binding, and the lifetime sampling
-        counters (summed across islands at merge time)."""
-        return {
-            "island": island,
-            "sample_every": self.sample_every,
-            "seed": self.seed,
-            "records": [(r.req_id, r.client, r.fanout, r.t0, r.t1,
-                         r.outstanding, list(r.tids))
-                        for r in self.records.values()],
-            "tid_to_req": dict(self.tid_to_req),
-            "requests_seen": self.requests_seen,
-            "requests_sampled": self.requests_sampled,
-        }
-
     def __repr__(self):
         return "<RequestTracer 1-in-%d seed=%d sampled=%d completed=%d>" % (
             self.sample_every, self.seed, self.requests_sampled,
             self.sampled_completed)
-
-
-class MergedRequestState:
-    """A read-only, tracer-shaped view over merged island states.
-
-    Every request record lives on exactly one island (its client's);
-    the tid -> request maps union without conflict because deterministic
-    ids encode their request.  Lifetime counters sum, so sampling-rate
-    health (seen vs sampled) stays exact across the merge.
-    """
-
-    def __init__(self):
-        self.islands = []
-        self.sample_every = None
-        self.seed = None
-        self.records = {}
-        self.tid_to_req = {}
-        self.requests_seen = 0
-        self.requests_sampled = 0
-
-    def absorb(self, state):
-        self.islands.append(state["island"])
-        if self.sample_every is None:
-            self.sample_every = state["sample_every"]
-            self.seed = state["seed"]
-        elif (self.sample_every != state["sample_every"]
-                or self.seed != state["seed"]):
-            raise ValueError(
-                "cannot merge request tracers with different sampling "
-                "(1-in-%r seed=%r vs 1-in-%r seed=%r)"
-                % (self.sample_every, self.seed,
-                   state["sample_every"], state["seed"]))
-        for req_id, client, fanout, t0, t1, outstanding, tids in \
-                state["records"]:
-            rec = RequestRecord(req_id, client, fanout, t0)
-            rec.t1 = t1
-            rec.outstanding = outstanding
-            rec.tids = list(tids)
-            self.records[req_id] = rec
-        self.tid_to_req.update(state["tid_to_req"])
-        self.requests_seen += state["requests_seen"]
-        self.requests_sampled += state["requests_sampled"]
-        return self
-
-    completed_records = RequestTracer.completed_records
-    sampled_completed = RequestTracer.sampled_completed
-    sampled_censored = RequestTracer.sampled_censored
-
-    def __repr__(self):
-        return "<MergedRequestState islands=%r sampled=%d>" % (
-            self.islands, self.requests_sampled)
-
-
-def merge_request_states(states):
-    """Fold per-island :meth:`RequestTracer.export_state` dicts, in
-    island order, into one :class:`MergedRequestState`."""
-    merged = MergedRequestState()
-    for state in sorted(states, key=lambda s: s["island"]):
-        merged.absorb(state)
-    return merged

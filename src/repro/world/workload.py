@@ -45,8 +45,9 @@ _POLL_US = 50_000.0
 
 #: Slack past the nominal workload end that runners grant wind-down
 #: (client drains, timer expiry, straggler frames).  Telemetry snapshots
-#: settle to exactly ``end + SETTLE_GRACE_US`` in every backend so
-#: time-derived metrics (utilization = busy/now) agree bit-for-bit.
+#: settle to exactly ``end + SETTLE_GRACE_US``, so time-derived metrics
+#: (utilization = busy/now) do not depend on when the last client
+#: happened to exit.
 SETTLE_GRACE_US = 60_000_000.0
 
 
@@ -54,9 +55,8 @@ def settle_telemetry(sim, end):
     """Drive ``sim`` to the canonical telemetry instant for ``end``.
 
     Processes every event scheduled up to the instant (late timer pops,
-    boundary straggler deliveries) and pins the clock exactly there, so
-    a single-process run and each island worker export registry and
-    trace snapshots from an identical ``sim.now``.
+    straggler deliveries) and pins the clock exactly there, so registry
+    and trace snapshots are taken at a ``sim.now`` fixed by the spec.
     """
     sim.run(until=end + SETTLE_GRACE_US)
 
@@ -231,22 +231,14 @@ def run_workload(world, spec, request_tracer=None):
     sim = world.sim
     schedules = build_schedules(spec, len(world.hosts))
     result = WorkloadResult(window_us=spec.window_us)
-    start = sim.now + 1000.0  # one quiet millisecond to finish spawning
-    end = start + spec.window_us + spec.drain_us
     rt = request_tracer
 
     if spec.proto == "udp":
-        for host_index in range(len(world.hosts)):
-            api = world.new_app(host_index)
-            sim.spawn(_udp_server(api, sim, spec, end),
-                      name="wl-srv-%d" % host_index)
-        clients = [
-            _udp_client(world.new_app(client), sim, spec,
-                        schedules[client], world, start, end, result,
-                        rt=rt)
-            for client in sorted(schedules)
-        ]
+        clients, _start, end = spawn_udp(world, spec, schedules, result,
+                                         request_tracer=rt)
     else:
+        start = sim.now + 1000.0  # one quiet millisecond to spawn
+        end = start + spec.window_us + spec.drain_us
         listening = []
         for host_index in range(len(world.hosts)):
             api = world.new_app(host_index)
@@ -264,35 +256,31 @@ def run_workload(world, spec, request_tracer=None):
     return result
 
 
-def spawn_udp_partition(world, spec, schedules, result, local_hosts,
-                        request_tracer=None):
-    """Spawn the UDP workload for ``local_hosts`` only; don't run it.
+def spawn_udp(world, spec, schedules, result, hosts=None,
+              request_tracer=None):
+    """Spawn the UDP workload's servers; return its clients unspawned.
 
-    The island backend (:mod:`repro.sim.parallel`) builds the full
-    world in every worker but drives just its own islands: servers on
-    local hosts, clients for local entries of ``schedules``.  The spawn
-    order mirrors :func:`run_workload`'s UDP branch exactly — servers
-    in host order, then clients in sorted schedule order — so the
-    relative schedule of local processes is identical to the
-    single-process run.  Returns ``(client_processes, start, end)``;
-    the caller drives the simulator (in lookahead windows) until every
-    client process has triggered.
+    The one UDP start-up order, shared by :func:`run_workload` and the
+    island backend (:mod:`repro.sim.parallel`), whose workers build the
+    full world but drive only their own ``hosts`` (None: every host):
+    servers in host order now, then the client generators in sorted
+    schedule order for the caller to spawn.  Returns ``(clients,
+    start, end)``.
     """
     sim = world.sim
-    rt = request_tracer
-    start = sim.now + 1000.0
+    start = sim.now + 1000.0  # one quiet millisecond to spawn
     end = start + spec.window_us + spec.drain_us
+    if hosts is None:
+        hosts = range(len(world.hosts))
     for host_index in range(len(world.hosts)):
-        if host_index in local_hosts:
+        if host_index in hosts:
             api = world.new_app(host_index)
             sim.spawn(_udp_server(api, sim, spec, end),
                       name="wl-srv-%d" % host_index)
     clients = [
-        sim.spawn(_udp_client(world.new_app(client), sim, spec,
-                              schedules[client], world, start, end,
-                              result, rt=rt),
-                  name="wl-client-%d" % client)
-        for client in sorted(schedules) if client in local_hosts
+        _udp_client(world.new_app(client), sim, spec, schedules[client],
+                    world, start, end, result, rt=request_tracer)
+        for client in sorted(schedules) if client in hosts
     ]
     return clients, start, end
 

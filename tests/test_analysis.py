@@ -119,10 +119,10 @@ def test_search_best_rcvbuf_finds_a_knee():
 
 
 def test_run_breakdown_layers_complete():
-    from repro.analysis.experiments import run_breakdown
+    from repro.analysis.tracing import run_traced_breakdown
     from repro.stack.instrument import Layer
 
-    breakdown = run_breakdown("mach25", "udp", 1, rounds=20)
+    breakdown = run_traced_breakdown("mach25", "udp", 1, rounds=20).breakdown
     for layer in Layer.SEND_PATH + Layer.RECEIVE_PATH:
         assert layer in breakdown
     assert breakdown["send path total"] > 0

@@ -14,11 +14,8 @@ verdicts.
 
 import pytest
 
-from repro.analysis.experiments import (
-    run_breakdown,
-    run_latency_row,
-    run_throughput,
-)
+from repro.analysis.experiments import run_latency_row, run_throughput
+from repro.analysis.tracing import run_traced_breakdown
 from repro.apps.protolat import protolat
 from repro.world.configs import build_network
 
@@ -151,7 +148,7 @@ def test_tcp_breakdown_grows_with_message_size():
     receive paths cost more than the 1-byte ones (per-byte copies and
     checksums).  The bench document holds only UDP breakdowns."""
     for key in ("library-shm-ipf", "mach25", "ux"):
-        small = run_breakdown(key, "tcp", 1, rounds=20)
-        large = run_breakdown(key, "tcp", 1460, rounds=20)
+        small = run_traced_breakdown(key, "tcp", 1, rounds=20).breakdown
+        large = run_traced_breakdown(key, "tcp", 1460, rounds=20).breakdown
         assert large["send path total"] > small["send path total"], key
         assert large["receive path total"] > small["receive path total"], key

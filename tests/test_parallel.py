@@ -1,12 +1,18 @@
 """The multi-process island backend: partition soundness (property
-tested), grouping determinism, and bit-identity with the single-process
-engine on both a cuttable WAN world and a non-cuttable star."""
+tested), grouping determinism, bit-identity with the single-process
+engine on both a cuttable WAN world and a non-cuttable star, the
+one-process fallback of telemetry and TCP cells, and prompt failure
+when a worker dies."""
 
 import json
+import os
+import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import tailstudy
+from repro.sim import parallel
 from repro.sim.parallel import (
     harden_cut_wires,
     pack_groups,
@@ -151,29 +157,60 @@ def test_wan_parallel_matches_single_process_bit_for_bit():
         json.dumps(parallel, sort_keys=True)
 
 
-def test_wan_parallel_telemetry_matches_single_process_bit_for_bit():
-    # The distributed-telemetry contract: forensics attribution and the
-    # merged metrics block from two island workers are byte-identical
-    # to the single-process run of the same seeded cell.
+def test_wan_telemetry_cell_falls_back_to_one_process(capsys):
+    # Trace rings and the metrics registry are recorded in one process:
+    # a forensics + metrics cell asked for two workers runs single and
+    # produces the document of the parallel=0 run.
     forensics = {"sample_every": 4, "capacity": 1 << 18, "exemplars": 3}
     single, _ = _cells("wan", 0, forensics=forensics, metrics=True)
-    parallel, backend = _cells("wan", 2, forensics=forensics, metrics=True)
-    assert backend["mode"] == "parallel"
+    fallback, backend = _cells("wan", 2, forensics=forensics, metrics=True)
+    assert "falling back" in capsys.readouterr().err
+    assert backend == {"mode": "single", "workers": None,
+                       "fallback": "telemetry is recorded in one process"}
     assert single["forensics"]["requests_sampled"] > 0
     assert single["forensics"]["attribution"]["requests"] > 0
     assert single["metrics"]["pull"] and single["metrics"]["gauges"]
-    # The registry was enabled on both backends: a block of Nones would
-    # compare equal too.
+    # The registry was enabled: a block of Nones would compare equal too.
     assert None not in single["metrics"]["pull"].values()
     assert all(g["value"] is not None and g["samples"]
                for g in single["metrics"]["gauges"].values())
-    # Every host's station-filter gauge comes home from the island
-    # that owns the host, next to its rx_dropped sibling.
-    for kind in (".nic.rx_filtered", ".nic.rx_dropped"):
-        assert sum(name.endswith(kind)
-                   for name in parallel["metrics"]["pull"]) == 12
     assert json.dumps(single, sort_keys=True) == \
-        json.dumps(parallel, sort_keys=True)
+        json.dumps(fallback, sort_keys=True)
+
+
+class _DieAfterFirstReport:
+    """A worker's pipe end that kills the worker once its first window
+    report is sent."""
+
+    def __init__(self, conn):
+        self._conn = conn
+
+    def send(self, message):
+        self._conn.send(message)
+        os._exit(1)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_dead_worker_raises_promptly(monkeypatch, when):
+    # Worker 1 dies before or right after its first window report; the
+    # parent must name the failure at once, not wait out a join timeout.
+    real_worker = parallel._island_worker
+
+    def dying_worker(conn, group_index, *args):
+        if group_index == 1:
+            if when == "before":
+                os._exit(1)
+            conn = _DieAfterFirstReport(conn)
+        return real_worker(conn, group_index, *args)
+
+    monkeypatch.setattr(parallel, "_island_worker", dying_worker)
+    started = time.monotonic()
+    with pytest.raises(parallel.ParallelRunError, match="worker 1 died"):
+        _cells("wan", 2)
+    assert time.monotonic() - started < 10.0
 
 
 def test_star_falls_back_and_stays_bit_identical(capsys):

@@ -1,7 +1,7 @@
-"""Distributed-telemetry plumbing: the metric-snapshot merge algebra
-(property tested), eviction-counter survival across island merges, the
-always-on flight recorder and its deadlock dump, and the server's
-per-op latency histograms and slow-op log as registry instruments."""
+"""Telemetry plumbing: the metric-snapshot merge algebra (property
+tested), the always-on flight recorder and its deadlock dump, and the
+server's per-op latency histograms and slow-op log as registry
+instruments."""
 
 from functools import reduce
 
@@ -22,13 +22,7 @@ from repro.net.addr import ip_aton
 from repro.osserver.unix_server import SLOW_OP_US
 from repro.sim.engine import Simulator
 from repro.sim.errors import Deadlock
-from repro.trace.flight import (
-    FlightRecorder,
-    dump_deadlock,
-    merge_flight_states,
-    timeline,
-)
-from repro.trace.recorder import TraceRecorder, merge_trace_states
+from repro.trace.flight import dump_deadlock
 from repro.world.configs import build_network
 from repro.world.network import Network
 
@@ -163,72 +157,6 @@ def test_series_merge_keeps_per_island_provenance(partitions):
         kept = [(s[2], s[3]) for s in forward["samples"]
                 if s[0] == island]
         assert kept == list(rows)
-
-
-# ----------------------------------------------------------------------
-# Eviction counters survive island merges
-# ----------------------------------------------------------------------
-
-class _FakeSim:
-    def __init__(self):
-        self.now = 0.0
-        self.current = None
-
-
-def test_trace_eviction_counters_survive_merge():
-    # Two island recorders with tiny rings holding CPU spans and waits
-    # alike; island 0 records more of both than its ring holds after a
-    # warm-up clear.  Each ring, and the merged view, must know exactly
-    # how many spans of either kind were overwritten and stay LOSSY.
-    states = []
-    for island, (warmup, ncpu, nwaits) in enumerate(((2, 4, 3), (0, 1, 1))):
-        sim = _FakeSim()
-        recorder = TraceRecorder(sim, capacity=3)
-        recorder.enable()
-        for _ in range(warmup):
-            recorder.record("host%d" % island, "ip", 1.0)
-        recorder.clear()
-        for i in range(ncpu):
-            sim.now = float(i)
-            recorder.record("host%d" % island, "ip", 1.0)
-            if i < nwaits:
-                recorder.record_wait(7, "host%d.nic" % island, "nic_tx_ring",
-                                     "queue", sim.now, 0.5)
-        assert recorder.spans_evicted == (
-            recorder.spans_recorded - recorder.spans_cleared
-            - len(recorder.spans))
-        assert recorder.lossy == (island == 0)
-        states.append(recorder.export_state(island=island))
-    merged = merge_trace_states(states)
-    assert merged.islands == [0, 1]
-    assert merged.spans_recorded == 2 + 7 + 2
-    assert merged.spans_cleared == 2
-    assert len(merged.spans) == 5          # 3 retained + 2 retained
-    assert {span.kind for span in merged.spans} == {"service", "queue"}
-    assert merged.spans_evicted == 4       # all inside island 0
-    assert merged.lossy
-
-
-def test_flight_eviction_counters_survive_merge():
-    sims = [_FakeSim(), _FakeSim()]
-    recorders = [FlightRecorder(sim, capacity=4) for sim in sims]
-    for i in range(10):                    # island 0 wraps: 6 evicted
-        sims[0].now = float(i)
-        recorders[0].note("spawn", "p%d" % i)
-    for i in range(3):                     # island 1 does not wrap
-        sims[1].now = float(100 + i)
-        recorders[1].note("exit", "q%d" % i)
-    assert recorders[0].evicted == 6
-    merged = merge_flight_states([
-        recorder.export_state(island=island)
-        for island, recorder in enumerate(recorders)])
-    assert merged.recorded == 13
-    assert len(merged.events) == 7
-    assert merged.evicted == 6
-    # Interleaved chronologically with island provenance intact.
-    assert [event[1] for event in merged.events] == [0] * 4 + [1] * 3
-    # The text renderer accepts merged events too.
-    assert "6 evicted" in timeline(merged)
 
 
 # ----------------------------------------------------------------------

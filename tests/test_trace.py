@@ -168,15 +168,24 @@ def test_fold_matches_instrument_accounting_tick_for_tick(config_key, proto):
 
 
 @pytest.mark.parametrize("config_key", ["mach25", "ux", "library-shm-ipf"])
-def test_traced_breakdown_equals_ledger_breakdown(config_key):
-    """Table 4 derived from traces is the ledger-derived table, cell for
-    cell, for every placement the paper breaks down."""
-    from repro.analysis.experiments import run_breakdown
-    from repro.analysis.tracing import run_traced_breakdown
+def test_traced_breakdown_equals_ledger_breakdown(config_key, monkeypatch):
+    """Table 4 derived from traces is the client ledger of the same run,
+    cell for cell, for every placement the paper breaks down."""
+    from repro.analysis import tracing
+    from repro.stack.instrument import Layer
 
-    traced = run_traced_breakdown(config_key, "udp", 512, rounds=20)
-    ledger = run_breakdown(config_key, "udp", 512, rounds=20)
-    assert traced.breakdown == ledger
+    built = []
+
+    def capture(*args, **kwargs):
+        built.append(build_network(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(tracing, "build_network", capture)
+    traced = tracing.run_traced_breakdown(config_key, "udp", 512, rounds=20)
+    client = built[0][2].accounting
+    for layer in Layer.SEND_PATH + Layer.RECEIVE_PATH:
+        assert traced.breakdown[layer] == client.total(layer) / traced.rounds
+    assert traced.breakdown["measured rtt_us"] == traced.rtt.mean_rtt_us
     assert traced.spans > 0
     assert traced.traces > 0
 
