@@ -15,12 +15,10 @@ server once, not 200 times.  Both are emptied by the server's
 invalidation callbacks.
 """
 
-import random
-
 from repro.net import arp
 from repro.net.routing import longest_match
 from repro.stack.instrument import Layer
-from repro.core.resilience import ResilientCaller
+from repro.core.resilience import ResilientCaller, RetryJitter
 
 
 class MetastateCache:
@@ -45,7 +43,7 @@ class MetastateCache:
         #: (set by the proxy layer) holds retries until the app has
         #: re-registered with a restarted server.  No context is bound:
         #: each fetch is charged to the context that asked.
-        self.caller = ResilientCaller(rpc, None, random.Random(2000 + app_id))
+        self.caller = ResilientCaller(rpc, None, RetryJitter(2000 + app_id))
 
     # ------------------------------------------------------------------
     # ARP

@@ -21,12 +21,10 @@ close          proxy_close         session returns; server runs the teardown
 =============  ==================  =========================================
 """
 
-import random
-
 from repro.hw.cpu import Priority
 from repro.stack.context import ExecutionContext
 from repro.stack.instrument import Layer
-from repro.core.resilience import ResilientCaller
+from repro.core.resilience import ResilientCaller, RetryJitter
 from repro.core.sockets import (
     SOCK_DGRAM,
     SOCK_STREAM,
@@ -98,7 +96,7 @@ class ProxySocketAPI(SocketAPI):
         # Crash resilience: every proxy RPC retries with seeded backoff
         # jitter, and a watcher re-registers this app's surviving sessions
         # whenever the server's port reopens after a crash.
-        self._retry_rng = random.Random(1000 + library.app_id)
+        self._retry_rng = RetryJitter(1000 + library.app_id)
         self.reregistrations = 0
         #: While not None: the server restarted but our sessions are not
         #: re-registered yet; retrying RPCs wait on this event so they

@@ -9,6 +9,8 @@ arms no timer of its own and draws one jitter sample per retry, which is
 what keeps ``BENCH.json`` byte-identical with faults disabled.
 """
 
+import random
+
 from repro.kernel.ipc import ServerCrashed
 from repro.sim.process import Timeout
 
@@ -19,11 +21,34 @@ BACKOFF_BASE_US = 10_000.0
 BACKOFF_MAX_US = 2_000_000.0
 
 
+class RetryJitter:
+    """A seeded backoff-jitter stream, its ``random.Random`` built on the
+    first draw.
+
+    Only a retry draws, and a generator costs ~2.5 KB, so an app that
+    never sees a crash never builds one.  The stream is exactly that of
+    ``random.Random(seed)``; callers that share one instance share it.
+    """
+
+    __slots__ = ("seed", "_rng")
+
+    def __init__(self, seed):
+        self.seed = seed
+        self._rng = None
+
+    def random(self):
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self.seed)
+        return rng.random()
+
+
 class ResilientCaller:
     """The retry loop for one client of one port.
 
     On :class:`~repro.kernel.ipc.ServerCrashed` the caller backs off
-    (``delay * (0.5 + rng())``, doubling) and, once the port is open
+    (``delay * (0.5 + rng.random())``, doubling; ``rng`` is a
+    :class:`RetryJitter`) and, once the port is open
     again, retries; a real errno from the server propagates at once.  A
     crash can land after a handler's side effects but before its reply,
     so retried ops carry a request id or are idempotent against rebuilt

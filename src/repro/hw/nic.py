@@ -27,7 +27,6 @@ counters declare what the receive side discarded:
   in flight), and
 * ``frames_dropped`` — addressed to us but lost to receive-ring overrun."""
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.net.addr import BROADCAST_MAC
@@ -91,10 +90,12 @@ class NIC:
         self.tracer = None
         #: Enqueue timestamps parallel to the tx/rx rings, so the
         #: consumer can attribute how long each frame sat queued.  Kept
-        #: unconditionally (plain float appends) because the rx deque's
+        #: unconditionally (plain float appends) because the rx list's
         #: consumer may live in another component (kernel or router).
-        self._tx_enq_us = deque()
-        self._rx_enq_us = deque()
+        #: Lists, not deques: a ring holds a few dozen frames at most,
+        #: and an idle list costs 56 B where an empty deque costs 760 B.
+        self._tx_enq_us = []
+        self._rx_enq_us = []
         wire.attach(self)
         self._tx_proc = sim.spawn(self._transmitter(), name="%s.tx" % self.name)
 
@@ -124,7 +125,7 @@ class NIC:
         yield from self._tx_ring.put(data)
         # Runs in the same synchronous continuation as the ring append
         # (wakeups are scheduled, never synchronous), so the timestamp
-        # deque stays aligned with the ring.
+        # list stays aligned with the ring.
         self._tx_enq_us.append(self._sim._now)
         gauge = self.tx_depth_gauge
         if gauge is not None:
@@ -134,7 +135,7 @@ class NIC:
         """Device process: drain the TX ring onto the wire, in order."""
         while True:
             frame = yield from self._tx_ring.get()
-            enq_at = (self._tx_enq_us.popleft() if self._tx_enq_us
+            enq_at = (self._tx_enq_us.pop(0) if self._tx_enq_us
                       else self._sim.now)
             tracer = self.tracer
             if tracer is not None and tracer.enabled:
@@ -184,8 +185,8 @@ class NIC:
         """Consume the enqueue timestamp of the frame just taken off
         :attr:`rx_ring`.  Every rx consumer (kernel interrupt loop,
         router input loop) must call this once per ``get()`` to keep the
-        timestamp deque aligned with the ring."""
-        return (self._rx_enq_us.popleft() if self._rx_enq_us
+        timestamp list aligned with the ring."""
+        return (self._rx_enq_us.pop(0) if self._rx_enq_us
                 else self._sim.now)
 
     def rx_release(self):

@@ -64,21 +64,35 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time level with a bounded ``(t, value)`` history."""
+    """A point-in-time level with a bounded ``(t, value)`` history.
 
-    __slots__ = ("name", "fn", "value", "samples", "recorded", "_now")
+    The history is created on the first :meth:`record`: most gauges of
+    a large world are never recorded, and an empty deque costs 760 B.
+    """
+
+    __slots__ = ("name", "fn", "value", "_samples", "_capacity", "recorded",
+                 "_now")
 
     def __init__(self, name, now, fn=None, capacity=DEFAULT_CAPACITY):
         self.name = name
         self.fn = fn
         self.value = None
-        self.samples = deque(maxlen=capacity)
+        self._samples = None
+        self._capacity = capacity
         self.recorded = 0
         self._now = now
 
+    @property
+    def samples(self):
+        """The bounded history, oldest first (empty until recorded)."""
+        return self._samples if self._samples is not None else ()
+
     def record(self, value):
         self.value = value
-        self.samples.append((self._now(), value))
+        samples = self._samples
+        if samples is None:
+            samples = self._samples = deque(maxlen=self._capacity)
+        samples.append((self._now(), value))
         self.recorded += 1
 
     def snapshot(self, island=0):
@@ -200,18 +214,28 @@ class Histogram:
 
 
 class TimeSeries:
-    """A bounded series of ``(t, *fields)`` samples."""
+    """A bounded series of ``(t, *fields)`` samples, its deque created
+    on the first :meth:`append` (as :class:`Gauge`'s history is)."""
 
-    __slots__ = ("name", "fields", "samples", "recorded")
+    __slots__ = ("name", "fields", "_samples", "_capacity", "recorded")
 
     def __init__(self, name, fields, capacity=DEFAULT_CAPACITY):
         self.name = name
         self.fields = tuple(fields)
-        self.samples = deque(maxlen=capacity)
+        self._samples = None
+        self._capacity = capacity
         self.recorded = 0
 
+    @property
+    def samples(self):
+        """The bounded series, oldest first (empty until appended)."""
+        return self._samples if self._samples is not None else ()
+
     def append(self, t, *values):
-        self.samples.append((t,) + values)
+        samples = self._samples
+        if samples is None:
+            samples = self._samples = deque(maxlen=self._capacity)
+        samples.append((t,) + values)
         self.recorded += 1
 
     def last(self):

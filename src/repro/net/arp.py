@@ -99,7 +99,18 @@ class ArpCache:
         self.misses = 0
 
     def insert(self, ip, mac):
-        self._entries[ip] = (bytes(mac), self._clock() + self._ttl)
+        self._entries[ip] = self.entry(mac)
+
+    def entry(self, mac):
+        """The ``(mac, expires)`` entry an insert of ``mac`` stores now.
+
+        It is immutable, so caches that compute equal entries may hold
+        one object (:func:`repro.world.topology.warm_arp` does)."""
+        return (bytes(mac), self._clock() + self._ttl)
+
+    def put(self, ip, entry):
+        """Store an :meth:`entry` made by this cache or an equal one."""
+        self._entries[ip] = entry
 
     def lookup(self, ip):
         """The MAC for ``ip``, or None on miss/expiry."""

@@ -8,7 +8,6 @@ server's internal synchronization is the heavyweight simulated-spl
 package — the two effects Table 4 charges the server placement for.
 """
 
-import random
 from itertools import count
 
 from repro.filter.compile import compile_ip_protocol_filter
@@ -453,7 +452,7 @@ class ServerSocketAPI(SocketAPI):
 
     def __init__(self, server):
         super().__init__()
-        from repro.core.resilience import ResilientCaller
+        from repro.core.resilience import ResilientCaller, RetryJitter
 
         self.server = server
         host = server.host
@@ -467,7 +466,7 @@ class ServerSocketAPI(SocketAPI):
         )
         self.client_id = next(ServerSocketAPI._next_client_id)
         self.resilient = ResilientCaller(
-            server.rpc, self.ctx, random.Random(3000 + self.client_id))
+            server.rpc, self.ctx, RetryJitter(3000 + self.client_id))
         self._req_seq = 0
 
     def _call(self, op, *args, data=b"", layer=Layer.ENTRY_COPYIN):

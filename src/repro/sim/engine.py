@@ -42,7 +42,8 @@ class Simulator:
         self._ready = deque()
         self._seq = count()
         self._live_processes = 0
-        self._live = set()
+        #: Live processes in spawn order (a dict used as an ordered set).
+        self._live = {}
         #: The :class:`Process` whose generator frame is currently being
         #: advanced, or None between resumes.  Synchronous callbacks (CPU
         #: accounting, tracing) read this to attribute work to a process.
@@ -103,7 +104,7 @@ class Simulator:
         """
         proc = Process(self, generator, name=name)
         self._live_processes += 1
-        self._live.add(proc)
+        self._live[proc] = None
         proc.add_callback(self._process_done)
         self.call_soon(proc._resume, None, proc._wait_token)
         # Inline flight-recorder append (bounded deque; no method call
@@ -115,16 +116,17 @@ class Simulator:
 
     def _process_done(self, event):
         self._live_processes -= 1
-        self._live.discard(event)
+        self._live.pop(event, None)
         flight = self.flight
         flight.recorded += 1
         flight.events.append((self._now, "exit", event.name))
 
     def _blocked_report(self):
         """(name, waiting-on) pairs for every live process, for Deadlock
-        diagnostics.  Deterministic order: by process name then id."""
+        diagnostics.  Deterministic order: by process name, and
+        same-named processes in spawn order (the sort is stable)."""
         report = []
-        for proc in sorted(self._live, key=lambda p: (p.name, id(p))):
+        for proc in sorted(self._live, key=lambda p: p.name):
             target = proc.waiting_on
             report.append((proc.name or repr(proc),
                            repr(target) if target is not None else "nothing"))

@@ -225,6 +225,9 @@ def warm_arp(world):
     chatter would teach them.  Measurement sweeps call this so tail
     percentiles measure queueing, not first-contact ARP round trips.
     (Entries still expire at the normal TTL; sweeps are far shorter.)
+    A station's immutable ``(mac, expires)`` entry is one object shared
+    by every cache that computes an equal one, so what a pair of
+    stations costs is a dict slot.
     """
     stations = {}  # wire -> [(ip, mac, cache), ...]
     for host in world.hosts:
@@ -236,9 +239,13 @@ def warm_arp(world):
                 (iface.ip, iface.mac, iface.arp_cache))
     for members in stations.values():
         for ip_addr, mac, _cache in members:
+            shared = None
             for other_ip, _other_mac, cache in members:
                 if other_ip != ip_addr:
-                    cache.insert(ip_addr, mac)
+                    entry = cache.entry(mac)
+                    if entry != shared:
+                        shared = entry
+                    cache.put(ip_addr, shared)
 
 
 def build_world(spec, sim=None, tcp_defaults=None):

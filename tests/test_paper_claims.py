@@ -84,6 +84,18 @@ def test_udp_latency_library_comparable_to_kernel(udp1):
     assert udp1["library-shm-ipf"] <= 1.10 * udp1["mach25"]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the library's UDP send bills socket_layer (20 us) to "
+           "tcp,udp_output although its entry is a procedure call that "
+           "bypasses that layer: 1 331 against mach25's 1 312 us "
+           "(ROADMAP item 2)")
+def test_udp_latency_library_below_kernel(udp1):
+    """Abstract: 1.23 ms vs 1.45 ms — the library's 1-byte UDP round
+    trip is the faster of the two (the paper's headline ordering)."""
+    assert udp1["library-shm-ipf"] < udp1["mach25"]
+
+
 def test_udp_latency_server_twice_library(udp1):
     """Abstract: 'more than twice as fast as a server-based one'."""
     assert udp1["ux"] >= 2.0 * udp1["library-shm-ipf"]

@@ -144,6 +144,20 @@ def test_deadlock_detection_flag(sim):
         sim.run(detect_deadlock=True)
 
 
+def test_deadlock_report_lists_same_named_processes_in_spawn_order(sim):
+    events = [sim.event(name="e%02d" % i) for i in range(30)]
+
+    def stuck(event):
+        yield event
+
+    for event in events:
+        sim.spawn(stuck(event), name="w")
+    with pytest.raises(Deadlock) as info:
+        sim.run(detect_deadlock=True)
+    assert list(info.value.blocked) == [
+        ("w", "<Event e%02d pending>" % i) for i in range(30)]
+
+
 def test_step_returns_false_when_empty(sim):
     assert sim.step() is False
 
