@@ -159,13 +159,12 @@ class EthernetWire:
             # call_later/call_at written out inline (same tuple, same
             # seq draw — schedule-identical), one call pair per frame.
             sim = self._sim
+            item = (self._deliver, (frame, sender, exclude))
             when = sim._now + delay_us
             if when > sim._now:
-                heappush(sim._queue, (when, next(sim._seq),
-                                      self._deliver,
-                                      (frame, sender, exclude)))
+                heappush(sim._queue, (when, next(sim._seq), item))
             else:
-                sim._ready.append((self._deliver, (frame, sender, exclude)))
+                sim._ready.append(item)
         else:
             self._deliver(frame, sender, exclude)
 

@@ -290,8 +290,8 @@ class UnixServer:
     def _crash_now(self):
         """Serve-fault crash hook: only the restartable NetServer knows
         how to crash; on a plain UnixServer the stage is inert.  The
-        crash interrupts this very handler — a stale-token no-op as long
-        as the caller returns immediately afterwards."""
+        crash's interrupt of this very handler is a no-op (it is the
+        running process), so the caller returns by itself."""
         crash = getattr(self, "crash", None)
         if crash is not None and getattr(self, "alive", False):
             crash()

@@ -3,12 +3,14 @@
 The :class:`Simulator` owns a virtual clock (a float, in microseconds by
 convention throughout this project) and two scheduling structures:
 
-* a priority queue (heap) of items scheduled for a *future* time, as
-  ``(when, seq, fn, args)`` tuples — plain tuples beat any class here,
-  both to allocate and to compare;
-* a FIFO ready deque of ``(fn, payload)`` items at the *current* time
-  (``call_soon`` work and triggered-event dispatches), which skips the
-  heap entirely on the zero-delay fast path.
+* a FIFO ready deque of ``(fn, payload)`` items at the *current* time:
+  ``(fn, args)`` calls (``call_soon`` work) and ``(None, event)``
+  dispatches of triggered events;
+* a priority queue (heap) of calls scheduled for a *future* time, as
+  ``(when, seq, (fn, args))`` entries — plain tuples beat any class
+  here, both to allocate and to compare.  An entry's third field is
+  already a ready item, so a time advance moves it to the deque as it
+  is.  The zero-delay fast path skips the heap entirely.
 
 Ties in time on the heap are broken by a global insertion sequence
 number, which makes every run fully deterministic.  Ready items need no
@@ -35,7 +37,7 @@ class Simulator:
 
     def __init__(self):
         self._now = 0.0
-        #: Future work: a heap of (when, seq, fn, args).
+        #: Future work: a heap of (when, seq, (fn, args)).
         self._queue = []
         #: Same-timestamp work: a FIFO of (fn, args) callables and
         #: (None, event) dispatches, all at the current time.
@@ -82,7 +84,7 @@ class Simulator:
     def call_at(self, when, fn, *args):
         """Run ``fn(*args)`` at absolute simulated time ``when``."""
         if when > self._now:
-            heapq.heappush(self._queue, (when, next(self._seq), fn, args))
+            heapq.heappush(self._queue, (when, next(self._seq), (fn, args)))
         elif when == self._now:
             self._ready.append((fn, args))
         else:
@@ -159,12 +161,11 @@ class Simulator:
         queue = self._queue
         if not queue:
             return False
-        when, _seq, fn, args = heapq.heappop(queue)
+        when, _seq, (fn, args) = heapq.heappop(queue)
         self._now = when
         heappop = heapq.heappop
         while queue and queue[0][0] == when:
-            item = heappop(queue)
-            ready.append((item[2], item[3]))
+            ready.append(heappop(queue)[2])
         fn(*args)
         return True
 
@@ -259,11 +260,10 @@ class Simulator:
             # never per ready item.
             if not queue or (until is not None and queue[0][0] > until):
                 break
-            when, _seq, fn, args = heappop(queue)
+            when, _seq, (fn, args) = heappop(queue)
             self._now = when
             while queue and queue[0][0] == when:
-                item = heappop(queue)
-                ready.append((item[2], item[3]))
+                ready.append(heappop(queue)[2])
             fn(*args)
         results = []
         for proc in procs:

@@ -19,38 +19,33 @@ separate holds, so an interrupt waits for at most one layer.
 A process is itself an event that fires with the generator's return value,
 so processes can be joined or waited on like any other event.
 
-Timeouts take an allocation-free fast path: instead of building an
-``Event`` plus a callback closure per timeout, the process schedules its
-own resume directly.  The resume still takes the same two queue hops the
-event path took (fire at the deadline, dispatch one ready item later),
-so the simulated order of every run is bit-identical to the event-based
-implementation — only the wall-clock cost changes.  The first hop is the
-ready deque's own C ``append``: the timer entry's callable appends the
-fire entry, and a fire made stale by an interrupt no-ops on its token
-check, exactly as a skipped hop would have.  :func:`_push_timer` is that
-two-hop push, shared by timeouts and CPU charges.
+Every resume goes through :meth:`Process._step`: send a value into the
+generator (or throw an exception into it), then suspend on what it
+yields.  The engine callbacks that wake a process — its first resume or
+an interrupt, an event it waits on, a timeout or a charge's sleep
+elapsing, the CPU handed to its queued charge — only check that the
+wakeup is still wanted and call ``_step``.
+
+A timeout or a charge's sleep is not an ``Event``: ``_step`` schedules
+the process's own fire method in two queue hops, as a timeout event
+would have been fired and then dispatched.  The heap entry at the
+deadline is the ready deque's C ``append`` with the fire as its
+argument; running it puts the fire behind the items already ready at
+that instant, so the simulated order is the event path's.
+
+A fire carries the process's wait token, and runs only while that token
+is current.  The token is replaced when :meth:`Process.interrupt`
+abandons a wait, and once more when the abandoned wait was a charge's
+sleep (whose fire a CPU grant may have scheduled after the interrupt),
+so a fire scheduled before the interrupt stays dead.  Between
+interrupts a process has at most one live fire, the one of the wait it
+is in.
 """
 
 from heapq import heappush
 
 from repro.sim.errors import Interrupt, SimulationError
 from repro.sim.events import Event, PENDING, SUCCEEDED
-
-
-def _push_timer(sim, delay, fire):
-    """Run ``fire`` = ``(fn, args)`` ``delay`` microseconds from now by
-    the two-hop path (see module docstring).
-
-    Branches on the computed time, exactly as ``call_at`` does: a
-    positive delay small enough to round away must still ride the ready
-    deque, never leave a stale now-entry on the heap.
-    """
-    ready_append = sim._ready.append
-    when = sim._now + delay
-    if when > sim._now:
-        heappush(sim._queue, (when, next(sim._seq), ready_append, (fire,)))
-    else:
-        ready_append((ready_append, (fire,)))
 
 
 class Timeout:
@@ -146,19 +141,25 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time.
 
         Whatever the process was waiting on is abandoned (its eventual
-        trigger is ignored).  Interrupting a finished process is an error.
+        trigger is ignored).  The running process itself waits on
+        nothing, so interrupting it does nothing (a server's crash hook
+        runs in the handler the crash kills).  Interrupting a finished
+        process is an error.
         """
         if not self._alive:
             raise SimulationError("cannot interrupt finished process %r" % self)
+        if self._sim.current is self:
+            return
         token = self._wait_token = object()  # invalidate the pending wait
         self.waiting_on = None  # the abandoned wait must not resume us
-        self._sim.call_soon(self._resume, _Failure(Interrupt(cause)), token)
+        self._sim.call_soon(self._resume, Interrupt(cause), token)
 
     # ------------------------------------------------------------------
+    # Wakeups.  Each checks that it is still wanted, then calls _step.
+    # ------------------------------------------------------------------
 
-    def _resume(self, trigger, token):
-        """Advance the generator.  ``trigger`` is None (first resume), an
-        Event that fired, or a _Failure carrying an exception to throw."""
+    def _resume(self, exc, token):
+        """The first resume (``exc`` None), or an interrupt."""
         if token is not self._wait_token or not self._alive:
             return  # stale wakeup (the process was interrupted meanwhile)
         if self._charge is not None:
@@ -171,6 +172,9 @@ class Process(Event):
             waiter = self._charge_waiter
             if waiter is None:
                 sched.release()
+                # A grant that ran after the interrupt scheduled the
+                # sleep's fire under the interrupt's token: kill it.
+                self._wait_token = object()
             else:
                 sched.withdraw(waiter)
                 if waiter.granted:
@@ -180,142 +184,21 @@ class Process(Event):
                 # reuse it.
                 self._charge_waiter = self._cw = None
             self._charge = None
-        self.waiting_on = None
-        self._sim.current = self
-        try:
-            if trigger is None:
-                target = self._generator.send(None)
-            elif type(trigger) is _Failure:
-                target = self._generator.throw(trigger.exception)
-            elif trigger._state is SUCCEEDED:
-                target = self._generator.send(trigger._value)
-            else:
-                target = self._generator.throw(trigger._value)
-        except StopIteration as stop:
-            self._finish_ok(stop.value)
-            return
-        except BaseException as exc:  # noqa: BLE001 - propagate into waiters
-            self._finish_fail(exc)
-            return
-        finally:
-            self._sim.current = None
-        self._wait_for(target)
+        self._step(None, exc)
 
     def _on_event(self, event):
         """Event-fired callback.  Guarded by identity with the current
         wait target, so a wait abandoned by an interrupt stays dead."""
         if event is self.waiting_on:
-            self._resume(event, self._wait_token)
+            if event._state is SUCCEEDED:
+                self._step(event._value, None)
+            else:
+                self._step(None, event._value)
 
     def _timeout_fire(self, value, token):
-        """Second hop: resume the generator with the timeout's value."""
-        if token is not self._wait_token or not self._alive:
-            return
-        self.waiting_on = None
-        sim = self._sim
-        sim.current = self
-        try:
-            target = self._generator.send(value)
-        except StopIteration as stop:
-            sim.current = None
-            self._finish_ok(stop.value)
-            return
-        except BaseException as exc:  # noqa: BLE001 - propagate into waiters
-            sim.current = None
-            self._finish_fail(exc)
-            return
-        sim.current = None
-        self._wait_for(target)
-
-    def _wait_for(self, target):
-        """Suspend on whatever the generator yielded.
-
-        Loops because a zero-cost :class:`Charge` completes without
-        suspending: the generator is resumed synchronously (exactly as
-        driving an empty charging subgenerator used to behave) and may
-        yield a new target.
-        """
-        gen = self._generator
-        sim = self._sim
-        while True:
-            token = self._wait_token = object()
-            cls = type(target)
-            if cls is Timeout:
-                # Allocation-free fast path: no Event, no callback
-                # closure (see module docstring).
-                self.waiting_on = target
-                _push_timer(sim, target.delay,
-                            (self._timeout_fire, (target.value, token)))
-                return
-            if cls is Charge:
-                status = self._start_charge(target, token)
-                if status is None:
-                    return  # queued for the CPU or sleeping the cost
-            elif cls is Event or cls is Process or isinstance(target, Event):
-                # Exact-class tests first: they are plain bytecode, and
-                # nearly every event wait is a bare Event or a join.
-                self.waiting_on = target
-                target.add_callback(self._event_cb)
-                return
-            else:
-                self._finish_fail(
-                    SimulationError(
-                        "process %r yielded %r; expected Timeout, Charge, "
-                        "Event, or Process" % (self, target)
-                    )
-                )
-                return
-            # The charge finished (or failed) without suspending:
-            # continue the generator within this same engine item.
-            sim.current = self
-            try:
-                if status is True:
-                    target = gen.send(None)
-                else:  # a validation error to raise at the yield site
-                    target = gen.throw(status)
-            except StopIteration as stop:
-                sim.current = None
-                self._finish_ok(stop.value)
-                return
-            except BaseException as exc:  # noqa: BLE001
-                sim.current = None
-                self._finish_fail(exc)
-                return
-            sim.current = None
-
-    # ------------------------------------------------------------------
-    # Charge execution.  One CPU charge = acquire the scheduler lock at
-    # the charge's priority, sleep its cost, release, account.  Every
-    # engine interaction (lock waiter enqueue, hand-off dispatch, timer
-    # hop and fire, release hand-off) consumes sequence numbers at
-    # exactly the moments the equivalent charging subgenerator did, so
-    # the simulated schedule is bit-identical.
-    # ------------------------------------------------------------------
-
-    def _start_charge(self, charge, token):
-        """Begin billing ``charge``.
-
-        Returns None if the process suspended (queued for the CPU or
-        sleeping the cost), True if it cost zero (the charge is
-        complete), or an exception to raise in the generator (negative
-        cost).
-        """
-        cost = charge.cost
-        if cost > 0:
-            self._charge = charge
-            sched = charge.cpu._sched
-            if sched._locked:
-                self._charge_waiter = self.waiting_on = sched.enqueue_charge(
-                    self, charge.priority)
-            else:
-                sched._locked = True
-                self._charge_waiter = None
-                self.waiting_on = charge
-                _push_timer(self._sim, cost, (self._charge_fire, (token,)))
-            return None
-        if cost == 0:
-            return True
-        return ValueError("negative CPU cost: %r" % cost)
+        """A timeout elapsed: resume the generator with its value."""
+        if token is self._wait_token and self._alive:
+            self._step(value, None)
 
     def _charge_granted(self, waiter):
         """The CPU was handed to this process's queued waiter.
@@ -341,19 +224,15 @@ class Process(Event):
                     tracer.record_wait(
                         self.trace_ctx, accounting.owner, charge.layer,
                         "contention", waiter.queued_at, waited)
-        self._charge_waiter = None
-        self.waiting_on = charge
-        _push_timer(self._sim, charge.cost,
-                    (self._charge_fire, (self._wait_token,)))
+        self._step(None, None, charge)
 
     def _charge_fire(self, token):
         """The charge's sleep elapsed: release, account, resume."""
         if token is not self._wait_token or not self._alive:
             return
-        sim = self._sim
-        # The whole fire runs as this process: the tracer reads
+        # The accounting runs as this process: the tracer reads
         # sim.current to attribute spans.
-        sim.current = self
+        self._sim.current = self
         charge = self._charge
         self._charge = None
         cpu = charge.cpu
@@ -368,19 +247,93 @@ class Process(Event):
         tracer = accounting.tracer
         if tracer is not None and tracer.enabled:
             tracer.record(accounting.owner, layer, cost)
+        self._step(None, None)
+
+    # ------------------------------------------------------------------
+
+    def _step(self, value, exc, granted=None):
+        """Send ``value`` into the generator (or throw ``exc``), then
+        suspend on what it yields.
+
+        A charge of zero cost completes without suspending, so the loop
+        resumes the generator again within this same engine item (and a
+        negative cost is thrown back at its yield site).  ``granted`` is
+        the process's queued charge once the CPU is handed to it: the
+        generator is not resumed, the charge's sleep just begins.
+
+        Every engine interaction (a CPU waiter's enqueue, a fire's two
+        hops) draws sequence numbers at exactly the moments a charging
+        subgenerator and timeout events would, so the simulated
+        schedule is bit-identical to theirs.
+        """
+        sim = self._sim
+        target = granted
         self.waiting_on = None
-        try:
-            target = self._generator.send(None)
-        except StopIteration as stop:
-            sim.current = None
-            self._finish_ok(stop.value)
+        while True:
+            if target is None:
+                sim.current = self
+                try:
+                    if exc is None:
+                        target = self._generator.send(value)
+                    else:
+                        target = self._generator.throw(exc)
+                except StopIteration as stop:
+                    sim.current = None
+                    self._finish_ok(stop.value)
+                    return
+                except BaseException as err:  # noqa: BLE001 - propagate into waiters
+                    sim.current = None
+                    self._finish_fail(err)
+                    return
+                sim.current = None
+            cls = type(target)
+            if cls is Charge:
+                delay = target.cost
+                if not delay > 0:
+                    value = exc = target = None
+                    if delay != 0:
+                        exc = ValueError("negative CPU cost: %r" % delay)
+                    continue
+                if granted is None:
+                    sched = target.cpu._sched
+                    self._charge = target
+                    if sched._locked:
+                        self._charge_waiter = self.waiting_on = (
+                            sched.enqueue_charge(self, target.priority))
+                        return
+                    sched._locked = True
+                self._charge_waiter = None
+                fire = (self._charge_fire, (self._wait_token,))
+            elif cls is Timeout:
+                delay = target.delay
+                fire = (self._timeout_fire, (target.value, self._wait_token))
+            elif cls is Event or cls is Process or isinstance(target, Event):
+                # Exact-class tests first: they are plain bytecode, and
+                # nearly every event wait is a bare Event or a join.
+                self.waiting_on = target
+                target.add_callback(self._event_cb)
+                return
+            else:
+                self._finish_fail(
+                    SimulationError(
+                        "process %r yielded %r; expected Timeout, Charge, "
+                        "Event, or Process" % (self, target)
+                    )
+                )
+                return
+            self.waiting_on = target
+            # The fire's two hops.  Branch on the computed time, as
+            # call_at does: a positive delay small enough to round away
+            # must still ride the ready deque, never leave a stale
+            # now-entry on the heap.
+            ready_append = sim._ready.append
+            when = sim._now + delay
+            if when > sim._now:
+                heappush(sim._queue,
+                         (when, next(sim._seq), (ready_append, (fire,))))
+            else:
+                ready_append((ready_append, (fire,)))
             return
-        except BaseException as exc:  # noqa: BLE001 - propagate into waiters
-            sim.current = None
-            self._finish_fail(exc)
-            return
-        sim.current = None
-        self._wait_for(target)
 
     def _finish_ok(self, value):
         self._alive = False
@@ -398,12 +351,3 @@ class Process(Event):
 
     def __repr__(self):
         return "<Process %s %s>" % (self.name, "alive" if self._alive else "done")
-
-
-class _Failure:
-    """Internal marker: resume the generator by throwing an exception."""
-
-    __slots__ = ("exception",)
-
-    def __init__(self, exception):
-        self.exception = exception

@@ -47,28 +47,20 @@ def _watch(monkeypatch):
     """Patch the charge machinery to list every hold a process starts
     straight from the fire of one with the same layer, ledger and
     priority (no event wait or timeout in between)."""
-    fired = {}
     repeats = []
-    fire, start = Process._charge_fire, Process._start_charge
+    fire = Process._charge_fire
 
     def charge_fire(self, token):
-        fired[self] = self._charge
-        try:
-            fire(self, token)
-        finally:
-            fired.pop(self, None)
-
-    def start_charge(self, charge, token):
-        prev = fired.get(self)
-        if prev is not None and charge.cost > 0:
-            del fired[self]
-            if (prev.layer, prev.accounting, prev.priority) == (
-                    charge.layer, charge.accounting, charge.priority):
-                repeats.append((self.name, charge.layer))
-        return start(self, charge, token)
+        prev = self._charge
+        fire(self, token)
+        # A charge in flight after the fire is the hold it started.
+        started = self._charge
+        if prev is not None and started is not None and (
+                prev.layer, prev.accounting, prev.priority) == (
+                started.layer, started.accounting, started.priority):
+            repeats.append((self.name, started.layer))
 
     monkeypatch.setattr(Process, "_charge_fire", charge_fire)
-    monkeypatch.setattr(Process, "_start_charge", start_charge)
     return repeats
 
 

@@ -142,6 +142,38 @@ def test_interrupt_while_queued_withdraws_waiter(sim):
     assert ctx.cpu._sched.waiting() == 0
 
 
+def test_interrupt_after_the_cpu_was_handed_over(sim):
+    """The holder's release hands the CPU to the queued victim and the
+    interrupt lands later in the same instant: the victim gives back the
+    CPU it was handed, and the sleep it abandoned never fires."""
+    ctx = make_ctx(sim)
+    log = []
+
+    def holder():
+        yield ctx.charge("h", 10.0)
+
+    def queued():
+        try:
+            yield ctx.charge("q", 5.0)
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+        yield Timeout(20.0)
+        log.append(("woke", sim.now))
+
+    sim.spawn(holder())
+    victim = sim.spawn(queued())
+
+    def killer():
+        yield Timeout(10.0)  # due with the holder's fire, and behind it
+        victim.interrupt()
+
+    sim.spawn(killer())
+    sim.run()
+    assert log == [("interrupted", 10.0), ("woke", 30.0)]
+    assert ctx.cpu.charge_count == 1
+    assert not ctx.cpu._sched.locked
+
+
 def test_cached_charge_shared_between_processes(sim):
     ctx = make_ctx(sim)
     finishes = []

@@ -132,3 +132,60 @@ def test_immediate_return_process(sim):
         yield  # pragma: no cover
 
     assert sim.run_process(instant()) == "now"
+
+
+def test_two_interrupts_at_one_instant_deliver_the_second(sim):
+    """The second interrupt replaces the first's wait token, so only
+    one Interrupt is thrown, carrying the second cause."""
+    log = []
+
+    def sleeper():
+        try:
+            yield Timeout(1000)
+        except Interrupt as intr:
+            log.append(("intr", intr.cause, sim.now))
+        yield Timeout(100)
+        log.append(("woke", sim.now))
+
+    proc = sim.spawn(sleeper())
+
+    def interrupter():
+        yield Timeout(10)
+        proc.interrupt("first")
+        proc.interrupt("second")
+
+    sim.spawn(interrupter())
+    sim.run()
+    assert log == [("intr", "second", 10.0), ("woke", 110.0)]
+
+
+def test_rewait_on_the_abandoned_deadline_resumes_once(sim):
+    """Interrupted at t=10, the process sleeps to t=100 again: the
+    abandoned timeout's fire lands at the same instant and stays dead."""
+    resumes = []
+
+    def sleeper():
+        try:
+            yield Timeout(100)
+        except Interrupt:
+            pass
+        yield Timeout(90)
+        resumes.append(sim.now)
+        yield Timeout(1000)
+        resumes.append(sim.now)
+
+    proc = sim.spawn(sleeper())
+    sim.call_later(10, proc.interrupt)
+    sim.run()
+    assert resumes == [100.0, 1100.0]
+
+
+def test_interrupting_itself_is_a_no_op(sim):
+    """The running process waits on nothing, so there is nothing to
+    abandon: its next wait runs out as if no interrupt was made."""
+    def selfish():
+        sim.current.interrupt("ignored")
+        yield Timeout(5)
+        return sim.now
+
+    assert sim.run_process(selfish()) == 5.0
