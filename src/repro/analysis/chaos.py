@@ -30,7 +30,6 @@ CI runs the blocking subset (``--ci``: 3 scenarios x 3 seeds); the full
 """
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -296,14 +295,6 @@ def run_scenario(scenario_id, seed, verbose=False, post_mortem=None):
     config, workload, family = scenario_id.split("/")
     if config not in FAMILY_CONFIGS[family]:
         raise ValueError("scenario %r is not in the matrix" % scenario_id)
-    # Pin the process-global id counters: app ids seed the per-app retry
-    # jitter rngs, so a scenario must see the same id space whether it is
-    # the first run in this process or the fiftieth — otherwise the
-    # printed reproducer could not reproduce.
-    from repro.core.library import ProtocolLibrary
-    from repro.osserver.unix_server import ServerSocketAPI
-    ProtocolLibrary._next_app_id = 1
-    ServerSocketAPI._next_client_id = itertools.count(1)
     spec = CONFIGS[config]
     wplan = wire_plan(family, seed)
     cplan = control_plan(family, seed)

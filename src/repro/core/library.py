@@ -37,8 +37,6 @@ PF_VARIANTS = (PF_IPC, PF_SHM, PF_SHM_IPF)
 class ProtocolLibrary:
     """One application's protocol library."""
 
-    _next_app_id = 1
-
     def __init__(self, host, server_rpc, pf_variant=PF_SHM_IPF,
                  shared_buffers=False, accounting=None, tcp_defaults=None,
                  name=None):
@@ -50,8 +48,7 @@ class ProtocolLibrary:
             )
         self.host = host
         self.pf_variant = pf_variant
-        self.app_id = ProtocolLibrary._next_app_id
-        ProtocolLibrary._next_app_id += 1
+        self.app_id = host.sim.next_id("app")
         self.name = name or ("%s.lib%d" % (host.name, self.app_id))
         sim = host.sim
         self.accounting = accounting or LayerAccounting()

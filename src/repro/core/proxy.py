@@ -112,7 +112,7 @@ class ProxySocketAPI(SocketAPI):
         #: the retried ``proxy_return`` replays the state.
         self._migrating = {}
         #: All proxy RPCs go through one :class:`ResilientCaller`;
-        #: request ids are (app_id, sid, seq).
+        #: request ids are (app_id, seq), one sequence space per app.
         self.resilient = ResilientCaller(
             self.rpc, self.ctx, self._retry_rng, gate=self._gate)
         self._req_seq = 0
@@ -130,12 +130,13 @@ class ProxySocketAPI(SocketAPI):
         """Entering the proxy is a procedure call, not a trap."""
         yield self.ctx.charge(layer, self.ctx.params.proc_call)
 
-    def _rpc(self, op, *args, sid=0, data=b"", layer=Layer.ENTRY_COPYIN):
-        """One logical proxy op: stamped with a fresh (app, sid, seq)
-        request id so retries and fault-duplicates replay server-side
-        instead of re-running side effects."""
+    def _rpc(self, op, *args, data=b"", layer=Layer.ENTRY_COPYIN):
+        """One logical proxy op: stamped with a fresh (app, seq) request
+        id so retries and fault-duplicates replay server-side instead of
+        re-running side effects.  The id names no session: the app's
+        next op acknowledges the reply, even the last of a closed one."""
         self._req_seq += 1
-        req_id = (self.app_id, sid, self._req_seq)
+        req_id = (self.app_id, self._req_seq)
         result = yield from self.resilient.call(
             op, args=args, data=data, layer=layer, req_id=req_id,
         )
@@ -304,8 +305,7 @@ class ProxySocketAPI(SocketAPI):
         yield from self._proxy_entry()
         if psock.mode != "embryonic":
             raise SocketError("socket already bound")
-        lport, receiver = yield from self._rpc("proxy_bind", psock.sid, port,
-                                               sid=psock.sid)
+        lport, receiver = yield from self._rpc("proxy_bind", psock.sid, port)
         psock.lport = lport
         if psock.kind == SOCK_DGRAM:
             # A bound UDP session migrates to the application immediately.
@@ -324,7 +324,7 @@ class ProxySocketAPI(SocketAPI):
             self.library.detach_input(psock.input_key)
             yield from psock.session.close()
         result = yield from self._rpc("proxy_connect", psock.sid, addr,
-                                      psock.opts, sid=psock.sid)
+                                      psock.opts)
         if psock.kind == SOCK_DGRAM:
             psock.lport, receiver = result
             psock.remote = tuple(addr)
@@ -339,7 +339,7 @@ class ProxySocketAPI(SocketAPI):
         psock = self.fds.get(fd).payload
         yield from self._proxy_entry()
         psock.lport, psock.server_handle = yield from self._rpc(
-            "proxy_listen", psock.sid, backlog, psock.opts, sid=psock.sid
+            "proxy_listen", psock.sid, backlog, psock.opts
         )
         psock.mode = "server"  # listeners stay with the OS server
         psock.backlog = backlog
@@ -348,7 +348,7 @@ class ProxySocketAPI(SocketAPI):
         listener = self.fds.get(fd).payload
         yield from self._proxy_entry()
         child_sid, remote, state, receiver = yield from self._rpc(
-            "proxy_accept", listener.sid, self.app_id, sid=listener.sid
+            "proxy_accept", listener.sid, self.app_id
         )
         psock = ProxySocket(child_sid, SOCK_STREAM)
         psock.lport = listener.lport
@@ -372,8 +372,7 @@ class ProxySocketAPI(SocketAPI):
                 and psock.kind == SOCK_DGRAM):
             # BSD auto-binds: the session gets an ephemeral port and
             # migrates into the application on first use.
-            lport, receiver = yield from self._rpc("proxy_bind", psock.sid, 0,
-                                                   sid=psock.sid)
+            lport, receiver = yield from self._rpc("proxy_bind", psock.sid, 0)
             psock.lport = lport
             self._adopt_udp(psock, receiver)
         if psock.mode == "app":
@@ -388,10 +387,10 @@ class ProxySocketAPI(SocketAPI):
         if psock.mode == "server":
             if addr is None:
                 n = yield from self._rpc("send", psock.server_handle,
-                                         data=bytes(data), sid=psock.sid)
+                                         data=bytes(data))
             else:
                 n = yield from self._rpc("sendto", psock.server_handle, addr,
-                                         data=bytes(data), sid=psock.sid)
+                                         data=bytes(data))
             return n
         raise SocketError("send on unconnected socket")
 
@@ -406,7 +405,7 @@ class ProxySocketAPI(SocketAPI):
             return data
         if psock.mode == "server":
             data = yield from self._rpc(
-                "recv", psock.server_handle, max_bytes, sid=psock.sid,
+                "recv", psock.server_handle, max_bytes,
                 layer=Layer.COPYOUT_EXIT,
             )
             return data
@@ -420,7 +419,7 @@ class ProxySocketAPI(SocketAPI):
             return received
         if psock.mode == "server":
             src, data = yield from self._rpc(
-                "recvfrom", psock.server_handle, sid=psock.sid,
+                "recvfrom", psock.server_handle,
                 layer=Layer.COPYOUT_EXIT,
             )
             return data, src
@@ -438,8 +437,7 @@ class ProxySocketAPI(SocketAPI):
         if psock.mode == "app" and psock.kind == SOCK_STREAM:
             yield from psock.session.shutdown()
         elif psock.mode == "server":
-            yield from self._rpc("shutdown", psock.server_handle,
-                                 sid=psock.sid)
+            yield from self._rpc("shutdown", psock.server_handle)
         else:
             raise SocketError("shutdown on a non-stream or unconnected fd")
 
@@ -451,13 +449,11 @@ class ProxySocketAPI(SocketAPI):
         yield from self._proxy_entry()
         if psock.mode == "app":
             state = yield from self._withdraw(psock, self._closing)
-            yield from self._rpc("proxy_close", psock.sid, state,
-                                 sid=psock.sid)
+            yield from self._rpc("proxy_close", psock.sid, state)
             self._closing.pop(psock.sid, None)
             self._detach(psock)
         elif psock.mode in ("server", "embryonic"):
-            yield from self._rpc("proxy_close", psock.sid, None,
-                                 sid=psock.sid)
+            yield from self._rpc("proxy_close", psock.sid, None)
         psock.mode = "closed"
 
     def migrate_to_server(self, fd):
@@ -474,8 +470,7 @@ class ProxySocketAPI(SocketAPI):
             return
         state = yield from self._withdraw(psock, self._migrating)
         try:
-            handle = yield from self._rpc("proxy_return", psock.sid, state,
-                                          sid=psock.sid)
+            handle = yield from self._rpc("proxy_return", psock.sid, state)
         finally:
             self._migrating.pop(psock.sid, None)
         self._detach(psock)
@@ -521,7 +516,7 @@ class ProxySocketAPI(SocketAPI):
             set_option(psock.session, option, value)
         elif psock.mode == "server":
             yield from self._rpc("setsockopt", psock.server_handle, option,
-                                 value, sid=psock.sid)
+                                 value)
 
     def select(self, read_fds, write_fds=(), timeout=None):
         yield from self._proxy_entry()

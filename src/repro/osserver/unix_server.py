@@ -6,6 +6,13 @@ from the kernel's packet filter as IPC.  Control and data therefore cross
 "twice as many protection boundaries" as in-kernel protocols, and the
 server's internal synchronization is the heavyweight simulated-spl
 package — the two effects Table 4 charges the server placement for.
+
+Each request id is ``caller + (seq,)``.  The server runs an id at most
+once per incarnation and answers a duplicate with the first reply.  As
+in Birrell & Nelson's RPC, a caller's next request acknowledges its
+earlier replies, so a reply is kept only until that caller's next
+request starts (see :meth:`UnixServer._handle`), not for a fixed count
+of newer requests from anyone.
 """
 
 from itertools import count
@@ -33,12 +40,6 @@ from repro.core.sockets import (
 #: per byte (Table 4's kernel copyout row for the server barely grows
 #: with message size).
 REMAP_PER_BYTE = 0.024
-
-#: Completed request-id results remembered per incarnation, so retried or
-#: fault-duplicated RPCs replay their reply instead of re-running side
-#: effects.  FIFO-evicted; a crash wipes it (retries then re-execute
-#: against re-registered state, which is the documented semantics).
-REPLAY_CACHE_LIMIT = 512
 
 #: An op taking longer than this (simulated microseconds, dispatch to
 #: reply-ready) earns an entry in the bounded slow-op log.
@@ -129,9 +130,9 @@ class UnixServer:
         if old_port is not None:
             # An attached fault plan survives the incarnation.
             self._input_port.faults = old_port.faults
-        #: req_id -> (result, reply_len) for completed requests, oldest
-        #: first (the dict's insertion order is the FIFO eviction order);
-        #: see REPLAY_CACHE_LIMIT.
+        #: caller -> {seq: (result, reply_len)}: completed requests not
+        #: yet acknowledged.  A crash wipes it (retries then re-execute
+        #: against re-registered state, the documented semantics).
         self._replay_cache = {}
         #: req_id -> [held duplicate Messages] while the original handler
         #: is still running; they are answered when it completes.
@@ -188,13 +189,35 @@ class UnixServer:
                 self._inflight[message] = proc
 
     def _handle(self, message):
+        """Serve one request, running each id at most once.
+
+        A duplicate of a running request is held and answered with it;
+        one of a completed request gets the cached reply.  Starting a
+        caller's request drops that caller's cached replies with a lower
+        sequence number, so the cache holds about one reply per caller.
+        A duplicate or a retry still finds its reply:
+
+        * ``RPCPort.call`` enqueues a fault-made duplicate directly
+          behind its original in the one FIFO request channel (an
+          ``RpcDelay`` delays both copies together), so it is served
+          before the caller's next request;
+        * ``ResilientCaller`` re-sends an id only after ``ServerCrashed``.
+          A crash wipes the cache anyway.  Its ``DeadlineExpired`` and
+          ``ServerBusy`` subclasses re-send from the process still
+          waiting on that id, before that process sends anything newer.
+          Only another process sharing the caller's id space can start
+          a newer request meanwhile; the op then runs again, as an id
+          evicted from a bounded cache did.
+        """
         # The handler runs in its own process; pick up the request's
         # packet trace so server-side charges join the right timeline.
         adopt_trace(self.host.sim, message.trace)
         rid = message.req_id
         try:
             if rid is not None:
-                cached = self._replay_cache.get(rid)
+                caller, seq = rid[:-1], rid[-1]
+                kept = self._replay_cache.get(caller)
+                cached = kept.get(seq) if kept else None
                 if cached is not None:
                     # Duplicate of a completed request: replay the reply,
                     # never the side effects (at-most-once execution per
@@ -220,6 +243,9 @@ class UnixServer:
                     waiters.append(message)
                     return
                 self._replay_inflight[rid] = []
+                if kept:
+                    self._replay_cache[caller] = {
+                        s: r for s, r in kept.items() if s > seq}
             crash_after = None
             t0 = self.host.sim.now
             try:
@@ -264,7 +290,8 @@ class UnixServer:
                 self._crash_now()
                 return
             if rid is not None and not isinstance(result, BaseException):
-                self._remember_reply(rid, result, reply_len)
+                self._replay_cache.setdefault(caller, {})[seq] = (
+                    result, reply_len)
             replies = [message]
             if rid is not None:
                 replies.extend(self._replay_inflight.pop(rid, ()))
@@ -278,14 +305,6 @@ class UnixServer:
                 return
         finally:
             self._inflight.pop(message, None)
-
-    def _remember_reply(self, rid, result, reply_len):
-        cache = self._replay_cache
-        if rid in cache:
-            return
-        if len(cache) >= REPLAY_CACHE_LIMIT:
-            del cache[next(iter(cache))]
-        cache[rid] = (result, reply_len)
 
     def _crash_now(self):
         """Serve-fault crash hook: only the restartable NetServer knows
@@ -448,8 +467,6 @@ class ServerSocketAPI(SocketAPI):
     ``rpc.call`` (the retry loop costs nothing in simulated time).
     """
 
-    _next_client_id = count(1)
-
     def __init__(self, server):
         super().__init__()
         from repro.core.resilience import ResilientCaller, RetryJitter
@@ -464,7 +481,7 @@ class ServerSocketAPI(SocketAPI):
             crossings=server.ctx.crossings,
             name="%s.app" % host.name,
         )
-        self.client_id = next(ServerSocketAPI._next_client_id)
+        self.client_id = host.sim.next_id("ux")
         self.resilient = ResilientCaller(
             server.rpc, self.ctx, RetryJitter(3000 + self.client_id))
         self._req_seq = 0

@@ -54,6 +54,15 @@ class Simulator:
         #: spawn/exit events are appended inline below; layers note
         #: their own rare events via ``sim.flight.note(...)``.
         self.flight = FlightRecorder(self)
+        #: Id space -> last id handed out (see :meth:`next_id`).
+        self._ids = {}
+
+    def next_id(self, space):
+        """The next id, from 1, in this world's id space ``space``
+        (library app ids, server-API client ids): a world numbers its
+        clients the same whatever was built before it in the process."""
+        n = self._ids[space] = self._ids.get(space, 0) + 1
+        return n
 
     @property
     def now(self):

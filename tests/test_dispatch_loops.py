@@ -9,7 +9,6 @@ the same instants.
 
 from repro.analysis import tailstudy
 from repro.apps.protolat import protolat
-from repro.core.library import ProtocolLibrary
 from repro.sim.engine import Simulator
 from repro.sim.events import PENDING
 from repro.sim.process import Process
@@ -44,12 +43,8 @@ def _both_ways(monkeypatch, run):
         fire(self, token)
 
     monkeypatch.setattr(Process, "_charge_fire", charge_fire)
-    # Library apps are numbered process-wide: the second run reuses the
-    # first's numbers, so its processes carry the same names.
-    first_app_id = ProtocolLibrary._next_app_id
     inlined = run(), list(holds)
     del holds[:]
-    monkeypatch.setattr(ProtocolLibrary, "_next_app_id", first_app_id)
     monkeypatch.setattr(Simulator, "run_all", _run_all_by_step)
     stepped = run(), list(holds)
     assert inlined[1], "no CPU hold was recorded"

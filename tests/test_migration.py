@@ -495,3 +495,8 @@ def test_churn_leaves_nothing_behind_after_2msl(placement):
     _churn(net, api_a, listen_fd, api_b)
     net.sim.run(until=net.sim.now + TWO_MSL_US + 1_000_000)
     assert _census(net, (pa, pb)) == after_listen
+    # Each caller's next request acknowledged its earlier replies: no
+    # server keeps a reply (a recv payload, a migration state) past it.
+    for side in (pa, pb):
+        cache = getattr(side._backend, "_replay_cache", {})
+        assert all(len(replies) <= 1 for replies in cache.values()), cache

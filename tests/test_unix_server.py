@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.apps.ttcp import ttcp
 from repro.core.sockets import SOCK_DGRAM, SOCK_STREAM, SocketError
 from repro.net.addr import ip_aton
-from repro.osserver.unix_server import REPLAY_CACHE_LIMIT
 from repro.world.configs import build_network
 
 IP1 = ip_aton("10.0.0.1")
@@ -121,34 +121,63 @@ def test_health_snapshot_reports_op_latency_at_one_precision(ux_world):
                   "max_us": 23934.684}
 
 
-def test_replay_cache_evicts_oldest_first(ux_world):
-    """The replay cache holds the last REPLAY_CACHE_LIMIT replies: once
-    one more request has completed, a duplicate of the oldest runs again
-    (a fresh descriptor), a duplicate of the newest is replayed."""
+def _socket_rpc(api, server, req_id):
+    handle = yield from server.rpc.call(
+        api.ctx, "socket", args=(SOCK_DGRAM,), req_id=req_id)
+    return handle
+
+
+def test_duplicate_is_replayed_until_its_caller_sends_again(ux_world):
+    """A re-sent id of a completed request gets the original reply while
+    its caller has sent nothing newer, even after other callers' ops."""
     net, pa, _pb = ux_world
     api = pa.new_app()
     server = pa.server
 
-    def socket(i):
-        handle = yield from server.rpc.call(
-            api.ctx, "socket", args=(SOCK_DGRAM,), req_id=("evict", i))
-        return handle
+    def prog():
+        first = yield from _socket_rpc(api, server, ("a", 1))
+        for i in range(3):
+            yield from _socket_rpc(api, server, ("b", i))
+        replays = server.replays_served
+        again = yield from _socket_rpc(api, server, ("a", 1))
+        return first, again, server.replays_served - replays
+
+    first, again, replayed = net.run_all([prog()], until=BOUND)[0]
+    assert again == first
+    assert replayed == 1
+
+
+def test_next_request_acknowledges_the_older_reply(ux_world):
+    """Once the caller's next request has been served, its older reply is
+    gone: re-sending the older id runs the operation again (a fresh
+    descriptor), as an id evicted from a bounded cache did."""
+    net, pa, _pb = ux_world
+    api = pa.new_app()
+    server = pa.server
 
     def prog():
-        handles = []
-        for i in range(REPLAY_CACHE_LIMIT + 1):
-            handles.append((yield from socket(i)))
+        first = yield from _socket_rpc(api, server, ("a", 1))
+        second = yield from _socket_rpc(api, server, ("a", 2))
         replays = server.replays_served
-        oldest = yield from socket(0)
-        newest = yield from socket(REPLAY_CACHE_LIMIT)
-        return handles, oldest, newest, server.replays_served - replays
+        again = yield from _socket_rpc(api, server, ("a", 1))
+        return first, second, again, server.replays_served - replays
 
-    handles, oldest, newest, replayed = net.run_all([prog()], until=BOUND)[0]
-    assert len(set(handles)) == len(handles)
-    assert oldest not in handles  # evicted: executed again
-    assert newest == handles[-1]  # cached: the original reply
-    assert replayed == 1
-    assert len(server._replay_cache) == REPLAY_CACHE_LIMIT
+    first, second, again, replayed = net.run_all([prog()], until=BOUND)[0]
+    assert len({first, second, again}) == 3
+    assert replayed == 0
+    assert server._replay_cache[("a",)] == {1: (again, 0), 2: (second, 0)}
+
+
+def test_ttcp_leaves_at_most_one_reply_per_caller(ux_world):
+    """Every recv reply carries its payload; after a 1 MB transfer the
+    server keeps only each caller's newest reply, not the recent recvs."""
+    net, pa, pb = ux_world
+    result = ttcp(net, pa, pb, total_bytes=1 << 20)
+    assert result.bytes_moved == 1 << 20
+    for server in (pa.server, pb.server):
+        cache = server._replay_cache
+        assert cache
+        assert all(len(replies) <= 1 for replies in cache.values()), cache
 
 
 def test_udp_data_path_goes_through_server(ux_world):
