@@ -64,6 +64,9 @@ class ResilientCaller:
         self.gate = gate
         self._sim = rpc._sim
         self.retries = 0
+        #: Sequence numbers of the request ids now in flight, from every
+        #: process calling through this caller (see :meth:`_call`).
+        self._outstanding = set()
 
     def call(self, op, args=(), data=b"", layer="rpc", req_id=None,
              ctx=None):
@@ -98,25 +101,36 @@ class ResilientCaller:
         return result
 
     def _call(self, ctx, op, args, data, layer, req_id):
+        """The retry loop.  Each attempt carries the caller's lowest
+        outstanding seq, acknowledging the replies below it; a sibling
+        process may still wait on an older id, so it may not be ours."""
         rpc = self.rpc
         delay = BACKOFF_BASE_US
-        for attempt in range(RETRY_LIMIT):
-            if rpc.broken:
-                yield rpc.wait_reopen()
-            if self.gate is not None:
-                event = self.gate()
-                if event is not None:
-                    yield event
-            try:
-                result = yield from rpc.call(
-                    ctx, op, args=args, data=data, layer=layer,
-                    req_id=req_id)
-            except ServerCrashed:
-                if attempt == RETRY_LIMIT - 1:
-                    raise
-                rpc.retried_calls += 1
-                self.retries += 1
-                yield Timeout(delay * (0.5 + self.rng.random()))
-                delay = min(delay * 2, BACKOFF_MAX_US)
-            else:
-                return result
+        outstanding = self._outstanding
+        if req_id is not None:
+            outstanding.add(req_id[-1])
+        try:
+            for attempt in range(RETRY_LIMIT):
+                if rpc.broken:
+                    yield rpc.wait_reopen()
+                if self.gate is not None:
+                    event = self.gate()
+                    if event is not None:
+                        yield event
+                try:
+                    result = yield from rpc.call(
+                        ctx, op, args=args, data=data, layer=layer,
+                        req_id=req_id,
+                        acked=min(outstanding) if req_id else None)
+                except ServerCrashed:
+                    if attempt == RETRY_LIMIT - 1:
+                        raise
+                    rpc.retried_calls += 1
+                    self.retries += 1
+                    yield Timeout(delay * (0.5 + self.rng.random()))
+                    delay = min(delay * 2, BACKOFF_MAX_US)
+                else:
+                    return result
+        finally:
+            if req_id is not None:
+                outstanding.discard(req_id[-1])

@@ -36,7 +36,8 @@ class DeadlineExpired(ServerCrashed):
     """An RPC was abandoned at its per-attempt deadline.
 
     The reply (if one ever comes) is dropped; the caller may retry with
-    the same request id, which the server's replay cache deduplicates.
+    the same request id, which the server's replay cache deduplicates:
+    the id stays outstanding, so no request of its caller acknowledges it.
     """
 
 
@@ -55,10 +56,10 @@ class Message:
     """One IPC message (an RPC request when it carries a reply event)."""
 
     __slots__ = ("op", "args", "data", "data_len", "reply_event", "trace",
-                 "req_id")
+                 "req_id", "acked")
 
     def __init__(self, op, args=(), data=b"", data_len=None, reply_event=None,
-                 trace=None, req_id=None):
+                 trace=None, req_id=None, acked=None):
         self.op = op
         self.args = args
         self.data = data
@@ -67,11 +68,16 @@ class Message:
         #: Packet-trace id this message is part of (see :mod:`repro.trace`);
         #: stamped at send time, adopted by the receiving process.
         self.trace = trace
-        #: Idempotency key for at-least-once delivery: retried or
-        #: fault-duplicated requests carry the same id, and the server's
-        #: replay cache guarantees the handler's side effects run once
-        #: per id per incarnation.  None (the default) opts out.
+        #: Idempotency key for at-least-once delivery, ``caller + (seq,)``:
+        #: retried or fault-duplicated requests carry the same id, and the
+        #: server's replay cache runs the handler's side effects once per
+        #: id per incarnation while the id is unacknowledged.  None (the
+        #: default) opts out.
         self.req_id = req_id
+        #: The sender's lowest outstanding seq: it is done with every
+        #: lower seq of its caller, whose replies the server may drop.
+        #: None acknowledges nothing.
+        self.acked = acked
 
     def __repr__(self):
         return "<Message %s len=%d>" % (self.op, self.data_len)
@@ -223,7 +229,8 @@ class RPCPort:
     # Client side
     # ------------------------------------------------------------------
 
-    def call(self, ctx, op, args=(), data=b"", layer="rpc", req_id=None):
+    def call(self, ctx, op, args=(), data=b"", layer="rpc", req_id=None,
+             acked=None):
         """Synchronous RPC: send a request, block for the reply.
 
         Charges the client side's costs: trap in, stub, message, and two
@@ -231,8 +238,8 @@ class RPCPort:
         server replies with an exception instance, it is re-raised here —
         errors cross the RPC boundary like any BSD errno would.
 
-        ``req_id`` travels with the request for the server's replay cache
-        (idempotent at-least-once delivery).  An attached fault
+        ``req_id`` and ``acked`` travel with the request for the server's
+        replay cache (idempotent at-least-once delivery).  An attached fault
         plan bounds the reply wait with its per-op deadline: past it the
         call is abandoned with :class:`DeadlineExpired` and a late reply
         is counted in ``replies_dropped``.  Without a plan no timer is
@@ -264,7 +271,8 @@ class RPCPort:
         reply_event = self._sim.event("%s.reply" % self.name)
         message = Message(op, args=args, data=bytes(data),
                           reply_event=reply_event,
-                          trace=current_trace(self._sim), req_id=req_id)
+                          trace=current_trace(self._sim), req_id=req_id,
+                          acked=acked)
         if not dropped:
             self._requests.try_put(message)
             self.calls += 1
@@ -275,7 +283,7 @@ class RPCPort:
                 self._requests.try_put(
                     Message(op, args=args, data=message.data,
                             reply_event=reply_event, trace=message.trace,
-                            req_id=req_id))
+                            req_id=req_id, acked=acked))
         if deadline_us is not None:
             timer = self._sim.timeout(deadline_us)
             winner, value = yield any_of(self._sim, [reply_event, timer])

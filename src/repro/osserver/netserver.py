@@ -710,6 +710,9 @@ class NetServer(UnixServer):
             )
             record.mode = "closed"
         self._apps.pop(app_id, None)
+        # A dead app sends nothing more, so nothing acknowledges its last
+        # reply (a recv payload, a migration state): drop it here.
+        self._replay_cache.pop((app_id,), None)
 
     def _send_abort_rst(self, record):
         """Reset the remote peer of a dead application's connection.

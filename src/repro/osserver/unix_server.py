@@ -9,10 +9,10 @@ package — the two effects Table 4 charges the server placement for.
 
 Each request id is ``caller + (seq,)``.  The server runs an id at most
 once per incarnation and answers a duplicate with the first reply.  As
-in Birrell & Nelson's RPC, a caller's next request acknowledges its
-earlier replies, so a reply is kept only until that caller's next
-request starts (see :meth:`UnixServer._handle`), not for a fixed count
-of newer requests from anyone.
+in Birrell & Nelson's RPC, a caller's later request acknowledges its
+earlier replies: each request carries the caller's lowest outstanding
+seq, and the server drops the caller's replies below it (see
+:meth:`UnixServer._handle`).
 """
 
 from itertools import count
@@ -131,8 +131,9 @@ class UnixServer:
             # An attached fault plan survives the incarnation.
             self._input_port.faults = old_port.faults
         #: caller -> {seq: (result, reply_len)}: completed requests not
-        #: yet acknowledged.  A crash wipes it (retries then re-execute
-        #: against re-registered state, the documented semantics).
+        #: yet acknowledged; a caller with none has no key.  A crash
+        #: wipes it (retries then re-execute against re-registered
+        #: state, the documented semantics).
         self._replay_cache = {}
         #: req_id -> [held duplicate Messages] while the original handler
         #: is still running; they are answered when it completes.
@@ -193,21 +194,21 @@ class UnixServer:
 
         A duplicate of a running request is held and answered with it;
         one of a completed request gets the cached reply.  Starting a
-        caller's request drops that caller's cached replies with a lower
-        sequence number, so the cache holds about one reply per caller.
+        new request drops its caller's cached replies with a seq below
+        the request's ``acked`` mark, the caller's lowest outstanding
+        seq, so the cache holds about one reply per outstanding call.
         A duplicate or a retry still finds its reply:
 
+        * ``ResilientCaller`` re-sends an id (after ``ServerCrashed``,
+          ``DeadlineExpired`` or ``ServerBusy``) only while the id is
+          outstanding, so no mark passes it: a sibling process sharing
+          the caller acknowledges nothing at or above it.  A crash
+          wipes the cache anyway;
         * ``RPCPort.call`` enqueues a fault-made duplicate directly
           behind its original in the one FIFO request channel (an
-          ``RpcDelay`` delays both copies together), so it is served
-          before the caller's next request;
-        * ``ResilientCaller`` re-sends an id only after ``ServerCrashed``.
-          A crash wipes the cache anyway.  Its ``DeadlineExpired`` and
-          ``ServerBusy`` subclasses re-send from the process still
-          waiting on that id, before that process sends anything newer.
-          Only another process sharing the caller's id space can start
-          a newer request meanwhile; the op then runs again, as an id
-          evicted from a bounded cache did.
+          ``RpcDelay`` delays both copies together) and a retry behind
+          the attempt before it, so every copy of an id is served before
+          any request sent once the caller is done with the id.
         """
         # The handler runs in its own process; pick up the request's
         # packet trace so server-side charges join the right timeline.
@@ -243,9 +244,11 @@ class UnixServer:
                     waiters.append(message)
                     return
                 self._replay_inflight[rid] = []
-                if kept:
-                    self._replay_cache[caller] = {
-                        s: r for s, r in kept.items() if s > seq}
+                if kept and message.acked is not None:
+                    for done in [s for s in kept if s < message.acked]:
+                        del kept[done]
+                    if not kept:
+                        del self._replay_cache[caller]
             crash_after = None
             t0 = self.host.sim.now
             try:

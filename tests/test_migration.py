@@ -276,6 +276,8 @@ def test_app_death_aborts_sessions_and_quarantines_ports(world):
 
     net.run_all([server(), client_then_die()], until=BOUND)
     assert pb.server.aborted_for_death == 1
+    # Nothing will acknowledge the dead app's last reply: it is dropped.
+    assert (api_b.library.app_id,) not in pb.server._replay_cache
     assert len(pb.server.quarantined_ports) == 1
     # The quarantined port cannot be rebound immediately.
     port = next(iter(pb.server.quarantined_ports))

@@ -4,11 +4,25 @@ import pytest
 
 from repro.apps.ttcp import ttcp
 from repro.core.sockets import SOCK_DGRAM, SOCK_STREAM, SocketError
+from repro.faults import FaultPlan, RpcReplyDelay
 from repro.net.addr import ip_aton
 from repro.world.configs import build_network
 
 IP1 = ip_aton("10.0.0.1")
+IP2 = ip_aton("10.0.0.2")
 BOUND = 200_000_000
+
+
+class _FirstReplyLate(RpcReplyDelay):
+    """Delay only the first reply to ``op``, past the caller's deadline."""
+
+    def __init__(self, op, delay_us):
+        super().__init__(rate=1.0, delay_us=delay_us, ops=(op,))
+
+    def on_message(self, port, op, rng):
+        if self.delayed:
+            return None
+        return super().on_message(port, op, rng)
 
 
 @pytest.fixture
@@ -121,9 +135,9 @@ def test_health_snapshot_reports_op_latency_at_one_precision(ux_world):
                   "max_us": 23934.684}
 
 
-def _socket_rpc(api, server, req_id):
+def _socket_rpc(api, server, req_id, acked=None):
     handle = yield from server.rpc.call(
-        api.ctx, "socket", args=(SOCK_DGRAM,), req_id=req_id)
+        api.ctx, "socket", args=(SOCK_DGRAM,), req_id=req_id, acked=acked)
     return handle
 
 
@@ -148,24 +162,71 @@ def test_duplicate_is_replayed_until_its_caller_sends_again(ux_world):
 
 
 def test_next_request_acknowledges_the_older_reply(ux_world):
-    """Once the caller's next request has been served, its older reply is
-    gone: re-sending the older id runs the operation again (a fresh
-    descriptor), as an id evicted from a bounded cache did."""
+    """Once a request of the caller acknowledging the older id has been
+    served, the older reply is gone: re-sending the older id runs the
+    operation again (a fresh descriptor), as an id evicted from a bounded
+    cache did."""
     net, pa, _pb = ux_world
     api = pa.new_app()
     server = pa.server
 
     def prog():
-        first = yield from _socket_rpc(api, server, ("a", 1))
-        second = yield from _socket_rpc(api, server, ("a", 2))
+        first = yield from _socket_rpc(api, server, ("a", 1), acked=1)
+        second = yield from _socket_rpc(api, server, ("a", 2), acked=2)
         replays = server.replays_served
-        again = yield from _socket_rpc(api, server, ("a", 1))
+        again = yield from _socket_rpc(api, server, ("a", 1), acked=1)
         return first, second, again, server.replays_served - replays
 
     first, second, again, replayed = net.run_all([prog()], until=BOUND)[0]
     assert len({first, second, again}) == 3
     assert replayed == 0
     assert server._replay_cache[("a",)] == {1: (again, 0), 2: (second, 0)}
+
+
+def test_a_sibling_request_does_not_acknowledge_an_outstanding_call(
+        ux_world):
+    """Two processes share one API, so one caller.  A sendto's reply
+    arrives past its deadline; while its process backs off, the sibling
+    starts a new recvfrom.  That request must not drop the sendto's
+    reply: the retry is replayed, and the datagram leaves once."""
+    net, pa, pb = ux_world
+    api_a, api_b = pa.new_app(), pb.new_app()
+    late = _FirstReplyLate("sendto", delay_us=600_000.0)
+    FaultPlan([late], seed=1).attach_server(pa.server)
+    bound = net.sim.event()
+
+    def peer():
+        fd = yield from api_b.socket(SOCK_DGRAM)
+        yield from api_b.bind(fd, 9681)
+        bound.succeed()
+        got = []
+        while not got or got[-1] != b"done":
+            data, _src = yield from api_b.recvfrom(fd)
+            got.append(data)
+            yield from api_b.sendto(fd, data, (IP1, 9680))
+        return got
+
+    def reader():
+        fd = yield from api_a.socket(SOCK_DGRAM)
+        yield from api_a.bind(fd, 9680)
+        echoes = []
+        for _ in range(2):
+            data, _src = yield from api_a.recvfrom(fd)
+            echoes.append(data)
+        return echoes
+
+    def sender():
+        yield bound
+        fd = yield from api_a.socket(SOCK_DGRAM)
+        yield from api_a.sendto(fd, b"once", (IP2, 9681))
+        yield from api_a.sendto(fd, b"done", (IP2, 9681))
+
+    got, echoes, _ = net.run_all([peer(), reader(), sender()], until=BOUND)
+    assert late.delayed == 1
+    assert pa.server.rpc.deadline_expiries == 1
+    assert pa.server.replays_served == 1
+    assert got == [b"once", b"done"]
+    assert echoes == [b"once", b"done"]
 
 
 def test_ttcp_leaves_at_most_one_reply_per_caller(ux_world):
