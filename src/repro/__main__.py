@@ -112,8 +112,13 @@ def cmd_netstat(args):
     return 0
 
 
-def _ascii_chart(points, width=64, height=12):
+#: ``probe``'s cwnd chart: columns and rows of the plot area.
+CHART_WIDTH, CHART_HEIGHT = 64, 12
+
+
+def _ascii_chart(points):
     """Plot (t, value) points as a crude terminal chart."""
+    width, height = CHART_WIDTH, CHART_HEIGHT
     numeric = [(t, v) for t, v in points if isinstance(v, (int, float))]
     if len(numeric) < 2:
         return "(not enough samples to chart)"

@@ -1,7 +1,7 @@
 """Headless JSON bench runner and perf-regression comparator.
 
-Runs the paper's Table 1-4 and Figure 1 harnesses without pytest and
-emits one schema-versioned JSON document::
+Runs the harnesses of the paper's Tables 1-4, Figure 1 and ablations,
+and emits one schema-versioned JSON document::
 
     python -m repro.analysis.bench_json -o BENCH.json
 
@@ -22,6 +22,7 @@ commit it:
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -30,10 +31,20 @@ from repro.analysis.experiments import (
     run_crossings,
     run_proxy_calls,
     run_table2,
+    search_best_rcvbuf,
 )
 from repro.analysis.tracing import run_traced_breakdown
+from repro.apps.protolat import protolat
+from repro.apps.ttcp import ttcp
+from repro.core.sockets import SOCK_DGRAM
 from repro.stack.instrument import Layer
-from repro.world.configs import DECSTATION_ROWS, GATEWAY_ROWS
+from repro.world.configs import (
+    CONFIGS,
+    DECSTATION_ROWS,
+    GATEWAY_ROWS,
+    build_network,
+)
+from repro.world.topology import TopologySpec, build_world, warm_arp
 
 #: Bump on any structural change to the emitted document.
 SCHEMA = "repro-bench/1"
@@ -54,6 +65,17 @@ TABLE3_ROWS = ("library-ipc", "library-shm", "library-shm-ipf",
 TABLE4_SYSTEMS = ("mach25", "ux", "library-shm-ipf")
 TABLE4_SIZES = (1, 1472)
 FIGURE1_SYSTEMS = ("mach25", "ux", "library-shm-ipf")
+
+MB = 1024 * 1024
+#: Timed round trips of the two-host UDP echo ablations.
+ECHO_ROUNDS = 40
+#: Destinations behind one hub in the route-metastate ablation.
+FANOUT = 32
+RCVBUF_SYSTEMS = ("mach25", "library-shm-ipf", "ux")
+#: The window-scale ablation's paths: (name, one-way delay µs, transfer),
+#: each transfer sized by its start-up (the first delayed ACK on the LAN,
+#: slow start over the 100 ms RTT), as EXPERIMENTS.md argues.
+WSCALE_PATHS = (("lan", 0.0, 4 * MB), ("far", 50_000.0, 8 * MB))
 
 
 def _latency_entry(result):
@@ -126,6 +148,146 @@ def _h_figure1():
     return {"figure1": {key: run_crossings(key) for key in FIGURE1_SYSTEMS}}
 
 
+def _h_sync():
+    """§4.3, footnote 4: the UX server with light locks for its spl
+    package.  The spl side is Table 2's ``ux`` row: the same worlds."""
+    spec = dataclasses.replace(CONFIGS["ux"], heavyweight_sync=False)
+    net, pa, pb = build_network(spec)
+    kbs = ttcp(net, pb, pa, total_bytes=MB, rcvbuf_kb=24).throughput_kbs
+    net, pa, pb = build_network(spec)
+    lat = protolat(net, pb, pa, proto="udp", message_size=1, rounds=40)
+    return {"sync": {"light": {"throughput_kbs": kbs,
+                               "udp_1_rtt_us": lat.mean_rtt_us}}}
+
+
+def _udp_echo(sim, client, servers, destinations, cache, warmup=0,
+              fillers=0, invalidate=None):
+    """1-byte UDP echoes from the ``client`` app to port 9000 of each
+    destination in turn, served by the ``servers`` apps, which bind
+    ``fillers`` sessions after theirs (those filters are scanned first).
+    ``invalidate(metastate, dst)`` runs before each timed trip.  Returns
+    the mean RTT (µs) after ``warmup`` trips and the client's RPCs and
+    hits on ``cache`` ("arp" or "route")."""
+    bound = [sim.event() for _ in servers]
+
+    def server(api, ready):
+        fd = yield from api.socket(SOCK_DGRAM)
+        yield from api.bind(fd, 9000)
+        for i in range(fillers):
+            filler = yield from api.socket(SOCK_DGRAM)
+            yield from api.bind(filler, 20000 + i)
+        ready.succeed()
+        while True:
+            data, src = yield from api.recvfrom(fd)
+            yield from api.sendto(fd, data, src)
+
+    def trips():
+        for ready in bound:
+            yield ready
+        fd = yield from client.socket(SOCK_DGRAM)
+        meta = client.library.metastate
+        elapsed = 0.0
+        for i, dst in enumerate(destinations):
+            if i >= warmup and invalidate is not None:
+                invalidate(meta, dst)
+            start = sim.now
+            yield from client.sendto(fd, b"x", (dst, 9000))
+            yield from client.recvfrom(fd)
+            if i >= warmup:
+                elapsed += sim.now - start
+        stats = meta.stats()
+        return {"rtt_us": elapsed / (len(destinations) - warmup),
+                "rpcs": stats[cache + "_rpcs"],
+                "hits": stats[cache + "_hits"]}
+
+    for api, ready in zip(servers, bound):
+        sim.spawn(server(api, ready))
+    return sim.run_process(trips(), until=600_000_000)
+
+
+def _arp_echo(fillers=0, cold=False):
+    """Two hosts, 2 warm-up and :data:`ECHO_ROUNDS` timed trips; ``cold``
+    drops the client's ARP mapping of the server (its next hop on one
+    segment) before each timed trip."""
+    net, pa, pb = build_network("library-shm-ipf")
+    return _udp_echo(
+        net.sim, pb.new_app(), [pa.new_app()],
+        [pa.host.ip] * (2 + ECHO_ROUNDS), "arp", warmup=2, fillers=fillers,
+        invalidate=(lambda meta, dst: meta.invalidate_arp(dst))
+        if cold else None)
+
+
+def _route_echo(cold):
+    """One trip to each of :data:`FANOUT` hosts behind a star's hub;
+    ``cold`` drops the client's route entries before each trip."""
+    world = build_world(TopologySpec(kind="star", hosts=FANOUT + 1, seed=1,
+                                     placement="library-shm-ipf"))
+    warm_arp(world)
+    return _udp_echo(
+        world.sim, world.new_app(0),
+        [world.new_app(i) for i in range(1, FANOUT + 1)],
+        [host.ip for host in world.hosts[1:]], "route",
+        invalidate=(lambda meta, _dst: meta.invalidate_routes())
+        if cold else None)
+
+
+def _h_filters_metastate():
+    """Filter scaling (the measured session's filter is scanned last) and
+    §3.3 metastate (a warm cache against one invalidated before every
+    send).  The one-session filter run is the warm ARP case."""
+    echo = {n: _arp_echo(fillers=n - 1) for n in (1, 16, 64, 128)}
+    return {
+        "filters": {"rtt_us": {str(n): r["rtt_us"] for n, r in echo.items()}},
+        "metastate": {
+            "arp": {"warm": echo[1], "cold": _arp_echo(cold=True)},
+            "routes": {"warm": _route_echo(False), "cold": _route_echo(True)},
+        },
+    }
+
+
+def _h_delack():
+    """BSD's delayed ACK against an ACK for every segment: a 2 MB ttcp
+    (and the frames it put on the wire) and a 64-byte TCP echo."""
+    section = {}
+    for label, delayed in (("delayed", True), ("every_segment", False)):
+        tcp = {"delayed_ack": delayed}
+        net, pa, pb = build_network("library-shm-ipf", tcp_defaults=tcp)
+        kbs = ttcp(net, pb, pa, total_bytes=2 * MB,
+                   rcvbuf_kb=120).throughput_kbs
+        frames = net.wire.frames_carried
+        net, pa, pb = build_network("library-shm-ipf", tcp_defaults=tcp)
+        lat = protolat(net, pb, pa, proto="tcp", message_size=64, rounds=40)
+        section[label] = {"throughput_kbs": kbs, "wire_frames": frames,
+                          "tcp_64_rtt_us": lat.mean_rtt_us}
+    return {"delack": section}
+
+
+def _h_rcvbuf():
+    """§4.1: the receive-buffer-size search, 1 MB per transfer."""
+    section = {}
+    for key in RCVBUF_SYSTEMS:
+        best, sweep = search_best_rcvbuf(key, total_bytes=MB)
+        section[key] = {"best_kb": best, "throughput_kbs": {
+            str(kb): kbs for kb, kbs in sweep.items()}}
+    return {"rcvbuf": section}
+
+
+def _h_wscale():
+    """RFC 1323 window scaling (shift 3) off and on, with 240 KB socket
+    buffers, on each of :data:`WSCALE_PATHS` (KB/s)."""
+    section = {}
+    for path, delay, size in WSCALE_PATHS:
+        section[path] = {}
+        for label, shift in (("off", None), ("on", 3)):
+            net, pa, pb = build_network(
+                "library-shm-ipf", tcp_defaults={"window_scale": shift},
+                propagation_us=delay)
+            section[path][label] = ttcp(
+                net, pb, pa, total_bytes=size, rcvbuf_kb=240,
+                sndbuf_kb=240).throughput_kbs
+    return {"wscale": section}
+
+
 #: Named bench harnesses, in document order.  Each entry is
 #: (progress message, zero-argument callable returning the document
 #: keys it contributes).  Shared by :func:`collect` and the
@@ -138,34 +300,28 @@ HARNESSES = {
     "table3_newapi": ("table 3: NEWAPI rows ...", _h_table3_newapi),
     "table4_udp_us": ("table 4: trace-derived breakdowns ...", _h_table4),
     "figure1": ("figure 1: crossing counts ...", _h_figure1),
+    "sync": ("ablation: sync package ...", _h_sync),
+    "filters_metastate": ("ablations: filters ...", _h_filters_metastate),
+    "delack": ("ablation: delayed ACK ...", _h_delack),
+    "rcvbuf": ("ablation: receive-buffer search ...", _h_rcvbuf),
+    "wscale": ("ablation: window scale ...", _h_wscale),
 }
 
 
 def collect(log=None):
     """Run every harness; returns the BENCH document as a dict."""
-    def say(msg):
-        if log is not None:
-            log(msg)
-
     wall_start = time.monotonic()
     doc = {"schema": SCHEMA}
     #: Per-harness wall-clock metadata.  Volatile (see VOLATILE_KEYS):
     #: the CI drift gate ignores it, but keeping it in the document lets
     #: CI and humans track where the runner's time goes.
     harness_seconds = {}
-    mark = time.monotonic()
-
-    def lap(label):
-        nonlocal mark
-        now = time.monotonic()
-        harness_seconds[label] = round(now - mark, 3)
-        mark = now
-
     for name, (message, harness) in HARNESSES.items():
-        say(message)
+        if log is not None:
+            log(message)
+        start = time.monotonic()
         doc.update(harness())
-        lap(name)
-
+        harness_seconds[name] = round(time.monotonic() - start, 3)
     total = round(time.monotonic() - wall_start, 3)
     doc["wall_clock_seconds"] = total
     doc["wallclock"] = {
@@ -185,9 +341,7 @@ def collect_metrics_block(config_key="library-shm-ipf", platform="decstation",
     invoked with ``--metrics``.
     """
     from repro.analysis.timeseries import probe_summary
-    from repro.apps.ttcp import ttcp
     from repro.metrics.registry import state_cell_block
-    from repro.world.configs import CONFIGS, build_network
 
     net, src, dst = build_network(config_key, platform=platform)
     net.metrics.enable()

@@ -19,6 +19,9 @@ from repro.world.configs import CONFIGS, build_network
 #: 1 MB and 1084 KB/s at 16 MB).
 DEFAULT_TTCP_BYTES = 2 * 1024 * 1024
 
+#: The buffer-size search keeps a larger buffer only if it beats this.
+RCVBUF_IMPROVEMENT = 1.02
+
 
 def run_throughput(config_key, platform="decstation", total_bytes=None,
                    rcvbuf_kb=None):
@@ -217,21 +220,18 @@ def run_proxy_calls(config_key="library-shm-ipf", telemetry=False):
     return result
 
 
-def search_best_rcvbuf(config_key, platform="decstation",
-                       sizes_kb=(8, 16, 24, 48, 64, 120),
-                       total_bytes=None, improvement=1.02):
+def search_best_rcvbuf(config_key, sizes_kb=(4, 8, 16, 24, 48, 120),
+                       total_bytes=None):
     """The paper's buffer-size search: grow the receive buffer until
     throughput stops improving.  Returns (best_kb, {kb: throughput})."""
     sweep = {}
     best_kb = sizes_kb[0]
     best = 0.0
     for kb in sizes_kb:
-        result = run_throughput(
-            config_key, platform=platform, total_bytes=total_bytes,
-            rcvbuf_kb=kb,
-        )
+        result = run_throughput(config_key, total_bytes=total_bytes,
+                                rcvbuf_kb=kb)
         sweep[kb] = result.throughput_kbs
-        if result.throughput_kbs > best * improvement:
+        if result.throughput_kbs > best * RCVBUF_IMPROVEMENT:
             best = result.throughput_kbs
             best_kb = kb
     return best_kb, sweep

@@ -8,8 +8,9 @@ paper publishes (:mod:`repro.analysis.paper`) that the document
 measured, it prints the measured value, the paper's, and
 ln(measured / paper); for every table, the number of scored cells, the
 median |ln(measured / paper)| and the ten worst cells.  It ends with the
-paper's qualitative claims as verdicts computed from the document, and
-exits 1 if any verdict fails (2 if ``DOC`` is not a bench document).
+paper's qualitative claims and its ablations (which publish no numbers)
+as verdicts computed from the document, and exits 1 if any verdict
+fails (2 if ``DOC`` is not a bench document).
 """
 
 import argparse
@@ -21,7 +22,12 @@ import sys
 from collections import namedtuple
 
 from repro.analysis import paper
-from repro.analysis.bench_json import SCHEMA
+from repro.analysis.bench_json import (
+    ECHO_ROUNDS,
+    FANOUT,
+    RCVBUF_SYSTEMS,
+    SCHEMA,
+)
 from repro.stack.instrument import Layer
 from repro.world.configs import DECSTATION_ROWS, GATEWAY_ROWS
 
@@ -35,6 +41,12 @@ TITLES = {
     "table4_udp_us": "Table 4, UDP per-layer breakdown",
     "table1_proxy_rpcs": "Table 1",
     "figure1": "Figure 1",
+    "sync": "§4.3 sync ablation",
+    "filters": "Filter-scaling ablation",
+    "metastate": "§3.3 metastate ablation",
+    "delack": "Delayed-ACK ablation",
+    "rcvbuf": "§4.1 buffer-size search",
+    "wscale": "RFC 1323 window-scale ablation",
 }
 
 #: Table 3 compares each library system without and with NEWAPI.
@@ -156,7 +168,8 @@ def _within(claim, value, low, high):
         low, value, high)
 
 
-def _table1_claims(rpcs):
+def _table1_claims(doc):
+    rpcs = doc["table1_proxy_rpcs"]
     # Data transfer never involves the OS server; session management
     # always does.
     yield _check("send/recv makes no server RPC",
@@ -166,7 +179,8 @@ def _table1_claims(rpcs):
         yield _check("%s makes a server RPC" % call, rpcs[call], ">=", 1)
 
 
-def _decstation_claims(rows):
+def _decstation_claims(doc):
+    rows = doc["table2_decstation"]
     kbs = {key: row["throughput_kbs"] for key, row in rows.items()}
     udp = {key: _rtt_ms(row["udp_rtt"]) for key, row in rows.items()}
     yield _check("library-shm-ipf KB/s >= 0.95 x mach25",
@@ -190,7 +204,8 @@ def _decstation_claims(rows):
                       kbs[key] / paper.DECSTATION[key][0], 0.6, 1.4)
 
 
-def _gateway_claims(rows):
+def _gateway_claims(doc):
+    rows = doc["table2_gateway"]
     kbs = {key: row["throughput_kbs"] for key, row in rows.items()}
     udp1 = {key: _rtt_ms(row["udp_rtt"])[1] for key, row in rows.items()}
     # The 8-bit PIO NIC, not the placement, limits throughput.
@@ -209,7 +224,8 @@ def _gateway_claims(rows):
                  udp1["bnr2ss"], ">", udp1["library-ipc"])
 
 
-def _newapi_claims(rows):
+def _newapi_claims(doc):
+    rows = doc["table3_newapi"]
     # The copy NEWAPI removes is on the critical path of a large
     # message, and off it for throughput.
     for plain, newapi in NEWAPI_PAIRS:
@@ -224,7 +240,8 @@ def _newapi_claims(rows):
                       / rows[plain]["throughput_kbs"], 0.97, 1.12)
 
 
-def _table4_claims(t4):
+def _table4_claims(doc):
+    t4 = doc["table4_udp_us"]
     lib, kern, srv = (t4[key]["1"] for key in
                       ("library-shm-ipf", "mach25", "ux"))
 
@@ -251,7 +268,8 @@ def _table4_claims(t4):
                  total(srv), ">=", 2.0 * total(kern))
 
 
-def _figure1_claims(counts):
+def _figure1_claims(doc):
+    counts = doc["figure1"]
     lib, kern, srv = (counts[key] for key in
                       ("library-shm-ipf", "mach25", "ux"))
     yield _check("library-shm-ipf makes no server RPC",
@@ -269,6 +287,85 @@ def _figure1_claims(counts):
                  srv["data_copies"], ">=", 2 * kern["data_copies"])
 
 
+def _sync_claims(doc):
+    # Light locks recover a solid chunk of the server's deficit, but the
+    # RPC-per-call architecture keeps it below library/kernel levels.
+    spl, light = doc["table2_decstation"]["ux"], doc["sync"]["light"]
+    yield _check("ux light-lock KB/s > 1.05 x spl (Table 2 ux)",
+                 light["throughput_kbs"], ">", 1.05 * spl["throughput_kbs"])
+    yield _check("ux light-lock UDP 1 B RTT < 0.9 x spl",
+                 light["udp_1_rtt_us"], "<",
+                 0.9 * spl["udp_rtt"]["1"]["mean_us"])
+    yield _check("ux light-lock KB/s < 1000 (not kernel-class)",
+                 light["throughput_kbs"], "<", 1000)
+
+
+def _filters_claims(doc):
+    # Demux cost grows with the filter list, by the per-filter VM cost.
+    rtt = {int(n): us for n, us in doc["filters"]["rtt_us"].items()}
+    yield ("UDP 1 B RTT: 128 sessions > 16 > 1",
+           rtt[128] > rtt[16] > rtt[1],
+           "%.4g > %.4g > %.4g" % (rtt[128], rtt[16], rtt[1]))
+    yield _check("UDP 1 B RTT: 128 sessions < 2.5 x 1",
+                 rtt[128], "<", 2.5 * rtt[1])
+
+
+def _metastate_claims(doc):
+    arp, routes = doc["metastate"]["arp"], doc["metastate"]["routes"]
+    yield _check("warm ARP: one ARP RPC in all", arp["warm"]["rpcs"], "==", 1)
+    yield _check("ARP invalidated per send: an ARP RPC per send",
+                 arp["cold"]["rpcs"], ">=", ECHO_ROUNDS)
+    yield _check("ARP invalidated per send: RTT > 1.1 x warm",
+                 arp["cold"]["rtt_us"], ">", 1.1 * arp["warm"]["rtt_us"])
+    yield _check("warm routes: one route RPC for %d destinations" % FANOUT,
+                 routes["warm"]["rpcs"], "==", 1)
+    yield _check("warm routes: a route hit per destination",
+                 routes["warm"]["hits"], "==", FANOUT)
+    yield _check("routes invalidated per send: a route RPC per destination",
+                 routes["cold"]["rpcs"], "==", FANOUT)
+    yield _check("routes invalidated per send: RTT > 1.1 x warm",
+                 routes["cold"]["rtt_us"], ">",
+                 1.1 * routes["warm"]["rtt_us"])
+
+
+def _delack_claims(doc):
+    delayed, eager = doc["delack"]["delayed"], doc["delack"]["every_segment"]
+    yield _check("ACK every segment: wire frames > 1.2 x delayed",
+                 eager["wire_frames"], ">", 1.2 * delayed["wire_frames"])
+    # Bulk throughput is a wash (receiver CPU against a tighter ack
+    # clock), but the eager pure ACK goes out ahead of an echo's reply.
+    yield _check("ACK every segment: |KB/s - delayed| / delayed < 0.05",
+                 abs(eager["throughput_kbs"] - delayed["throughput_kbs"])
+                 / delayed["throughput_kbs"], "<", 0.05)
+    yield _check("ACK every segment: TCP 64 B RTT > 1.2 x delayed",
+                 eager["tcp_64_rtt_us"], ">", 1.2 * delayed["tcp_64_rtt_us"])
+
+
+def _rcvbuf_claims(doc):
+    for key in RCVBUF_SYSTEMS:
+        search = doc["rcvbuf"][key]
+        kbs = {int(kb): v for kb, v in search["throughput_kbs"].items()}
+        best = kbs[search["best_kb"]]
+        yield _check("%s 4 KB KB/s < 0.8 x best (%d KB)"
+                     % (key, search["best_kb"]), kbs[4], "<", 0.8 * best)
+        yield _check("%s 16 KB KB/s >= 0.98 x 8 KB" % key,
+                     kbs[16], ">=", 0.98 * kbs[8])
+        yield _check("%s 120 KB KB/s <= 1.05 x best" % key,
+                     kbs[120], "<=", 1.05 * best)
+
+
+def _wscale_claims(doc):
+    lan, far = doc["wscale"]["lan"], doc["wscale"]["far"]
+    # On the LAN the unscaled 64 KB window already covers the
+    # bandwidth-delay product; on the long link it caps throughput near
+    # 64 KB per 100 ms RTT, and scaling recovers a large part.
+    yield _check("LAN: |on - off| / off < 0.05",
+                 abs(lan["on"] - lan["off"]) / lan["off"], "<", 0.05)
+    yield _check("50 ms link, wscale off: KB/s < 700", far["off"], "<", 700)
+    yield _check("50 ms link: wscale on KB/s > 1.25 x off",
+                 far["on"], ">", 1.25 * far["off"])
+
+
 _CLAIMS = {
     "table1_proxy_rpcs": _table1_claims,
     "table2_decstation": _decstation_claims,
@@ -276,6 +373,12 @@ _CLAIMS = {
     "table3_newapi": _newapi_claims,
     "table4_udp_us": _table4_claims,
     "figure1": _figure1_claims,
+    "sync": _sync_claims,
+    "filters": _filters_claims,
+    "metastate": _metastate_claims,
+    "delack": _delack_claims,
+    "rcvbuf": _rcvbuf_claims,
+    "wscale": _wscale_claims,
 }
 
 
@@ -283,7 +386,7 @@ def verdicts(doc):
     """Every claim, checked on the document: a list of :class:`Verdict`."""
     return [Verdict(table, *claim)
             for table, claims in _CLAIMS.items()
-            for claim in claims(doc[table])]
+            for claim in claims(doc)]
 
 
 # ----------------------------------------------------------------------

@@ -66,8 +66,7 @@ class LatencyResult:
 
 
 def protolat(network, client_placement, server_placement, proto="udp",
-             message_size=1, rounds=100, port=DEFAULT_PORT, until=None,
-             on_warm=None):
+             message_size=1, rounds=100, port=DEFAULT_PORT, on_warm=None):
     """Measure round-trip latency; returns a :class:`LatencyResult`.
 
     The first :data:`WARMUP_ROUNDS` trips (ARP exchange, cache warming,
@@ -144,8 +143,7 @@ def protolat(network, client_placement, server_placement, proto="udp",
         server_gen, client_gen = udp_server(), udp_client()
     else:
         server_gen, client_gen = tcp_server(), tcp_client()
-    if until is None:
-        until = sim.now + total_rounds * 1_000_000.0 + 60_000_000
+    until = sim.now + total_rounds * 1_000_000.0 + 60_000_000
     _server_result, samples = network.run_all(
         [server_gen, client_gen], until=until
     )

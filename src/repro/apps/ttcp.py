@@ -35,8 +35,7 @@ class TtcpResult:
 
 
 def ttcp(network, src_placement, dst_placement, total_bytes=DEFAULT_TOTAL,
-         write_size=DEFAULT_WRITE, rcvbuf_kb=24, sndbuf_kb=24,
-         port=DEFAULT_PORT, until=None):
+         write_size=DEFAULT_WRITE, rcvbuf_kb=24, sndbuf_kb=24):
     """Run one ttcp transfer; returns a :class:`TtcpResult`.
 
     ``rcvbuf_kb`` is the receive-socket-buffer size — the paper tuned this
@@ -51,7 +50,7 @@ def ttcp(network, src_placement, dst_placement, total_bytes=DEFAULT_TOTAL,
     def sink():
         fd = yield from dst_api.socket(SOCK_STREAM)
         yield from dst_api.setsockopt(fd, "rcvbuf", rcvbuf_kb * 1024)
-        yield from dst_api.bind(fd, port)
+        yield from dst_api.bind(fd, DEFAULT_PORT)
         yield from dst_api.listen(fd, 1)
         listening.succeed()
         cfd, _addr = yield from dst_api.accept(fd)
@@ -71,7 +70,7 @@ def ttcp(network, src_placement, dst_placement, total_bytes=DEFAULT_TOTAL,
         yield listening
         fd = yield from src_api.socket(SOCK_STREAM)
         yield from src_api.setsockopt(fd, "sndbuf", sndbuf_kb * 1024)
-        yield from src_api.connect(fd, (dst_ip, port))
+        yield from src_api.connect(fd, (dst_ip, DEFAULT_PORT))
         started = sim.now
         # ttcp's canned pattern buffer; content is irrelevant but real
         # bytes flow (and get checksummed) end to end.
@@ -84,9 +83,8 @@ def ttcp(network, src_placement, dst_placement, total_bytes=DEFAULT_TOTAL,
         yield from src_api.close(fd)
         return sim.now - started
 
-    if until is None:
-        # Generous bound: even 100 KB/s would finish in this budget.
-        until = sim.now + total_bytes * 12.0 + 60_000_000
+    # Generous bound: even 100 KB/s would finish in this budget.
+    until = sim.now + total_bytes * 12.0 + 60_000_000
     (received, elapsed), sender_elapsed = network.run_all(
         [sink(), source()], until=until
     )

@@ -333,7 +333,7 @@ def send_rst(conn):
     _make_segment(conn, conn.snd_nxt, RST | ACK)
 
 
-def rst_for(segment, verify_ack=True):
+def rst_for(segment):
     """Build the RST reply to a segment that reached no live connection.
 
     RFC 793: if the offending segment had an ACK, the RST carries that

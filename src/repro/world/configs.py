@@ -211,14 +211,15 @@ def make_placement(spec_or_key, host, tcp_defaults=None):
 
 def build_network(config_key, platform="decstation", tcp_defaults=None,
                   sim=None, propagation_us=0.0, fault_plan=None):
-    """A two-host testbed running one named configuration.
+    """A two-host testbed running one configuration: a :data:`CONFIGS`
+    key or a :class:`PlacementSpec`.
 
     Returns ``(network, placement_a, placement_b)`` with hosts at
     10.0.0.1 and 10.0.0.2 on a private 10 Mb/s Ethernet, as in the
     paper's measurement setup.  ``fault_plan`` installs a
     :class:`repro.faults.FaultPlan` pipeline on the wire.
     """
-    spec = CONFIGS[config_key]
+    spec = CONFIGS[config_key] if isinstance(config_key, str) else config_key
     if platform == "decstation":
         params = DECSTATION_5000_200
         nic_model = LANCE

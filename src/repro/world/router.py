@@ -21,6 +21,10 @@ from repro.stack.context import ExecutionContext
 from repro.stack.instrument import Layer
 from repro.trace import adopt_trace, frame_trace
 
+#: A router's ARP requests per unresolved next hop, and its wait for each.
+ARP_TRIES = 3
+ARP_WAIT_US = 500_000.0
+
 
 class RouterInterface:
     """One attachment point: a NIC plus its IP configuration."""
@@ -210,18 +214,18 @@ class Router:
         )
         yield from iface.nic.start_transmit(frame)
 
-    def _resolve(self, iface, next_hop, tries=3, wait_us=500_000.0):
+    def _resolve(self, iface, next_hop):
         mac = iface.arp_cache.lookup(next_hop)
         if mac is not None:
             return mac
-        for _ in range(tries):
+        for _ in range(ARP_TRIES):
             request = arp.ArpPacket.request(iface.mac, iface.ip, next_hop)
             frame = ethernet.encapsulate(
                 BROADCAST_MAC, iface.mac, ethernet.ETHERTYPE_ARP,
                 request.pack(),
             )
             yield from self._transmit(iface, frame)
-            deadline = self.sim.now + wait_us
+            deadline = self.sim.now + ARP_WAIT_US
             while self.sim.now < deadline:
                 waits = [iface.arp_notify.wait(),
                          self.sim.timeout(deadline - self.sim.now)]

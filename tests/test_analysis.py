@@ -1,5 +1,5 @@
-"""The analysis toolkit: tables, netstat, experiment orchestration, and
-the paper-vs-measured report."""
+"""The analysis toolkit: netstat, experiment orchestration, and the
+paper-vs-measured report."""
 
 import json
 import shutil
@@ -9,40 +9,12 @@ import pytest
 
 from repro.analysis import paper, report
 from repro.analysis.netstat import format_report, host_report
-from repro.analysis.tables import format_table
 from repro.core.sockets import SOCK_DGRAM, SOCK_STREAM
 from repro.net.addr import ip_aton
 from repro.world.configs import DECSTATION_ROWS, GATEWAY_ROWS, build_network
 
 IP1 = ip_aton("10.0.0.1")
 BASELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "baseline.json"
-
-
-# ----------------------------------------------------------------------
-# Table rendering
-# ----------------------------------------------------------------------
-
-def test_format_table_alignment():
-    text = format_table(
-        ["name", "value"], [["short", 1], ["a-much-longer-name", 22.5]]
-    )
-    lines = text.splitlines()
-    assert len(lines) == 4
-    assert lines[0].startswith("name")
-    # Right-aligned numeric column.
-    assert lines[2].rstrip().endswith("1.00") or lines[2].rstrip().endswith("1")
-    assert "a-much-longer-name" in lines[3]
-
-
-def test_format_table_title_and_none():
-    text = format_table(["a"], [[None]], title="My Table")
-    assert text.startswith("My Table")
-    assert "NA" in text
-
-
-def test_format_table_rejects_ragged_rows():
-    with pytest.raises(ValueError):
-        format_table(["a", "b"], [["only one"]])
 
 
 # ----------------------------------------------------------------------
@@ -181,28 +153,38 @@ def test_report_scores_the_baseline_without_simulating(monkeypatch):
         assert [abs(c.log_ratio) for c in worst] == sorted(
             (abs(c.log_ratio) for c in worst), reverse=True)
     verdicts = report.verdicts(doc)
-    assert len(verdicts) == 51
+    assert len(verdicts) == 78
     assert [v for v in verdicts if not v.ok] == []
     per_table = {}
     for v in verdicts:
         per_table[v.table] = per_table.get(v.table, 0) + 1
     assert per_table == {"table1_proxy_rpcs": 8, "table2_decstation": 14,
                          "table2_gateway": 7, "table3_newapi": 9,
-                         "table4_udp_us": 7, "figure1": 6}
+                         "table4_udp_us": 7, "figure1": 6, "sync": 3,
+                         "filters": 2, "metastate": 7, "delack": 3,
+                         "rcvbuf": 9, "wscale": 3}
     text, failed = report.render(doc, "baseline.json")
     assert failed == 0
-    assert text.count("\n- PASS") == 51
+    assert text.count("\n- PASS") == 78
 
 
-def test_report_fails_a_verdict_and_exits_one(tmp_path, capsys):
+@pytest.mark.parametrize("plant, failure", [
+    (lambda doc: doc["figure1"]["mach25"].update(server_rpcs=1.0),
+     "Figure 1: mach25 makes no server RPC (1 == 0)"),
+    (lambda doc: doc["wscale"]["far"].update(on=doc["wscale"]["far"]["off"]),
+     "RFC 1323 window-scale ablation: 50 ms link: wscale on KB/s > "
+     "1.25 x off (555.5 > 694.3)"),
+], ids=["figure1", "wscale"])
+def test_report_fails_a_verdict_and_exits_one(tmp_path, capsys, plant,
+                                              failure):
     doc = json.loads(BASELINE.read_text())
-    doc["figure1"]["mach25"]["server_rpcs"] = 1.0
+    plant(doc)
     path = tmp_path / "bench.json"
     path.write_text(json.dumps(doc))
     assert report.main([str(path)]) == 1
     out = capsys.readouterr().out
-    assert "- FAIL — Figure 1: mach25 makes no server RPC (1 == 0)" in out
-    assert "51 verdicts, 50 PASS, 1 FAIL." in out
+    assert "- FAIL — " + failure in out
+    assert "78 verdicts, 77 PASS, 1 FAIL." in out
 
 
 @pytest.mark.parametrize("change, message", [
@@ -237,7 +219,7 @@ def test_report_without_a_path_prints_and_writes_no_file(
     assert report.main([]) == 0
     out = capsys.readouterr().out
     assert out.startswith("# Paper vs measured\n")
-    assert "51 verdicts, 51 PASS, 0 FAIL." in out
+    assert "78 verdicts, 78 PASS, 0 FAIL." in out
     assert sorted(str(p.relative_to(tmp_path))
                   for p in tmp_path.rglob("*")) == [
         "benchmarks", "benchmarks/baseline.json"]
